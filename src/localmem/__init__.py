@@ -34,6 +34,7 @@ from .design import (
 from .errors import (
     CapacityError,
     ConfigError,
+    ConvergenceError,
     DomainError,
     InfeasibleCalibrationError,
     LocalMemError,
@@ -55,7 +56,6 @@ from .partitions import (
     Partition,
     PartitionSet,
     bell_number,
-    block_aggregates,
     enumerate_partitions,
     partition_prior,
 )
@@ -69,10 +69,9 @@ from .posterior import (
     PartitionPosterior,
     SimilarityMatrix,
     analyze,
+    default_basket_ids,
     effective_sample_size,
-    global_posterior,
     local_posterior,
-    log_block_marginal,
     partition_posterior,
     prob_exceeds,
     similarity_matrix,

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import DesignSpec
+from .design import DesignSpec, survivor_exceedance
 from .errors import DomainError, InfeasibleCalibrationError
-from .posterior import BatchPosterior
 from .simulation import Scenario, _chunk_ranges, generate_counts
 
 DEFAULT_LAMBDA_GRID = tuple(np.round(np.arange(0.900, 0.9995, 0.001), 3))
@@ -81,44 +80,29 @@ class CalibrationResult:
 def _single_stage_chunk(args) -> np.ndarray:
     spec, scenario, seed, lo, hi = args
     _, x = generate_counts(spec, scenario, range(lo, hi), seed)
-    engine = BatchPosterior(spec.max_sizes, spec.partition_set(), spec.prior)
-    return engine.exceed_probs(x, np.asarray(spec.theta0))
+    return survivor_exceedance(spec, x, np.ones(x.shape, dtype=bool), spec.max_sizes)
 
 
 def _two_stage_chunk(args) -> tuple[np.ndarray, np.ndarray]:
+    """Stage-1 probabilities (T, B) and stage-2 probabilities (T, B + 1, B),
+    where p2[t, r] is the stage-2 analysis when the r baskets with the highest
+    stage-1 probabilities survive (-inf outside them)."""
     spec, scenario, seed, lo, hi = args
     num_baskets = spec.num_baskets
     x1, xt = generate_counts(spec, scenario, range(lo, hi), seed)
-    engine1 = BatchPosterior(spec.stage1_sizes(), spec.partition_set(), spec.prior)
-    p1 = engine1.exceed_probs(x1, np.asarray(spec.theta0))
+    p1 = survivor_exceedance(spec, x1, np.ones(x1.shape, dtype=bool), spec.stage1_sizes())
 
-    rows = len(p1)
     order = np.argsort(-p1, axis=1, kind="stable")
     sorted_vals = np.take_along_axis(p1, order, axis=1)
-    p2 = np.full((rows, num_baskets + 1, num_baskets), -np.inf)
-    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for t in range(rows):
-        for r in range(1, num_baskets + 1):
-            if r < num_baskets and sorted_vals[t, r - 1] == sorted_vals[t, r]:
-                continue  # a tie spans this cut, so no q1 produces exactly r survivors
-            survivors = tuple(sorted(int(b) for b in order[t, :r]))
-            groups.setdefault(survivors, []).append((t, r))
-    engines: dict[int, dict[tuple[int, ...], BatchPosterior]] = {}
-    for survivors, items in groups.items():
-        engine = engines.setdefault(len(survivors), {}).get(survivors)
-        if engine is None:
-            engine = BatchPosterior(
-                [spec.max_sizes[b] for b in survivors],
-                spec.partition_set(len(survivors)),
-                spec.prior,
-            )
-            engines[len(survivors)][survivors] = engine
-        idx = [t for t, _ in items]
-        theta0 = np.asarray([spec.theta0[b] for b in survivors])
-        vals = engine.exceed_probs(xt[np.ix_(idx, list(survivors))], theta0)
-        cols = list(survivors)
-        for i, (t, r) in enumerate(items):
-            p2[t, r, cols] = vals[i]
+    rank = np.argsort(order, axis=1)
+    # Cut r keeps the r highest baskets; no q1 produces it when a tie spans it.
+    reachable = np.ones(p1.shape, dtype=bool)
+    reachable[:, :-1] = sorted_vals[:, :-1] != sorted_vals[:, 1:]
+    trial, cut = np.nonzero(reachable)
+    p2 = np.full((len(p1), num_baskets + 1, num_baskets), -np.inf)
+    p2[trial, cut + 1] = survivor_exceedance(
+        spec, xt[trial], rank[trial] <= cut[:, None], spec.max_sizes
+    )
     return p1, p2
 
 

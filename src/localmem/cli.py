@@ -44,7 +44,7 @@ from .errors import (
     InfeasibleCalibrationError,
     LocalMemError,
 )
-from .posterior import BasketData, BetaParams, analyze
+from .posterior import BasketData, BetaParams, analyze, default_basket_ids
 from .simon import DEFAULT_N_MAX, simon_oc, simon_search
 from .simulation import Scenario, scenario_suite, simulate
 
@@ -94,6 +94,15 @@ def _meta(command: str, config: dict, seed=None, n_sims=None) -> dict:
         "seed": seed,
         "n_sims": n_sims,
     }
+
+
+def _seed(args, config: dict) -> int:
+    """The run seed: the --seed flag if given, else the config's (schema-checked) seed."""
+    if args.seed is None:
+        return config["seed"]
+    if not 0 <= args.seed < 2**64:
+        raise ConfigError(f"--seed must lie in [0, 2**64 - 1], got {args.seed}")
+    return args.seed
 
 
 def _build_spec(doc: dict, lam_default: float | None = None) -> DesignSpec:
@@ -254,7 +263,6 @@ def cmd_monitor(args) -> int:
             )
         state = interim_step(TrialState.at_interim(x, spec), spec)
         analyzed = list(range(spec.num_baskets))
-        data = state.data
         decisions = [
             Decision.CONTINUE if d is Decision.PENDING else d for d in state.decisions
         ]
@@ -270,25 +278,22 @@ def cmd_monitor(args) -> int:
                     f"expected the maximum size {spec.max_sizes[b]}; a stopped basket "
                     "cannot re-enter the active set"
                 )
-        data = BasketData.create([x[b] for b in analyzed], [n[b] for b in analyzed])
-        decisions = [Decision.FUTILITY_STOPPED] * spec.num_baskets
+        state = TrialState(
+            stage=STAGE_FINAL,
+            active=tuple(bool(a) for a in active),
+            data=BasketData.create(x, n),
+            decisions=tuple(Decision.PENDING if a else Decision.FUTILITY_STOPPED for a in active),
+        )
+        decisions = final_step(state, spec).decisions
         applied = "q2"
 
     result = analyze(
-        data,
+        BasketData.create([x[b] for b in analyzed], [n[b] for b in analyzed]),
         delta=spec.delta,
         prior=spec.prior,
         theta0=[spec.theta0[b] for b in analyzed],
     )
-    if stage == STAGE_FINAL:
-        for i, b in enumerate(analyzed):
-            decisions[b] = (
-                Decision.EFFICACIOUS
-                if result.prob_exceeds[i] > boundary.q2
-                else Decision.NOT_PROMISING
-            )
-
-    ids = [chr(ord("A") + b) if b < 26 else f"B{b + 1}" for b in range(spec.num_baskets)]
+    ids = default_basket_ids(spec.num_baskets)
     baskets = []
     for b in range(spec.num_baskets):
         entry = {"id": ids[b], "x": x[b], "n": n[b], "decision": decisions[b].value}
@@ -353,7 +358,7 @@ def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     _validate(config, schemas.SIMULATE_CONFIG)
     spec = _build_spec(config["spec"])
-    seed = args.seed if args.seed is not None else config["seed"]
+    seed = _seed(args, config)
     n_sims = config.get("n_sims", 5000)
     scenarios_doc = config.get("scenarios", "suite")
     if scenarios_doc == "suite":
@@ -366,7 +371,7 @@ def cmd_simulate(args) -> int:
     for scenario in scenarios:
         oc = simulate(spec, scenario, n_sims=n_sims, seed=seed, workers=args.workers)
         rows.append(_oc_row(scenario.label, scenario.true_rates, oc))
-    ids = [chr(ord("A") + b) if b < 26 else f"B{b + 1}" for b in range(spec.num_baskets)]
+    ids = default_basket_ids(spec.num_baskets)
     payload = {
         "meta": _meta("simulate", config, seed=seed, n_sims=n_sims),
         "basket_ids": ids,
@@ -384,7 +389,7 @@ def cmd_calibrate(args) -> int:
     config = _load_config(args.config)
     _validate(config, schemas.CALIBRATE_CONFIG)
     spec = _build_spec(config["spec"], lam_default=0.5)
-    seed = args.seed if args.seed is not None else config["seed"]
+    seed = _seed(args, config)
     n_sims = config.get("n_sims", 5000)
     problem = CalibrationProblem(
         spec_template=spec,
@@ -399,7 +404,7 @@ def cmd_calibrate(args) -> int:
 
     # Guard against threshold overfitting: re-estimate the constrained and
     # maximized quantities on an independent stream.
-    eval_seed = seed + 1
+    eval_seed = (seed + 1) % 2**64
     oc_null = simulate(chosen, problem.null_scenario(), n_sims=n_sims, seed=eval_seed, workers=args.workers)
     oc_alt = simulate(
         chosen, problem.alternative_scenario(), n_sims=n_sims, seed=eval_seed, workers=args.workers
@@ -470,7 +475,7 @@ def cmd_simon(args) -> int:
             "pet_null": d.pet_null,
         }
 
-    ids = [chr(ord("A") + b) for b in range(num_baskets)]
+    ids = default_basket_ids(num_baskets)
     payload = {
         "meta": _meta("simon", flags),
         "minimax": design_doc(result.minimax),
@@ -537,12 +542,12 @@ def main(argv=None) -> int:
     except InfeasibleCalibrationError as err:
         print(f"infeasible: {err} (min achieved FWER {err.min_achieved_fwer:.4f})", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConfigError, LocalMemError, ValueError, KeyError, OSError) as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ArithmeticError, FloatingPointError) as err:
+    except ArithmeticError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (LocalMemError, ValueError, KeyError, OSError) as err:
+        print(f"input error: {err}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

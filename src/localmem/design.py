@@ -6,24 +6,23 @@ below q1. Stage II re-analyzes only the surviving baskets at their maximum
 sizes, re-enumerating partitions over the survivors so dropped baskets
 contribute no data, and declares efficacy where the exceedance probability
 exceeds q2.
+
+Every analysis, whether one trial's look or a simulated batch, goes through
+:func:`survivor_exceedance`; the single-trial steps call it with one row.
 """
 
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from .errors import CapacityError, DomainError, ShapeError
 from .partitions import MAX_BASKETS, PartitionSet
-from .posterior import (
-    DEFAULT_PRIOR,
-    BasketData,
-    BetaParams,
-    local_posterior,
-    partition_posterior,
-    prob_exceeds,
-)
+from .posterior import DEFAULT_PRIOR, BasketData, BatchPosterior, BetaParams
 
 STAGE_INTERIM = 1
 STAGE_FINAL = 2
@@ -89,7 +88,7 @@ class DesignSpec:
         interim_sizes=None,
     ) -> "DesignSpec":
         def expand(v, name, cast):
-            if isinstance(v, (int, float)):
+            if isinstance(v, numbers.Real):
                 return tuple(cast(v) for _ in range(num_baskets))
             vals = tuple(cast(u) for u in v)
             if len(vals) != num_baskets:
@@ -99,7 +98,7 @@ class DesignSpec:
         if num_baskets < 1:
             raise DomainError(f"need at least one basket, got {num_baskets}")
         spec = cls(
-            num_baskets=num_baskets,
+            num_baskets=int(num_baskets),
             max_sizes=expand(max_sizes, "max_sizes", int),
             theta0=expand(theta0, "theta0", float),
             theta1=expand(theta1, "theta1", float),
@@ -214,13 +213,33 @@ class TrialState:
         return self.stage == STAGE_DONE
 
 
-def _exceedance(data: BasketData, spec: DesignSpec, theta0: Sequence[float]) -> list[float]:
-    pset = spec.partition_set(data.num_baskets)
-    pp = partition_posterior(data, pset, spec.prior)
-    return [
-        prob_exceeds(local_posterior(b, data, pp, pset, spec.prior), theta0[b])
-        for b in range(data.num_baskets)
-    ]
+def survivor_exceedance(spec: DesignSpec, x, survivors, sizes: Sequence[int]) -> np.ndarray:
+    """Exceedance probabilities over each row's survivor set, shape (T, B).
+
+    x holds count rows (T, B), survivors a boolean mask per row and sizes the
+    sample size of every basket. Each row is analyzed on its survivors only,
+    with partitions re-enumerated over them; baskets outside the set get
+    -inf. Rows are grouped by survivor set, and a set's engine depends only
+    on its survivors' sample sizes, so an equal-size design needs at most B
+    engines.
+    """
+    x = np.asarray(x, dtype=int)
+    survivors = np.asarray(survivors, dtype=bool)
+    sizes = np.asarray(sizes, dtype=int)
+    theta0 = np.asarray(spec.theta0)
+    out = np.full(x.shape, -np.inf)
+    sets, group = np.unique(survivors, axis=0, return_inverse=True)
+    engines: dict[tuple[int, ...], BatchPosterior] = {}
+    for g, keep in enumerate(sets):
+        cols = np.flatnonzero(keep)
+        if not len(cols):
+            continue
+        key = tuple(int(v) for v in sizes[cols])
+        if key not in engines:
+            engines[key] = BatchPosterior(key, spec.partition_set(len(cols)), spec.prior)
+        rows = np.flatnonzero(group.ravel() == g)
+        out[np.ix_(rows, cols)] = engines[key].exceed_probs(x[np.ix_(rows, cols)], theta0[cols])
+    return out
 
 
 def interim_step(state: TrialState, spec: DesignSpec) -> TrialState:
@@ -233,8 +252,8 @@ def interim_step(state: TrialState, spec: DesignSpec) -> TrialState:
     if state.data.n != n1:
         raise ShapeError(f"interim data sizes {state.data.n} do not match plan {n1}")
     q1 = spec.boundary().q1
-    probs = _exceedance(state.data, spec, spec.theta0)
-    active = tuple(p > q1 for p in probs)
+    probs = survivor_exceedance(spec, [state.data.x], [[True] * spec.num_baskets], n1)[0]
+    active = tuple(bool(p > q1) for p in probs)
     decisions = tuple(
         Decision.PENDING if keep else Decision.FUTILITY_STOPPED for keep in active
     )
@@ -258,16 +277,11 @@ def final_step(state: TrialState, spec: DesignSpec) -> TrialState:
             raise ShapeError(
                 f"basket {b} is active but has {state.data.n[b]} patients, expected {spec.max_sizes[b]}"
             )
-    sub = BasketData.create(
-        [state.data.x[b] for b in survivors],
-        [state.data.n[b] for b in survivors],
-        [state.data.basket_ids[b] for b in survivors],
-    )
     q2 = spec.boundary().q2
-    probs = _exceedance(sub, spec, [spec.theta0[b] for b in survivors])
+    probs = survivor_exceedance(spec, [state.data.x], [state.active], spec.max_sizes)[0]
     decisions = list(state.decisions)
-    for i, b in enumerate(survivors):
-        decisions[b] = Decision.EFFICACIOUS if probs[i] > q2 else Decision.NOT_PROMISING
+    for b in survivors:
+        decisions[b] = Decision.EFFICACIOUS if probs[b] > q2 else Decision.NOT_PROMISING
     return TrialState(
         stage=STAGE_DONE,
         active=tuple(False for _ in state.active),
@@ -287,7 +301,7 @@ def run_single_stage(data: BasketData, spec: DesignSpec) -> tuple[Decision, ...]
     if data.n != spec.max_sizes:
         raise ShapeError(f"data sizes {data.n} do not match the design sizes {spec.max_sizes}")
     q2 = spec.boundary().q2
-    probs = _exceedance(data, spec, spec.theta0)
+    probs = survivor_exceedance(spec, [data.x], [[True] * spec.num_baskets], spec.max_sizes)[0]
     return tuple(
         Decision.EFFICACIOUS if p > q2 else Decision.NOT_PROMISING for p in probs
     )

@@ -17,6 +17,10 @@ class CapacityError(LocalMemError):
     """A request exceeds a configured size guard (e.g. partition count growth)."""
 
 
+class ConvergenceError(LocalMemError, ArithmeticError):
+    """An iterative numerical routine did not converge within its budget."""
+
+
 class InfeasibleCalibrationError(LocalMemError):
     """No grid point satisfies the error-rate constraint.
 

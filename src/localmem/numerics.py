@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 # A value stored on the natural-log scale. log(0) is represented as -inf and
 # is propagated safely by log_sum_exp.
@@ -154,6 +154,8 @@ def _betacf(a, b, x):
 
     Element-wise on arrays; each element's value is frozen the moment it
     converges, so results do not depend on what else shares the batch.
+    Raises ConvergenceError if any element is still moving after
+    _BETACF_MAX_ITER iterations.
     """
     qab = a + b
     qap = a + 1.0
@@ -183,8 +185,12 @@ def _betacf(a, b, x):
         h = np.where(converged, h, h * delt)
         converged |= np.abs(delt - 1.0) < _BETACF_TOL
         if converged.all():
-            break
-    return h
+            return h
+    bad = np.flatnonzero(~converged)[0]
+    raise ConvergenceError(
+        f"incomplete beta continued fraction did not converge in {_BETACF_MAX_ITER} "
+        f"iterations at a={float(a[bad])}, b={float(b[bad])}, x={float(x[bad])}"
+    )
 
 
 def reg_inc_beta(x, a, b):

@@ -10,15 +10,13 @@ ordering are well defined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, ShapeError
 from .numerics import log_sum_exp
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .posterior import BasketData
 
 MAX_BASKETS = 10
 
@@ -152,16 +150,9 @@ class PartitionSet:
     def __len__(self) -> int:
         return len(self.partitions)
 
-
-def block_aggregates(partition: Partition, data: "BasketData") -> list[tuple[int, int]]:
-    """Per-block (responses, sample size) sums for the given data."""
-    if data.num_baskets != partition.num_baskets:
-        raise ShapeError(
-            f"data covers {data.num_baskets} baskets, partition has {partition.num_baskets}"
-        )
-    out = []
-    for block in partition.blocks():
-        s = sum(data.x[b] for b in block)
-        n = sum(data.n[b] for b in block)
-        out.append((s, n))
-    return out
+    @cached_property
+    def memberships(self) -> np.ndarray:
+        """Block labels as a read-only (partitions, baskets) array."""
+        labels = np.array([p.membership for p in self.partitions], dtype=np.int8)
+        labels.setflags(write=False)
+        return labels

@@ -19,14 +19,21 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .numerics import log_beta, log_choose, log_sum_exp, reg_inc_beta
-from .partitions import Partition, PartitionSet, block_aggregates  # noqa: F401 (Partition is public API)
+from .numerics import log_beta, reg_inc_beta
+from .partitions import Partition, PartitionSet  # noqa: F401 (Partition is public API)
 
 # Two partition weights closer than this are treated as tied when picking the
 # top partition.
 TOP_TIE_TOL = 1e-12
 
 _DEFAULT_IDS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def default_basket_ids(num_baskets: int) -> tuple[str, ...]:
+    """Ids for baskets given none: A to Z, then B27, B28, ..."""
+    return tuple(
+        _DEFAULT_IDS[i] if i < len(_DEFAULT_IDS) else f"B{i + 1}" for i in range(num_baskets)
+    )
 
 
 @dataclass(frozen=True)
@@ -72,9 +79,7 @@ class BasketData:
             if nv < 0 or not (0 <= xv <= nv):
                 raise DomainError(f"basket {b}: need 0 <= x <= n, got x={xv}, n={nv}")
         if basket_ids is None:
-            ids = tuple(
-                _DEFAULT_IDS[i] if i < len(_DEFAULT_IDS) else f"B{i + 1}" for i in range(len(xs))
-            )
+            ids = default_basket_ids(len(xs))
         else:
             ids = tuple(str(s) for s in basket_ids)
             if len(ids) != len(xs):
@@ -112,46 +117,14 @@ class SimilarityMatrix:
             raise ShapeError(f"similarity matrix must be square, got shape {m.shape}")
 
 
-def log_block_marginal(responses: int, size: int, prior: BetaParams = DEFAULT_PRIOR) -> float:
-    """Log marginal probability of observing ``responses`` successes in a block
-    of ``size`` patients under a common Beta-distributed response rate.
-
-    This is the pmf of the block total:
-    ln C(N, S) + ln B(a0 + S, b0 + N - S) - ln B(a0, b0).
-    """
-    if responses < 0 or size < 0 or responses > size:
-        raise DomainError(f"need 0 <= responses <= size, got {responses}, {size}")
-    if size == 0:
-        return 0.0
-    return (
-        log_choose(size, responses)
-        + log_beta(prior.alpha + responses, prior.beta + size - responses)
-        - log_beta(prior.alpha, prior.beta)
-    )
-
-
-def _log_block_factor(s: int, n: int, prior: BetaParams) -> float:
-    # Beta factor of one block's counts; basket-level binomial coefficients
-    # are constant across partitions and dropped.
-    if n == 0:
-        return 0.0
-    return log_beta(prior.alpha + s, prior.beta + n - s) - log_beta(prior.alpha, prior.beta)
-
-
 def _tiebreak_ranks(pset: PartitionSet) -> np.ndarray:
     # Preference order among tied weights: most blocks first (least borrowing),
     # then lexicographically smallest membership, i.e. enumeration order.
-    blocks = np.array([p.num_blocks for p in pset.partitions])
+    blocks = pset.memberships.max(axis=1)
     order = np.lexsort((np.arange(len(pset)), -blocks))
     ranks = np.empty(len(pset), dtype=int)
     ranks[order] = np.arange(len(pset))
     return ranks
-
-
-def _select_top(weights: np.ndarray, ranks: np.ndarray) -> int:
-    candidates = weights >= weights.max() - TOP_TIE_TOL
-    masked = np.where(candidates, ranks, len(weights) + 1)
-    return int(masked.argmin())
 
 
 def partition_posterior(
@@ -161,27 +134,15 @@ def partition_posterior(
 ) -> PartitionPosterior:
     """Posterior probability of every partition given the observed counts.
 
-    Weight of a partition is proportional to its prior times the product of
-    its block marginal factors, normalized through log-sum-exp. Among weights
-    tied within TOP_TIE_TOL, the top partition is the one with the most
-    blocks, then the lexicographically smallest membership.
+    A one-row call of :class:`BatchPosterior`. The weight of a partition is
+    proportional to its prior times the product of its block Beta factors.
+    Among weights tied within TOP_TIE_TOL, the top partition is the one with
+    the most blocks, then the lexicographically smallest membership.
     """
-    if data.num_baskets != pset.num_baskets:
-        raise ShapeError(
-            f"data covers {data.num_baskets} baskets, partition set expects {pset.num_baskets}"
-        )
-    with np.errstate(divide="ignore"):
-        log_w = np.log(pset.prior)
-    for j, part in enumerate(pset.partitions):
-        if not np.isfinite(log_w[j]):
-            continue
-        for s, n in block_aggregates(part, data):
-            log_w[j] += _log_block_factor(s, n, prior)
-    weights = np.exp(log_w - log_sum_exp(log_w))
-    weights /= weights.sum()
-    top = _select_top(weights, _tiebreak_ranks(pset))
-    weights.setflags(write=False)
-    return PartitionPosterior(weights=weights, top_index=top, top_prob=float(weights[top]))
+    weights, top, top_prob = BatchPosterior(data.n, pset, prior).posterior(data.x)
+    row = weights[0]
+    row.setflags(write=False)
+    return PartitionPosterior(weights=row, top_index=int(top[0]), top_prob=float(top_prob[0]))
 
 
 def similarity_matrix(pp: PartitionPosterior, pset: PartitionSet) -> SimilarityMatrix:
@@ -189,11 +150,10 @@ def similarity_matrix(pp: PartitionPosterior, pset: PartitionSet) -> SimilarityM
     placing the two baskets in one block. Diagonal is 1 by convention."""
     if len(pp.weights) != len(pset):
         raise ShapeError("posterior weights and partition set sizes differ")
-    size = pset.num_baskets
-    psi = np.zeros((size, size))
-    for w, part in zip(pp.weights, pset.partitions):
-        m = np.asarray(part.membership)
-        psi += w * (m[:, None] == m[None, :])
+    labels = pset.memberships
+    psi = np.stack(
+        [pp.weights @ (labels == labels[:, [s]]) for s in range(pset.num_baskets)]
+    )
     np.fill_diagonal(psi, 1.0)
     psi.setflags(write=False)
     return SimilarityMatrix(psi=psi)
@@ -238,26 +198,6 @@ def local_posterior(
     return BetaParams(
         alpha=prior.alpha + x + pp.top_prob * bx,
         beta=prior.beta + y + pp.top_prob * by,
-    )
-
-
-def global_posterior(
-    basket: int,
-    data: BasketData,
-    psi: SimilarityMatrix,
-    prior: BetaParams = DEFAULT_PRIOR,
-) -> BetaParams:
-    """Similarity-weighted pooling across every basket pair (the comparator
-    that borrows from all baskets in proportion to pairwise similarity)."""
-    _check_basket(basket, data)
-    m = np.asarray(psi.psi, dtype=float)
-    if m.shape != (data.num_baskets, data.num_baskets):
-        raise ShapeError("similarity matrix does not match the number of baskets")
-    xs = np.asarray(data.x, dtype=float)
-    ys = np.asarray(data.y, dtype=float)
-    return BetaParams(
-        alpha=prior.alpha + float(m[basket] @ xs),
-        beta=prior.beta + float(m[basket] @ ys),
     )
 
 
@@ -335,11 +275,17 @@ def analyze(
 
 
 class BatchPosterior:
-    """Vectorized partition-posterior evaluation for many trials at once.
+    """Partition-posterior evaluation for a batch of count rows.
 
     Bound to a fixed sample-size vector, partition set and prior; the data
-    matrix varies across rows. Used by the simulation and calibration loops,
-    and checked against the scalar operations in the test suite.
+    matrix varies across rows, and each row's result is independent of the
+    others. This is the only code that computes partition weights: the
+    one-shot analysis and the design steps call it with a single row.
+
+    A block's log Beta factor depends only on which baskets it holds, so a
+    row needs at most 2**B - 1 factors, and each partition sums at most B of
+    them. Blocks are identified by their basket bitmask; the empty block
+    (mask 0, factor 0) pads every partition to B block slots.
     """
 
     def __init__(self, n: Sequence[int], pset: PartitionSet, prior: BetaParams = DEFAULT_PRIOR):
@@ -353,40 +299,25 @@ class BatchPosterior:
         self.prior = prior
         num_baskets = pset.num_baskets
 
-        # Distinct blocks across all partitions, as basket-index tuples.
-        subset_index: dict[tuple[int, ...], int] = {}
-        partition_blocks: list[tuple[int, ...]] = []
-        for part in pset.partitions:
-            ids = []
-            for block in part.blocks():
-                if block not in subset_index:
-                    subset_index[block] = len(subset_index)
-                ids.append(subset_index[block])
-            partition_blocks.append(tuple(ids))
-        subsets = list(subset_index)
-        num_subsets = len(subsets)
-
-        self._member = np.zeros((num_baskets, num_subsets))
-        for j, block in enumerate(subsets):
-            for b in block:
-                self._member[b, j] = 1.0
-        self._subset_n = (self.n @ self._member).astype(int)
-
-        self._block_matrix = np.zeros((num_subsets, len(pset)))
-        for j, ids in enumerate(partition_blocks):
-            for s in ids:
-                self._block_matrix[s, j] = 1.0
-
-        self._block_of = np.zeros((len(pset), num_baskets), dtype=int)
-        for j, part in enumerate(pset.partitions):
-            for b, label in enumerate(part.membership):
-                self._block_of[j, b] = partition_blocks[j][label - 1]
+        labels = pset.memberships
+        bits = 1 << np.arange(num_baskets)
+        masks = np.stack(
+            [(labels == label) @ bits for label in range(1, num_baskets + 1)], axis=1
+        )
+        blocks, index = np.unique(masks, return_inverse=True)
+        # (J, B): block ids of each partition in label order, then padding.
+        self._block_index = index.reshape(masks.shape)
+        # (J, B): block id holding each basket.
+        self._block_of = np.take_along_axis(self._block_index, labels - 1, axis=1)
+        # (B, blocks): 0/1 basket-in-block matrix.
+        self._member = (blocks[None, :] >> np.arange(num_baskets)[:, None]) & 1
+        self._subset_n = self.n @ self._member
 
         # Log Beta factors tabulated over (block size, block responses).
         total = int(self.n.sum())
         table = np.zeros((total + 1, total + 1))
         log_b0 = log_beta(prior.alpha, prior.beta)
-        for size in sorted(set(int(v) for v in self._subset_n)):
+        for size in np.unique(self._subset_n):
             if size == 0:
                 continue
             s_vals = np.arange(size + 1, dtype=float)
@@ -414,27 +345,31 @@ class BatchPosterior:
     def posterior(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Weights (T, J), top partition index (T,), top weight (T,)."""
         mat = self._as_matrix(x)
-        subset_x = mat @ self._member
-        factors = self._factor_table[self._subset_n[None, :], subset_x.astype(int)]
-        log_w = factors @ self._block_matrix + self._log_prior[None, :]
+        # (blocks, T): log Beta factor of every block for every row.
+        factors = self._factor_table[self._subset_n[:, None], (mat @ self._member).T]
+        log_w = factors[self._block_index[:, 0]]
+        for slot in range(1, self.pset.num_baskets):
+            log_w += factors[self._block_index[:, slot]]
+        # Row-major from here, so every row is normalized by the same
+        # pairwise sum whatever the batch size.
+        log_w = np.ascontiguousarray(log_w.T)
+        log_w += self._log_prior
         log_w -= log_w.max(axis=1, keepdims=True)
-        weights = np.exp(log_w)
+        weights = np.exp(log_w, out=log_w)
         weights /= weights.sum(axis=1, keepdims=True)
         candidates = weights >= weights.max(axis=1, keepdims=True) - TOP_TIE_TOL
-        masked = np.where(candidates, self._ranks[None, :], len(self.pset) + 1)
-        top = masked.argmin(axis=1)
+        top = np.where(candidates, self._ranks, len(self.pset)).argmin(axis=1)
         top_prob = weights[np.arange(len(mat)), top]
         return weights, top, top_prob
 
     def borrow_params(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Borrowing-posterior (alpha, beta) arrays of shape (T, B)."""
         mat = self._as_matrix(x)
-        subset_x = mat @ self._member
         _, top, top_prob = self.posterior(mat)
         rows = np.arange(len(mat))[:, None]
         block_ids = self._block_of[top]
-        block_x = subset_x[rows, block_ids]
-        block_n = self._subset_n[block_ids].astype(float)
+        block_x = (mat @ self._member)[rows, block_ids]
+        block_n = self._subset_n[block_ids]
         xs = mat.astype(float)
         ns = self.n[None, :].astype(float)
         scale = top_prob[:, None]

@@ -13,10 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import Decision, DesignSpec, run_single_stage, run_two_stage
+from .design import DesignSpec, survivor_exceedance
 from .errors import DomainError, ShapeError
 from .numerics import RngStream, binomial_draw
-from .posterior import BatchPosterior
 
 STAGE1 = 0
 STAGE2 = 1
@@ -110,43 +109,19 @@ def generate_counts(
 def decide_batch(
     spec: DesignSpec, x_interim: np.ndarray | None, x_total: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized decisions for many trials: (continued, rejected) booleans.
+    """Decisions for many trials: (continued, rejected) booleans of shape (T, B).
 
-    Matches run_single_stage / run_two_stage trial by trial (asserted in the
-    test suite); survivor groups share one batched stage-2 analysis because
-    the partition space depends only on which baskets survived.
+    Both stages go through the same survivor-set kernel as the single-trial
+    steps in :mod:`localmem.design`, so row t equals run_single_stage or
+    run_two_stage on trial t.
     """
-    num = len(x_total)
-    if spec.stages == 1:
-        engine = BatchPosterior(spec.max_sizes, spec.partition_set(), spec.prior)
-        probs = engine.exceed_probs(x_total, np.asarray(spec.theta0))
-        rejected = probs > spec.boundary().q2
-        return np.ones_like(rejected, dtype=bool), rejected
-
     boundary = spec.boundary()
-    engine1 = BatchPosterior(spec.stage1_sizes(), spec.partition_set(), spec.prior)
-    probs1 = engine1.exceed_probs(x_interim, np.asarray(spec.theta0))
-    continued = probs1 > boundary.q1
-
-    rejected = np.zeros((num, spec.num_baskets), dtype=bool)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for t in range(num):
-        key = tuple(np.nonzero(continued[t])[0])
-        if key:
-            groups.setdefault(key, []).append(t)
-    engines: dict[tuple[int, ...], BatchPosterior] = {}
-    for survivors, rows in groups.items():
-        if survivors not in engines:
-            engines[survivors] = BatchPosterior(
-                [spec.max_sizes[b] for b in survivors],
-                spec.partition_set(len(survivors)),
-                spec.prior,
-            )
-        theta0 = np.asarray([spec.theta0[b] for b in survivors])
-        probs2 = engines[survivors].exceed_probs(x_total[np.ix_(rows, list(survivors))], theta0)
-        hit = probs2 > boundary.q2
-        for i, t in enumerate(rows):
-            rejected[t, list(survivors)] = hit[i]
+    everyone = np.ones(np.shape(x_total), dtype=bool)
+    if spec.stages == 1:
+        rejected = survivor_exceedance(spec, x_total, everyone, spec.max_sizes) > boundary.q2
+        return everyone, rejected
+    continued = survivor_exceedance(spec, x_interim, everyone, spec.stage1_sizes()) > boundary.q1
+    rejected = survivor_exceedance(spec, x_total, continued, spec.max_sizes) > boundary.q2
     return continued, rejected
 
 
@@ -222,13 +197,3 @@ def simulate(
         n_sims=n_sims,
         seed=seed,
     )
-
-
-def decisions_from_outcomes(spec: DesignSpec, outcome_row: tuple) -> tuple[Decision, ...]:
-    """Re-derive categorical decisions for one simulated trial (test helper)."""
-    x1, xt = outcome_row
-    if spec.stages == 1:
-        from .posterior import BasketData
-
-        return run_single_stage(BasketData.create(xt, spec.max_sizes), spec)
-    return run_two_stage(x1, xt, spec).decisions

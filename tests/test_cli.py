@@ -3,8 +3,9 @@ import json
 import jsonschema
 import pytest
 
-from localmem import schemas
+from localmem import cli, schemas
 from localmem.cli import main
+from localmem.errors import ConvergenceError
 
 TWO_STAGE_SPEC = {
     "baskets": 4,
@@ -70,6 +71,16 @@ class TestAnalyze:
     def test_missing_field_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "a.json", {"x": [1], "n": [2], "delta": 0.0})
         assert run(["analyze", "--config", cfg, "--out", tmp_path]) == 2
+
+    def test_numeric_failure_exits_3(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ConvergenceError("no convergence")
+
+        monkeypatch.setattr(cli, "analyze", fail)
+        cfg = write_config(
+            tmp_path, "a.json", {"x": [1], "n": [2], "delta": 0.0, "theta0": 0.15}
+        )
+        assert run(["analyze", "--config", cfg, "--out", tmp_path]) == 3
 
     def test_inconsistent_counts_exit_2(self, tmp_path):
         cfg = write_config(
@@ -229,6 +240,33 @@ class TestCalibrate:
         assert report["boundary"]["q2"] == report["lambda"]
         frontier = (tmp_path / "out" / "calibration_frontier.csv").read_text().splitlines()
         assert frontier[1] == "lambda,gamma,fwer,power"
+
+    def small_grid_config(self, seed):
+        spec = dict(TWO_STAGE_SPEC)
+        del spec["lambda"], spec["gamma"]
+        return {
+            "spec": spec,
+            "lambda_grid": [0.97, 0.977],
+            "gamma_grid": [0.5, 0.7],
+            "n_sims": 200,
+            "seed": seed,
+        }
+
+    def test_largest_seed_wraps_evaluation_seed(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", self.small_grid_config(2**64 - 1))
+        assert run(["calibrate", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        report = json.loads((tmp_path / "out" / "calibration.json").read_text())
+        assert report["meta"]["seed"] == 2**64 - 1
+        assert report["evaluation"]["seed"] == 0
+
+    def test_out_of_range_seed_flag_exits_2_before_work(self, tmp_path, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("calibration ran with an invalid seed")
+
+        monkeypatch.setattr(cli, "calibrate", unreachable)
+        cfg = write_config(tmp_path, "c.json", self.small_grid_config(7))
+        assert run(["calibrate", "--config", cfg, "--out", tmp_path, "--seed", -1]) == 2
+        assert run(["calibrate", "--config", cfg, "--out", tmp_path, "--seed", 2**64]) == 2
 
     def test_infeasible_exits_1(self, tmp_path):
         spec = dict(TWO_STAGE_SPEC)

@@ -80,6 +80,17 @@ class TestDesignSpec:
         spec = paper_two_stage()
         assert spec.information_fraction() == pytest.approx(10 / 16)
 
+    def test_numpy_scalars(self):
+        spec = DesignSpec.create(
+            np.int64(4), np.int64(16), np.float64(0.15), np.float32(0.45),
+            lam=np.float64(0.9), stages=2, interim_sizes=np.int32(10),
+        )
+        plain = DesignSpec.create(
+            4, 16, 0.15, float(np.float32(0.45)), lam=0.9, stages=2, interim_sizes=10
+        )
+        assert spec == plain
+        assert type(spec.num_baskets) is int and type(spec.max_sizes[0]) is int
+
     def test_validation(self):
         with pytest.raises(DomainError):
             DesignSpec.create(2, 16, 0.45, 0.15, lam=0.9, stages=1)  # target below null

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from localmem.errors import DomainError
+from localmem.errors import ConvergenceError, DomainError
 from localmem.numerics import (
     RngStream,
     binom_cdf,
@@ -121,6 +121,13 @@ class TestRegIncBeta:
             reg_inc_beta(1.1, 1.0, 1.0)
         with pytest.raises(DomainError):
             reg_inc_beta(0.5, 0.0, 1.0)
+
+    def test_non_convergence_raises(self):
+        # Shapes near 1e6 need more continued-fraction terms than the budget.
+        with pytest.raises(ConvergenceError):
+            reg_inc_beta(0.5, 1e6, 1.0001e6)
+        with pytest.raises(ConvergenceError):
+            reg_inc_beta(np.array([0.3, 0.5]), np.array([2.0, 1e6]), np.array([3.0, 1.0001e6]))
 
     def test_vector_matches_scalar(self):
         rng = np.random.default_rng(7)

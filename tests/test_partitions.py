@@ -6,11 +6,9 @@ from localmem.partitions import (
     Partition,
     PartitionSet,
     bell_number,
-    block_aggregates,
     enumerate_partitions,
     partition_prior,
 )
-from localmem.posterior import BasketData
 
 from oracles import bell_recurrence, membership_of, partitions_by_insertion
 
@@ -132,38 +130,6 @@ class TestPartitionSet:
             PartitionSet.build(2, prior=[0.7, 0.7])
         with pytest.raises(DomainError):
             PartitionSet.build(2, prior=[-0.5, 1.5])
-
-
-class TestBlockAggregates:
-    def test_full_pool(self):
-        data = BasketData.create([1, 2, 3, 4], [10, 10, 10, 10])
-        part = Partition.from_membership([1, 1, 1, 1])
-        assert block_aggregates(part, data) == [(10, 40)]
-
-    def test_singletons(self):
-        data = BasketData.create([1, 2, 3, 4], [10, 10, 10, 10])
-        part = Partition.from_membership([1, 2, 3, 4])
-        assert block_aggregates(part, data) == [(1, 10), (2, 10), (3, 10), (4, 10)]
-
-    def test_two_blocks(self):
-        data = BasketData.create([1, 2, 3, 4], [10, 10, 10, 10])
-        part = Partition.from_membership([1, 1, 2, 2])
-        assert block_aggregates(part, data) == [(3, 20), (7, 20)]
-
-    def test_totals_conserved(self):
-        rng = np.random.default_rng(9)
-        n = [7, 3, 9, 5]
-        x = [int(rng.integers(0, v + 1)) for v in n]
-        data = BasketData.create(x, n)
-        for part in enumerate_partitions(4):
-            sums = block_aggregates(part, data)
-            assert sum(s for s, _ in sums) == sum(x)
-            assert sum(m for _, m in sums) == sum(n)
-
-    def test_shape_error(self):
-        data = BasketData.create([1, 2], [5, 5])
-        with pytest.raises(ShapeError):
-            block_aggregates(Partition.from_membership([1, 1, 2]), data)
 
 
 class TestPartitionType:

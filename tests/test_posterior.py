@@ -1,6 +1,3 @@
-import math
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -12,39 +9,15 @@ from localmem.posterior import (
     BatchPosterior,
     BetaParams,
     analyze,
+    default_basket_ids,
     effective_sample_size,
-    global_posterior,
     local_posterior,
-    log_block_marginal,
     partition_posterior,
     prob_exceeds,
     similarity_matrix,
 )
 
 from oracles import RationalAnalysis, beta_tail_quadrature
-
-
-class TestLogBlockMarginal:
-    def test_empty_block(self):
-        assert log_block_marginal(0, 0, BetaParams(1, 1)) == 0.0
-
-    def test_small_rational(self):
-        # C(2,1) * B(2,2) / B(1,1) = 2/6
-        assert log_block_marginal(1, 2, BetaParams(1, 1)) == pytest.approx(math.log(1 / 3), abs=1e-12)
-
-    def test_larger_rational(self):
-        # C(40,10) * B(11,31) / B(1,1) reduces to 1/41 exactly
-        expect = Fraction(math.comb(40, 10)) * Fraction(
-            math.factorial(10) * math.factorial(30), math.factorial(41)
-        )
-        assert expect == Fraction(1, 41)
-        assert log_block_marginal(10, 40, BetaParams(1, 1)) == pytest.approx(
-            math.log(float(expect)), abs=1e-12
-        )
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_block_marginal(3, 2, BetaParams(1, 1))
 
 
 class TestPartitionPosteriorExamples:
@@ -151,33 +124,6 @@ class TestLocalPosterior:
         assert post.beta == pytest.approx(1 + 4, abs=1e-12)
 
 
-class TestGlobalPosterior:
-    def test_identity_similarity(self):
-        data = BasketData.create([2, 5], [8, 9])
-        from localmem.posterior import SimilarityMatrix
-
-        psi = SimilarityMatrix(psi=np.eye(2))
-        post = global_posterior(0, data, psi)
-        assert (post.alpha, post.beta) == (3.0, 7.0)
-
-    def test_all_ones_full_pooling(self):
-        data = BasketData.create([2, 5], [8, 9])
-        from localmem.posterior import SimilarityMatrix
-
-        psi = SimilarityMatrix(psi=np.ones((2, 2)))
-        post = global_posterior(0, data, psi)
-        assert (post.alpha, post.beta) == (1 + 7.0, 1 + 10.0)
-
-    def test_two_basket_value(self):
-        data = BasketData.create([0, 2], [2, 2])
-        pset = PartitionSet.build(2, 0.0)
-        pp = partition_posterior(data, pset)
-        psi = similarity_matrix(pp, pset)
-        post = global_posterior(0, data, psi)
-        assert post.alpha == pytest.approx(1 + 0 + (3 / 13) * 2, abs=1e-12)
-        assert post.beta == pytest.approx(1 + 2 + 0, abs=1e-12)
-
-
 class TestEffectiveSampleSize:
     def test_singleton_reduction(self):
         data = BasketData.create([0, 2], [2, 2])
@@ -271,6 +217,36 @@ class TestRationalOracleEquivalence:
                 assert abs(
                     effective_sample_size(b, data, pp, pset) - float(oracle.ess(b))
                 ) < 1e-9
+
+    @pytest.mark.parametrize("num_baskets", [4, 5])
+    def test_seeded_rows_larger_b(self, num_baskets):
+        # Every fourth row gives all baskets the same counts, so partitions
+        # with the same block-size profile tie exactly and the tie-break decides.
+        rng = np.random.default_rng(40 + num_baskets)
+        pset = PartitionSet.build(num_baskets, 2.0)
+        for i in range(40):
+            if i % 4 == 0:
+                size = int(rng.integers(0, 7))
+                n = np.full(num_baskets, size)
+                x = np.full(num_baskets, int(rng.integers(0, size + 1)))
+            else:
+                n = rng.integers(0, 7, size=num_baskets)
+                x = rng.integers(0, n + 1)
+            oracle = RationalAnalysis(x, n, 2)
+            data = BasketData.create(x, n)
+            pp = partition_posterior(data, pset)
+            assert pp.top_index == oracle.top_index
+            assert np.allclose(pp.weights, [float(w) for w in oracle.weights], rtol=0, atol=1e-9)
+            psi = similarity_matrix(pp, pset).psi
+            for s in range(num_baskets):
+                for t in range(num_baskets):
+                    assert abs(psi[s, t] - float(oracle.psi(s, t))) < 1e-9
+            for b in range(num_baskets):
+                post = local_posterior(b, data, pp, pset)
+                alpha, beta = oracle.local_params(b)
+                assert abs(post.alpha - float(alpha)) < 1e-9
+                assert abs(post.beta - float(beta)) < 1e-9
+                assert abs(effective_sample_size(b, data, pp, pset) - float(oracle.ess(b))) < 1e-9
 
     def test_random_cases_jeffreys_prior(self):
         rng = np.random.default_rng(31)
@@ -376,12 +352,39 @@ class TestBatchPosterior:
                 prob_exceeds(local_posterior(1, data, pp, pset), 0.15), abs=1e-12
             )
 
+    def test_rows_do_not_depend_on_batch(self):
+        rng = np.random.default_rng(36)
+        n = [6, 6, 6, 6, 6]
+        engine = BatchPosterior(n, PartitionSet.build(5, 1.0))
+        xs = rng.integers(0, 7, size=(60, 5))
+        xs[::5] = xs[1::5]  # repeated rows
+        xs[2::5] = 3  # all baskets equal
+        weights, top, top_prob = engine.posterior(xs)
+        for t in range(len(xs)):
+            w1, top1, prob1 = engine.posterior(xs[t])
+            assert np.array_equal(w1[0], weights[t])
+            assert top1[0] == top[t] and prob1[0] == top_prob[t]
+
+    def test_b10_index_arrays_under_50mb(self):
+        engine = BatchPosterior([1] * 10, PartitionSet.build(10, 0.0))
+        arrays = (engine._block_index, engine._block_of, engine._member, engine._ranks)
+        assert engine._block_index.shape == (115975, 10)
+        assert sum(a.nbytes for a in arrays) < 50e6
+
     def test_rejects_bad_counts(self):
         engine = BatchPosterior([4, 4], PartitionSet.build(2))
         with pytest.raises(DomainError):
             engine.posterior(np.array([[5, 0]]))
         with pytest.raises(ShapeError):
             engine.posterior(np.array([[1, 1, 1]]))
+
+
+class TestDefaultIds:
+    def test_letters_then_numbered(self):
+        ids = default_basket_ids(28)
+        assert ids[:3] == ("A", "B", "C") and ids[25] == "Z"
+        assert ids[26:] == ("B27", "B28")
+        assert BasketData.create([0] * 28, [1] * 28).basket_ids == ids
 
 
 class TestAnalyze:

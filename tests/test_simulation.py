@@ -7,9 +7,12 @@ from localmem.design import Decision, DesignSpec, run_two_stage, run_single_stag
 from localmem.errors import DomainError, ShapeError
 from localmem.numerics import binom_cdf, reg_inc_beta
 from localmem.posterior import BasketData
+from localmem import design
 from localmem.simulation import (
     OperatingCharacteristics,
     Scenario,
+    decide_batch,
+    generate_counts,
     run_trials,
     scenario_suite,
     simulate,
@@ -148,6 +151,28 @@ class TestAgainstDesignEngine:
             )
             for b in range(4):
                 assert outcomes.rejected[t, b] == (decisions[b] is Decision.EFFICACIOUS)
+
+
+class TestStageTwoEngines:
+    def test_equal_sizes_need_at_most_b_engines(self, monkeypatch):
+        built = []
+
+        class Counting(design.BatchPosterior):
+            def __init__(self, n, pset, prior):
+                built.append(tuple(n))
+                super().__init__(n, pset, prior)
+
+        monkeypatch.setattr(design, "BatchPosterior", Counting)
+        spec = DesignSpec.create(
+            5, 16, 0.15, 0.45, lam=0.977, gamma=0.70033, delta=2.0, stages=2, interim_sizes=10
+        )
+        scenario = Scenario.from_rates(spec, [0.15, 0.25, 0.35, 0.45, 0.45], "mixed")
+        x1, xt = generate_counts(spec, scenario, range(400), seed=17)
+        continued, _ = decide_batch(spec, x1, xt)
+        survivor_sets = {tuple(row) for row in continued if row.any()}
+        stage2 = [n for n in built if n != spec.stage1_sizes()]
+        assert len(survivor_sets) > spec.num_baskets
+        assert len(stage2) <= spec.num_baskets
 
 
 class TestMonteCarloAgainstExactBinomial:
