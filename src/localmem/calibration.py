@@ -15,14 +15,13 @@ q1, so there are at most B + 1 of them per trial).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .design import DesignSpec, survivor_exceedance
 from .errors import DomainError, InfeasibleCalibrationError
-from .simulation import Scenario, _chunk_ranges, generate_counts
+from .simulation import Scenario, _collect, generate_counts
 
 DEFAULT_LAMBDA_GRID = tuple(np.round(np.arange(0.900, 0.9995, 0.001), 3))
 DEFAULT_GAMMA_GRID = tuple(np.round(np.arange(0.0, 3.0001, 0.05), 2))
@@ -104,14 +103,6 @@ def _two_stage_chunk(args) -> tuple[np.ndarray, np.ndarray]:
         spec, xt[trial], rank[trial] <= cut[:, None], spec.max_sizes
     )
     return p1, p2
-
-
-def _collect(fn, spec, scenario, n_sims, seed, workers):
-    jobs = [(spec, scenario, seed, lo, hi) for lo, hi in _chunk_ranges(n_sims, workers)]
-    if workers <= 1 or len(jobs) == 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
 
 
 def _pick(
@@ -218,6 +209,4 @@ def calibrate_fixed(problem: CalibrationProblem, workers: int = 1) -> Calibratio
 
 def calibrated_spec(problem: CalibrationProblem, result: CalibrationResult) -> DesignSpec:
     """The template with the selected boundary parameters filled in."""
-    from dataclasses import replace
-
     return replace(problem.spec_template, lam=result.lam, gamma=result.gamma)

@@ -44,7 +44,7 @@ from .errors import (
     InfeasibleCalibrationError,
     LocalMemError,
 )
-from .posterior import BasketData, BetaParams, analyze, default_basket_ids
+from .posterior import DEFAULT_PRIOR, BasketData, BetaParams, analyze, default_basket_ids
 from .simon import DEFAULT_N_MAX, simon_oc, simon_search
 from .simulation import Scenario, scenario_suite, simulate
 
@@ -105,11 +105,16 @@ def _seed(args, config: dict) -> int:
     return args.seed
 
 
+def _prior(doc: dict) -> BetaParams:
+    """The Beta prior a config section names, uniform when it names none."""
+    prior = doc.get("prior")
+    return BetaParams(prior["alpha"], prior["beta"]) if prior else DEFAULT_PRIOR
+
+
 def _build_spec(doc: dict, lam_default: float | None = None) -> DesignSpec:
     lam = doc.get("lambda", lam_default)
     if lam is None:
         raise ConfigError("spec needs a 'lambda' value")
-    prior = doc.get("prior")
     return DesignSpec.create(
         num_baskets=doc["baskets"],
         max_sizes=doc["max_sizes"],
@@ -118,7 +123,7 @@ def _build_spec(doc: dict, lam_default: float | None = None) -> DesignSpec:
         lam=lam,
         gamma=doc.get("gamma", 0.0),
         delta=doc["delta"],
-        prior=BetaParams(prior["alpha"], prior["beta"]) if prior else BetaParams(1.0, 1.0),
+        prior=_prior(doc),
         stages=doc["stages"],
         interim_fraction=doc.get("interim_fraction"),
         interim_sizes=doc.get("interim_sizes"),
@@ -157,12 +162,6 @@ def _emit(args, json_name, payload, tables) -> None:
         print(f"wrote {path}")
 
 
-def _scalar_or_vector(value, length: int) -> list[float]:
-    if isinstance(value, (int, float)):
-        return [float(value)] * length
-    return [float(v) for v in value]
-
-
 # ---------------------------------------------------------------- analyze --
 
 
@@ -170,10 +169,7 @@ def cmd_analyze(args) -> int:
     config = _load_config(args.config)
     _validate(config, schemas.ANALYZE_CONFIG)
     data = BasketData.create(config["x"], config["n"], config.get("basket_ids"))
-    prior_doc = config.get("prior")
-    prior = BetaParams(prior_doc["alpha"], prior_doc["beta"]) if prior_doc else BetaParams(1.0, 1.0)
-    theta0 = _scalar_or_vector(config["theta0"], data.num_baskets)
-    result = analyze(data, delta=config["delta"], prior=prior, theta0=theta0)
+    result = analyze(data, delta=config["delta"], prior=_prior(config), theta0=config["theta0"])
 
     pp = result.partition_posterior
     payload = {
@@ -284,23 +280,18 @@ def cmd_monitor(args) -> int:
             data=BasketData.create(x, n),
             decisions=tuple(Decision.PENDING if a else Decision.FUTILITY_STOPPED for a in active),
         )
-        decisions = final_step(state, spec).decisions
+        state = final_step(state, spec)
+        decisions = state.decisions
         applied = "q2"
 
-    result = analyze(
-        BasketData.create([x[b] for b in analyzed], [n[b] for b in analyzed]),
-        delta=spec.delta,
-        prior=spec.prior,
-        theta0=[spec.theta0[b] for b in analyzed],
-    )
-    ids = default_basket_ids(spec.num_baskets)
+    result = state.analysis  # the step's own: all baskets, then the survivors
+    looked = dict(zip(analyzed, zip(result.prob_exceeds, result.ess)))
+    ids = state.data.basket_ids
     baskets = []
     for b in range(spec.num_baskets):
         entry = {"id": ids[b], "x": x[b], "n": n[b], "decision": decisions[b].value}
-        if b in analyzed:
-            i = analyzed.index(b)
-            entry["prob_exceeds"] = result.prob_exceeds[i]
-            entry["ess"] = result.ess[i]
+        if b in looked:
+            entry["prob_exceeds"], entry["ess"] = looked[b]
         baskets.append(entry)
     payload = {
         "meta": _meta("monitor", config),
@@ -309,7 +300,7 @@ def cmd_monitor(args) -> int:
         "top_partition": {
             "membership": result.top_partition.membership_string(),
             "weight": result.partition_posterior.top_prob,
-            "basket_ids": [ids[b] for b in analyzed],
+            "basket_ids": list(result.data.basket_ids),
         },
         "baskets": baskets,
     }

@@ -7,22 +7,23 @@ sizes, re-enumerating partitions over the survivors so dropped baskets
 contribute no data, and declares efficacy where the exceedance probability
 exceeds q2.
 
-Every analysis, whether one trial's look or a simulated batch, goes through
-:func:`survivor_exceedance`; the single-trial steps call it with one row.
+Each single-trial look is one :func:`~localmem.posterior.analyze` call;
+simulated batches go through :func:`survivor_exceedance`. Both reach the same
+engine, borrowing step and incomplete beta, so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, ShapeError
 from .partitions import MAX_BASKETS, PartitionSet
-from .posterior import DEFAULT_PRIOR, BasketData, BatchPosterior, BetaParams
+from .posterior import DEFAULT_PRIOR, AnalysisResult, BasketData, BatchPosterior, BetaParams, analyze
 
 STAGE_INTERIM = 1
 STAGE_FINAL = 2
@@ -172,13 +173,15 @@ class TrialState:
     """Snapshot of one trial between analyses.
 
     Stopped baskets never re-enter; their decisions are frozen at the stage
-    where the rule fired.
+    where the rule fired. A step's returned state carries the step's analysis
+    (all baskets at the interim, the survivors at the final look).
     """
 
     stage: int
     active: tuple[bool, ...]
     data: BasketData
     decisions: tuple[Decision, ...]
+    analysis: AnalysisResult | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def at_interim(cls, x: Sequence[int], spec: DesignSpec) -> "TrialState":
@@ -206,7 +209,7 @@ class TrialState:
             spec.max_sizes[b] if self.active[b] else self.data.n[b]
             for b in range(spec.num_baskets)
         )
-        return replace(self, data=BasketData.create(x, n, self.data.basket_ids))
+        return replace(self, data=BasketData.create(x, n, self.data.basket_ids), analysis=None)
 
     @property
     def is_complete(self) -> bool:
@@ -242,6 +245,13 @@ def survivor_exceedance(spec: DesignSpec, x, survivors, sizes: Sequence[int]) ->
     return out
 
 
+def _look(data: BasketData, spec: DesignSpec, baskets: Sequence[int]) -> AnalysisResult:
+    """One analysis of the given baskets, with partitions enumerated over them."""
+    sub = BasketData.create(*([v[b] for b in baskets] for v in (data.x, data.n, data.basket_ids)))
+    theta0 = [spec.theta0[b] for b in baskets]
+    return analyze(sub, prior=spec.prior, theta0=theta0, pset=spec.partition_set(len(baskets)))
+
+
 def interim_step(state: TrialState, spec: DesignSpec) -> TrialState:
     """Apply the stage-I futility rule to interim data on all baskets."""
     if spec.stages != 2:
@@ -252,13 +262,15 @@ def interim_step(state: TrialState, spec: DesignSpec) -> TrialState:
     if state.data.n != n1:
         raise ShapeError(f"interim data sizes {state.data.n} do not match plan {n1}")
     q1 = spec.boundary().q1
-    probs = survivor_exceedance(spec, [state.data.x], [[True] * spec.num_baskets], n1)[0]
-    active = tuple(bool(p > q1) for p in probs)
+    result = _look(state.data, spec, range(spec.num_baskets))
+    active = tuple(p > q1 for p in result.prob_exceeds)
     decisions = tuple(
         Decision.PENDING if keep else Decision.FUTILITY_STOPPED for keep in active
     )
     stage = STAGE_FINAL if any(active) else STAGE_DONE
-    return TrialState(stage=stage, active=active, data=state.data, decisions=decisions)
+    return TrialState(
+        stage=stage, active=active, data=state.data, decisions=decisions, analysis=result
+    )
 
 
 def final_step(state: TrialState, spec: DesignSpec) -> TrialState:
@@ -271,22 +283,23 @@ def final_step(state: TrialState, spec: DesignSpec) -> TrialState:
         raise DomainError(f"final_step needs a stage-2 state, got stage {state.stage}")
     survivors = [b for b, keep in enumerate(state.active) if keep]
     if not survivors:
-        return replace(state, stage=STAGE_DONE)
+        return replace(state, stage=STAGE_DONE, analysis=None)
     for b in survivors:
         if state.data.n[b] != spec.max_sizes[b]:
             raise ShapeError(
                 f"basket {b} is active but has {state.data.n[b]} patients, expected {spec.max_sizes[b]}"
             )
     q2 = spec.boundary().q2
-    probs = survivor_exceedance(spec, [state.data.x], [state.active], spec.max_sizes)[0]
+    result = _look(state.data, spec, survivors)
     decisions = list(state.decisions)
-    for b in survivors:
-        decisions[b] = Decision.EFFICACIOUS if probs[b] > q2 else Decision.NOT_PROMISING
+    for b, p in zip(survivors, result.prob_exceeds):
+        decisions[b] = Decision.EFFICACIOUS if p > q2 else Decision.NOT_PROMISING
     return TrialState(
         stage=STAGE_DONE,
         active=tuple(False for _ in state.active),
         data=state.data,
         decisions=tuple(decisions),
+        analysis=result,
     )
 
 
@@ -301,9 +314,9 @@ def run_single_stage(data: BasketData, spec: DesignSpec) -> tuple[Decision, ...]
     if data.n != spec.max_sizes:
         raise ShapeError(f"data sizes {data.n} do not match the design sizes {spec.max_sizes}")
     q2 = spec.boundary().q2
-    probs = survivor_exceedance(spec, [data.x], [[True] * spec.num_baskets], spec.max_sizes)[0]
     return tuple(
-        Decision.EFFICACIOUS if p > q2 else Decision.NOT_PROMISING for p in probs
+        Decision.EFFICACIOUS if p > q2 else Decision.NOT_PROMISING
+        for p in _look(data, spec, range(spec.num_baskets)).prob_exceeds
     )
 
 

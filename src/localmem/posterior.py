@@ -159,22 +159,38 @@ def similarity_matrix(pp: PartitionPosterior, pset: PartitionSet) -> SimilarityM
     return SimilarityMatrix(psi=psi)
 
 
-def _borrow_sums(
-    basket: int, data: BasketData, top: Partition
-) -> tuple[int, int, int]:
-    label = top.membership[basket]
-    bx = by = bn = 0
-    for t in range(data.num_baskets):
-        if t != basket and top.membership[t] == label:
-            bx += data.x[t]
-            by += data.n[t] - data.x[t]
-            bn += data.n[t]
-    return bx, by, bn
+def borrow(x, n, labels, top_prob, prior: BetaParams = DEFAULT_PRIOR):
+    """Borrowing-posterior (alpha, beta, ess) arrays of shape (T, B).
+
+    x holds count rows (T, B), n the sample sizes (B,), labels each row's
+    top-partition block labels (T, B) and top_prob its weight (T,). Each
+    basket adds the counts of the other baskets in its block, scaled by the
+    top weight; baskets outside the block contribute nothing. This is the
+    only code that forms borrowing parameters.
+    """
+    x = np.asarray(x, dtype=int)
+    n = np.asarray(n, dtype=int)
+    same = labels[:, :, None] == labels[:, None, :]
+    # Block totals less the basket's own counts: the borrowed counts.
+    bx = (same * x[:, None, :]).sum(axis=2) - x
+    bn = (same * n).sum(axis=2) - n
+    scale = np.asarray(top_prob, dtype=float)[:, None]
+    alpha = prior.alpha + x + scale * bx
+    beta = prior.beta + (n - x) + scale * (bn - bx)
+    ess = prior.alpha + prior.beta + n + scale * bn
+    return alpha, beta, ess
 
 
 def _check_basket(basket: int, data: BasketData) -> None:
     if not (0 <= basket < data.num_baskets):
         raise DomainError(f"basket index {basket} out of range for {data.num_baskets} baskets")
+
+
+def _borrow_one(
+    data: BasketData, pp: PartitionPosterior, pset: PartitionSet, prior: BetaParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    rows = borrow([data.x], data.n, pset.memberships[[pp.top_index]], [pp.top_prob], prior)
+    return tuple(v[0] for v in rows)
 
 
 def local_posterior(
@@ -184,21 +200,10 @@ def local_posterior(
     pset: PartitionSet,
     prior: BetaParams = DEFAULT_PRIOR,
 ) -> BetaParams:
-    """Borrowing posterior for one basket.
-
-    Counts from baskets sharing the top partition's block are added after
-    scaling by the top partition's posterior weight; baskets outside the
-    block contribute nothing.
-    """
+    """Borrowing posterior for one basket: a one-row call of :func:`borrow`."""
     _check_basket(basket, data)
-    top = pset.partitions[pp.top_index]
-    bx, by, _ = _borrow_sums(basket, data, top)
-    x = data.x[basket]
-    y = data.n[basket] - x
-    return BetaParams(
-        alpha=prior.alpha + x + pp.top_prob * bx,
-        beta=prior.beta + y + pp.top_prob * by,
-    )
+    alpha, beta, _ = _borrow_one(data, pp, pset, prior)
+    return BetaParams(alpha=float(alpha[basket]), beta=float(beta[basket]))
 
 
 def effective_sample_size(
@@ -209,11 +214,9 @@ def effective_sample_size(
     prior: BetaParams = DEFAULT_PRIOR,
 ) -> float:
     """Prior mass plus own and borrowed patients; equals alpha + beta of the
-    borrowing posterior."""
+    borrowing posterior up to rounding."""
     _check_basket(basket, data)
-    top = pset.partitions[pp.top_index]
-    _, _, bn = _borrow_sums(basket, data, top)
-    return prior.alpha + prior.beta + data.n[basket] + pp.top_prob * bn
+    return float(_borrow_one(data, pp, pset, prior)[2][basket])
 
 
 def prob_exceeds(post: BetaParams, theta0: float) -> float:
@@ -249,28 +252,27 @@ def analyze(
 ) -> AnalysisResult:
     """Full posterior analysis: partition table, similarity, per-basket
     borrowing posteriors with their effective sample sizes and exceedance
-    probabilities."""
+    probabilities. One engine row, one :func:`borrow` call and one incomplete
+    beta call: a row of :meth:`BatchPosterior.exceed_probs`, bit for bit."""
     if pset is None:
         pset = PartitionSet.build(data.num_baskets, delta)
-    t0 = (
-        tuple(float(theta0) for _ in range(data.num_baskets))
-        if np.isscalar(theta0)
-        else tuple(float(v) for v in theta0)
-    )
-    if len(t0) != data.num_baskets:
+    t0 = np.asarray(theta0, dtype=float)
+    t0 = np.full(data.num_baskets, t0) if t0.ndim == 0 else t0
+    if t0.shape != (data.num_baskets,):
         raise ShapeError(f"theta0 must have {data.num_baskets} entries, got {len(t0)}")
+    if not np.all((t0 > 0.0) & (t0 < 1.0)):
+        raise DomainError(f"theta0 must lie in (0, 1), got {t0.tolist()}")
     pp = partition_posterior(data, pset, prior)
-    posteriors = tuple(local_posterior(b, data, pp, pset, prior) for b in range(data.num_baskets))
+    alpha, beta, ess = _borrow_one(data, pp, pset, prior)
+    probs = 1.0 - reg_inc_beta(t0, alpha, beta)
     return AnalysisResult(
         data=data,
         pset=pset,
         partition_posterior=pp,
         similarity=similarity_matrix(pp, pset),
-        posteriors=posteriors,
-        ess=tuple(
-            effective_sample_size(b, data, pp, pset, prior) for b in range(data.num_baskets)
-        ),
-        prob_exceeds=tuple(prob_exceeds(post, t) for post, t in zip(posteriors, t0)),
+        posteriors=tuple(BetaParams(float(a), float(b)) for a, b in zip(alpha, beta)),
+        ess=tuple(float(v) for v in ess),
+        prob_exceeds=tuple(float(v) for v in probs),
     )
 
 
@@ -280,7 +282,8 @@ class BatchPosterior:
     Bound to a fixed sample-size vector, partition set and prior; the data
     matrix varies across rows, and each row's result is independent of the
     others. This is the only code that computes partition weights: the
-    one-shot analysis and the design steps call it with a single row.
+    one-shot analysis (and through it every look of a single trial) calls it
+    with a single row, and its borrowing parameters come from :func:`borrow`.
 
     A block's log Beta factor depends only on which baskets it holds, so a
     row needs at most 2**B - 1 factors, and each partition sums at most B of
@@ -307,21 +310,19 @@ class BatchPosterior:
         blocks, index = np.unique(masks, return_inverse=True)
         # (J, B): block ids of each partition in label order, then padding.
         self._block_index = index.reshape(masks.shape)
-        # (J, B): block id holding each basket.
-        self._block_of = np.take_along_axis(self._block_index, labels - 1, axis=1)
         # (B, blocks): 0/1 basket-in-block matrix.
         self._member = (blocks[None, :] >> np.arange(num_baskets)[:, None]) & 1
-        self._subset_n = self.n @ self._member
 
-        # Log Beta factors tabulated over (block size, block responses).
-        total = int(self.n.sum())
-        table = np.zeros((total + 1, total + 1))
+        # Log Beta factors tabulated over (rank of the block size among the
+        # distinct sizes, block responses); a size-0 block's row stays 0.
+        sizes, self._size_rank = np.unique(self.n @ self._member, return_inverse=True)
+        table = np.zeros((len(sizes), int(sizes[-1]) + 1))
         log_b0 = log_beta(prior.alpha, prior.beta)
-        for size in np.unique(self._subset_n):
+        for rank, size in enumerate(sizes):
             if size == 0:
                 continue
             s_vals = np.arange(size + 1, dtype=float)
-            table[size, : size + 1] = (
+            table[rank, : size + 1] = (
                 log_beta(prior.alpha + s_vals, prior.beta + size - s_vals) - log_b0
             )
         self._factor_table = table
@@ -346,7 +347,7 @@ class BatchPosterior:
         """Weights (T, J), top partition index (T,), top weight (T,)."""
         mat = self._as_matrix(x)
         # (blocks, T): log Beta factor of every block for every row.
-        factors = self._factor_table[self._subset_n[:, None], (mat @ self._member).T]
+        factors = self._factor_table[self._size_rank[:, None], (mat @ self._member).T]
         log_w = factors[self._block_index[:, 0]]
         for slot in range(1, self.pset.num_baskets):
             log_w += factors[self._block_index[:, slot]]
@@ -366,15 +367,7 @@ class BatchPosterior:
         """Borrowing-posterior (alpha, beta) arrays of shape (T, B)."""
         mat = self._as_matrix(x)
         _, top, top_prob = self.posterior(mat)
-        rows = np.arange(len(mat))[:, None]
-        block_ids = self._block_of[top]
-        block_x = (mat @ self._member)[rows, block_ids]
-        block_n = self._subset_n[block_ids]
-        xs = mat.astype(float)
-        ns = self.n[None, :].astype(float)
-        scale = top_prob[:, None]
-        alpha = self.prior.alpha + xs + scale * (block_x - xs)
-        beta = self.prior.beta + (ns - xs) + scale * ((block_n - ns) - (block_x - xs))
+        alpha, beta, _ = borrow(mat, self.n, self.pset.memberships[top], top_prob, self.prior)
         return alpha, beta
 
     def exceed_probs(self, x, theta0) -> np.ndarray:

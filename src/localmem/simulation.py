@@ -146,6 +146,16 @@ def _chunk_ranges(n_sims: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, n_sims)) for lo in range(0, n_sims, chunk)]
 
 
+def _collect(fn, spec, scenario, n_sims, seed, workers) -> list:
+    """fn applied to every trial chunk of n_sims, in trial order; chunks run
+    in a process pool when there are several workers."""
+    jobs = [(spec, scenario, seed, lo, hi) for lo, hi in _chunk_ranges(n_sims, workers)]
+    if workers <= 1 or len(jobs) == 1:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
+
+
 def simulate(
     spec: DesignSpec,
     scenario: Scenario,
@@ -162,13 +172,7 @@ def simulate(
         raise DomainError(f"n_sims must be >= 1, got {n_sims}")
     if len(scenario.true_rates) != spec.num_baskets:
         raise ShapeError("scenario does not match the design's basket count")
-    jobs = [(spec, scenario, seed, lo, hi) for lo, hi in _chunk_ranges(n_sims, workers)]
-    if workers <= 1 or len(jobs) == 1:
-        parts = [_chunk_counts(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_chunk_counts, jobs))
-
+    parts = _collect(_chunk_counts, spec, scenario, n_sims, seed, workers)
     reject_counts = np.sum([p[0] for p in parts], axis=0)
     any_null = sum(p[1] for p in parts)
     continue_counts = np.sum([p[2] for p in parts], axis=0)

@@ -6,6 +6,8 @@ import pytest
 from localmem import cli, schemas
 from localmem.cli import main
 from localmem.errors import ConvergenceError
+from localmem.partitions import PartitionSet
+from localmem.posterior import BatchPosterior
 
 TWO_STAGE_SPEC = {
     "baskets": 4,
@@ -88,6 +90,14 @@ class TestAnalyze:
         )
         assert run(["analyze", "--config", cfg, "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("theta0", [0, 1.2])
+    def test_theta0_outside_unit_interval_exits_2(self, tmp_path, theta0):
+        cfg = write_config(
+            tmp_path, "a.json", {"x": [1, 2], "n": [4, 4], "delta": 0.0, "theta0": theta0}
+        )
+        assert run(["analyze", "--config", cfg, "--out", tmp_path]) == 2
+        assert not (tmp_path / "analysis.json").exists()
+
 
 class TestMonitor:
     def test_interim_all_zero_stops_everything(self, tmp_path):
@@ -137,6 +147,45 @@ class TestMonitor:
         assert report["top_partition"]["basket_ids"] == ["B", "C", "D"]
         for basket in report["baskets"][1:]:
             assert basket["decision"] in ("efficacious", "not-promising")
+
+    @pytest.mark.parametrize(
+        "look",
+        [
+            {"stage": 1, "x": [0, 3, 1, 8], "n": [10, 10, 10, 10]},
+            {"stage": 2, "x": [0, 9, 4, 9], "n": [10, 16, 16, 16], "active": [False, True, True, True]},
+        ],
+    )
+    def test_one_analysis_per_look(self, tmp_path, monkeypatch, look):
+        # The decisions and the reported probabilities come from one engine
+        # over one partition set.
+        engines, psets = [], []
+        engine_init = BatchPosterior.__init__
+        pset_build = PartitionSet.build.__func__
+
+        def counting_init(self, *args, **kwargs):
+            engines.append(args)
+            engine_init(self, *args, **kwargs)
+
+        def counting_build(cls, *args, **kwargs):
+            psets.append(args)
+            return pset_build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(BatchPosterior, "__init__", counting_init)
+        monkeypatch.setattr(PartitionSet, "build", classmethod(counting_build))
+        cfg = write_config(tmp_path, "m.json", dict(look, spec=TWO_STAGE_SPEC))
+        assert run(["monitor", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        assert len(engines) == 1 and len(psets) == 1
+        report = json.loads((tmp_path / "out" / "monitor.json").read_text())
+        analyzed = [b for b in report["baskets"] if "prob_exceeds" in b]
+        assert [b["id"] for b in analyzed] == report["top_partition"]["basket_ids"]
+        assert len(analyzed) == (4 if look["stage"] == 1 else 3)
+        q1, q2 = report["boundary"]["q1"], report["boundary"]["q2"]
+        for basket in analyzed:
+            if look["stage"] == 1:
+                expect = "continue" if basket["prob_exceeds"] > q1 else "futility-stopped"
+            else:
+                expect = "efficacious" if basket["prob_exceeds"] > q2 else "not-promising"
+            assert basket["decision"] == expect
 
     def test_stopped_basket_in_active_set_exits_2(self, tmp_path):
         cfg = write_config(

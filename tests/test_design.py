@@ -14,10 +14,11 @@ from localmem.design import (
     run_single_stage,
     run_two_stage,
     stopping_boundary,
+    survivor_exceedance,
 )
 from localmem.errors import DomainError, ShapeError
 from localmem.numerics import reg_inc_beta
-from localmem.posterior import BasketData
+from localmem.posterior import JEFFREYS_PRIOR, BasketData, analyze
 
 from oracles import RationalAnalysis, beta_tail_quadrature
 
@@ -209,6 +210,45 @@ class TestRunSingleStage:
     def test_wrong_stage_count(self):
         with pytest.raises(DomainError):
             run_single_stage(BasketData.create([0] * 4, [16] * 4), paper_two_stage())
+
+
+class TestOneRowEqualsBatch:
+    def test_survivor_exceedance_rows_equal_analyze(self):
+        # Random survivor masks at B = 5; a third of the rows give every
+        # basket the same counts, so partitions tie and the tie-break decides.
+        spec = DesignSpec.create(
+            5, (16, 16, 14, 16, 12), (0.1, 0.15, 0.2, 0.15, 0.1), 0.45, lam=0.977,
+            gamma=0.7, delta=2.0, prior=JEFFREYS_PRIOR, stages=2, interim_sizes=10,
+        )
+        sizes = np.asarray(spec.max_sizes)
+        rng = np.random.default_rng(53)
+        x = rng.integers(0, sizes + 1, size=(90, 5))
+        x[::3] = rng.integers(0, 13, size=(30, 1))
+        survivors = rng.random((90, 5)) < 0.6
+        survivors[::7] = True
+        probs = survivor_exceedance(spec, x, survivors, sizes)
+        for t in range(len(x)):
+            cols = np.flatnonzero(survivors[t])
+            assert np.all(probs[t, ~survivors[t]] == -np.inf)
+            if not len(cols):
+                continue
+            result = analyze(
+                BasketData.create(x[t, cols], sizes[cols]),
+                prior=spec.prior,
+                theta0=[spec.theta0[b] for b in cols],
+                pset=spec.partition_set(len(cols)),
+            )
+            assert probs[t, cols].tolist() == list(result.prob_exceeds)
+
+    def test_steps_keep_their_analysis(self):
+        spec = paper_two_stage()
+        state = interim_step(TrialState.at_interim([0, 7, 6, 7], spec), spec)
+        assert state.analysis.data.basket_ids == ("A", "B", "C", "D")
+        state = state.with_final_data([0, 9, 8, 9], spec)
+        assert state.analysis is None
+        done = final_step(state, spec)
+        assert done.analysis.data.basket_ids == ("B", "C", "D")
+        assert done.analysis.data.x == (9, 8, 9)
 
 
 class TestTwoStageDriver:

@@ -367,9 +367,14 @@ class TestBatchPosterior:
 
     def test_b10_index_arrays_under_50mb(self):
         engine = BatchPosterior([1] * 10, PartitionSet.build(10, 0.0))
-        arrays = (engine._block_index, engine._block_of, engine._member, engine._ranks)
+        arrays = (engine._block_index, engine._member, engine._ranks)
         assert engine._block_index.shape == (115975, 10)
         assert sum(a.nbytes for a in arrays) < 50e6
+
+    def test_factor_table_sized_by_data(self):
+        # Only the distinct block sizes are tabulated, not every total up to sum(n).
+        engine = BatchPosterior([500] * 4, PartitionSet.build(4, 2.0))
+        assert engine._factor_table.nbytes < 1e6
 
     def test_rejects_bad_counts(self):
         engine = BatchPosterior([4, 4], PartitionSet.build(2))
@@ -397,6 +402,11 @@ class TestAnalyze:
             beta_tail_quadrature(3.0, 1.0, 0.15), abs=1e-8
         )
         assert result.ess[0] == pytest.approx(4.0, abs=1e-12)
+
+    @pytest.mark.parametrize("theta0", [0.0, 1.2, [0.15, 1.0]])
+    def test_theta0_outside_unit_interval(self, theta0):
+        with pytest.raises(DomainError):
+            analyze(BasketData.create([0, 2], [2, 2]), theta0=theta0)
 
     def test_tie_break_prefers_more_blocks(self):
         # Symmetric data over identical baskets often ties partitions with the
