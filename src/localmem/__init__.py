@@ -17,7 +17,6 @@ from .calibration import (
     CalibrationResult,
     FrontierPoint,
     calibrate,
-    calibrate_fixed,
     calibrated_spec,
 )
 from .design import (
@@ -88,8 +87,6 @@ from .simon import (
 from .simulation import (
     OperatingCharacteristics,
     Scenario,
-    TrialOutcomes,
-    run_trials,
     scenario_suite,
     simulate,
 )

@@ -11,6 +11,9 @@ The heavy per-trial quantities are computed once: stage-1 exceedance
 probabilities, plus stage-2 exceedance probabilities for every survivor set a
 trial can produce as q1 sweeps through its range (survivor sets are nested in
 q1, so there are at most B + 1 of them per trial).
+
+A single-stage design is the case with no interim look: it runs the same
+code with a stage 1 that stops no basket, and its sweep covers lam only.
 """
 
 from __future__ import annotations
@@ -76,20 +79,21 @@ class CalibrationResult:
     frontier: tuple[FrontierPoint, ...] = field(repr=False)
 
 
-def _single_stage_chunk(args) -> np.ndarray:
-    spec, scenario, seed, lo, hi = args
-    _, x = generate_counts(spec, scenario, range(lo, hi), seed)
-    return survivor_exceedance(spec, x, np.ones(x.shape, dtype=bool), spec.max_sizes)
-
-
 def _two_stage_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     """Stage-1 probabilities (T, B) and stage-2 probabilities (T, B + 1, B),
     where p2[t, r] is the stage-2 analysis when the r baskets with the highest
-    stage-1 probabilities survive (-inf outside them)."""
+    stage-1 probabilities survive (-inf outside them).
+
+    A single-stage design has no interim look: its p1 is +inf, so no basket
+    stops, the only reachable cut is r = B and only p2[:, B], the analysis of
+    all baskets at their maximum sizes, is filled."""
     spec, scenario, seed, lo, hi = args
     num_baskets = spec.num_baskets
     x1, xt = generate_counts(spec, scenario, range(lo, hi), seed)
-    p1 = survivor_exceedance(spec, x1, np.ones(x1.shape, dtype=bool), spec.stage1_sizes())
+    if spec.stages == 1:
+        p1 = np.full(xt.shape, np.inf)
+    else:
+        p1 = survivor_exceedance(spec, x1, np.ones(x1.shape, dtype=bool), spec.stage1_sizes())
 
     order = np.argsort(-p1, axis=1, kind="stable")
     sorted_vals = np.take_along_axis(p1, order, axis=1)
@@ -105,46 +109,18 @@ def _two_stage_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     return p1, p2
 
 
-def _pick(
-    candidates: list[tuple[int, int, float, float]],
-    fwer_target: float,
-    n_sims: int,
-    trial_weight: int,
-) -> tuple[CalibrationResult | None, float]:
-    """candidates: (fwer_count, power_count, lam, gamma) per grid point."""
-    feasible = []
-    min_fwer = np.inf
-    for fwer_count, power_count, lam, gamma in candidates:
-        fwer = fwer_count / n_sims
-        min_fwer = min(min_fwer, fwer)
-        if fwer_count <= fwer_target * n_sims + 1e-9:
-            feasible.append((fwer_count, power_count, lam, gamma))
-    if not feasible:
-        return None, float(min_fwer)
-    best = min(feasible, key=lambda c: (-c[1], c[0], c[2], c[3]))
-    frontier = tuple(
-        FrontierPoint(lam=lam, gamma=gamma, fwer=fc / n_sims, power=pc / (n_sims * trial_weight))
-        for fc, pc, lam, gamma in feasible
-    )
-    result = CalibrationResult(
-        lam=float(best[2]),
-        gamma=float(best[3]),
-        achieved_fwer=best[0] / n_sims,
-        achieved_power=best[1] / (n_sims * trial_weight),
-        frontier=frontier,
-    )
-    return result, float(min_fwer)
-
-
 def calibrate(problem: CalibrationProblem, workers: int = 1) -> CalibrationResult:
-    """Grid search over (lam, gamma) for a two-stage design."""
+    """Grid search over (lam, gamma).
+
+    A single-stage design searches lam only, since its stage 1 stops no
+    basket, and gamma reports 0.
+    """
     spec = problem.spec_template
-    if spec.stages != 2:
-        raise DomainError("calibrate expects a two-stage template; use calibrate_fixed for stages=1")
     n_sims = problem.n_sims
     weights = np.asarray(spec.max_sizes)
     trial_weight = int(weights.sum())
     t_frac = spec.information_fraction()
+    gamma_grid = problem.gamma_grid if spec.stages == 2 else (0.0,)
 
     null_parts = _collect(_two_stage_chunk, spec, problem.null_scenario(), n_sims, problem.seed, workers)
     alt_parts = _collect(
@@ -156,8 +132,9 @@ def calibrate(problem: CalibrationProblem, workers: int = 1) -> CalibrationResul
     p2_alt = np.concatenate([p[1] for p in alt_parts])
     rows = np.arange(n_sims)
 
+    # (fwer_count, power_count, lam, gamma) per grid point
     candidates = []
-    for gamma in problem.gamma_grid:
+    for gamma in gamma_grid:
         shrink = t_frac**gamma
         for lam in problem.lambda_grid:
             q1 = lam * shrink
@@ -167,44 +144,24 @@ def calibrate(problem: CalibrationProblem, workers: int = 1) -> CalibrationResul
             reject_alt = p2_alt[rows, r_alt, :] > lam
             power_count = int((reject_alt * weights[None, :]).sum())
             candidates.append((fwer_count, power_count, float(lam), float(gamma)))
-    result, min_fwer = _pick(candidates, problem.fwer_target, n_sims, trial_weight)
-    if result is None:
+    feasible = [c for c in candidates if c[0] <= problem.fwer_target * n_sims + 1e-9]
+    if not feasible:
+        min_fwer = min(c[0] for c in candidates) / n_sims
         raise InfeasibleCalibrationError(
             f"no grid point controls FWER at {problem.fwer_target}; minimum achieved was {min_fwer:.4f}",
             min_achieved_fwer=min_fwer,
         )
-    return result
-
-
-def calibrate_fixed(problem: CalibrationProblem, workers: int = 1) -> CalibrationResult:
-    """Threshold search (lam only) for a single-stage design; gamma reports 0."""
-    spec = problem.spec_template
-    if spec.stages != 1:
-        raise DomainError("calibrate_fixed expects a single-stage template")
-    n_sims = problem.n_sims
-    weights = np.asarray(spec.max_sizes)
-    trial_weight = int(weights.sum())
-
-    p_null = np.concatenate(
-        _collect(_single_stage_chunk, spec, problem.null_scenario(), n_sims, problem.seed, workers)
+    fwer_count, power_count, lam, gamma = min(feasible, key=lambda c: (-c[1], c[0], c[2], c[3]))
+    return CalibrationResult(
+        lam=lam,
+        gamma=gamma,
+        achieved_fwer=fwer_count / n_sims,
+        achieved_power=power_count / (n_sims * trial_weight),
+        frontier=tuple(
+            FrontierPoint(lam=lm, gamma=gm, fwer=fc / n_sims, power=pc / (n_sims * trial_weight))
+            for fc, pc, lm, gm in feasible
+        ),
     )
-    p_alt = np.concatenate(
-        _collect(
-            _single_stage_chunk, spec, problem.alternative_scenario(), n_sims, problem.seed, workers
-        )
-    )
-    candidates = []
-    for lam in problem.lambda_grid:
-        fwer_count = int((p_null > lam).any(axis=1).sum())
-        power_count = int(((p_alt > lam) * weights[None, :]).sum())
-        candidates.append((fwer_count, power_count, float(lam), 0.0))
-    result, min_fwer = _pick(candidates, problem.fwer_target, n_sims, trial_weight)
-    if result is None:
-        raise InfeasibleCalibrationError(
-            f"no grid point controls FWER at {problem.fwer_target}; minimum achieved was {min_fwer:.4f}",
-            min_achieved_fwer=min_fwer,
-        )
-    return result
 
 
 def calibrated_spec(problem: CalibrationProblem, result: CalibrationResult) -> DesignSpec:

@@ -27,7 +27,6 @@ from .calibration import (
     DEFAULT_LAMBDA_GRID,
     CalibrationProblem,
     calibrate,
-    calibrate_fixed,
     calibrated_spec,
 )
 from .design import (
@@ -390,7 +389,7 @@ def cmd_calibrate(args) -> int:
         n_sims=n_sims,
         seed=seed,
     )
-    result = (calibrate_fixed if spec.stages == 1 else calibrate)(problem, workers=args.workers)
+    result = calibrate(problem, workers=args.workers)
     chosen = calibrated_spec(problem, result)
 
     # Guard against threshold overfitting: re-estimate the constrained and
@@ -499,7 +498,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument(
-        "--workers", type=int, default=1, help="parallel workers; never changes results"
+        "--workers",
+        type=int,
+        default=1,
+        help=(
+            "chunks to split the trials into; never changes results, and the "
+            "process pool never exceeds the CPU count"
+        ),
     )
 
     for name, fn, needs_config in (

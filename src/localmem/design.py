@@ -211,10 +211,6 @@ class TrialState:
         )
         return replace(self, data=BasketData.create(x, n, self.data.basket_ids), analysis=None)
 
-    @property
-    def is_complete(self) -> bool:
-        return self.stage == STAGE_DONE
-
 
 def survivor_exceedance(spec: DesignSpec, x, survivors, sizes: Sequence[int]) -> np.ndarray:
     """Exceedance probabilities over each row's survivor set, shape (T, B).

@@ -14,10 +14,6 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-# A value stored on the natural-log scale. log(0) is represented as -inf and
-# is propagated safely by log_sum_exp.
-LogValue = float
-
 _LN_SQRT_2PI = 0.9189385332046727417803297364056176
 _LN_PI = 1.1447298858494001741434273513530587
 

@@ -70,18 +70,18 @@ class Partition:
         return "|".join(str(v) for v in self.membership)
 
 
-def enumerate_partitions(num_baskets: int, max_baskets: int = MAX_BASKETS) -> list[Partition]:
+def enumerate_partitions(num_baskets: int) -> list[Partition]:
     """All set partitions of ``num_baskets`` elements, lexicographically ordered.
 
     Growth is the Bell number, so a capacity guard refuses anything past
-    ``max_baskets`` (Bell(10) = 115975).
+    ``MAX_BASKETS`` (Bell(10) = 115975).
     """
     if num_baskets < 1:
         raise DomainError(f"need at least one basket, got {num_baskets}")
-    if num_baskets > max_baskets:
+    if num_baskets > MAX_BASKETS:
         raise CapacityError(
             f"{num_baskets} baskets would enumerate Bell({num_baskets}) = "
-            f"{bell_number(num_baskets)} partitions; the configured cap is {max_baskets}"
+            f"{bell_number(num_baskets)} partitions; the configured cap is {MAX_BASKETS}"
         )
     out: list[Partition] = []
     membership = [1] * num_baskets
@@ -125,11 +125,10 @@ class PartitionSet:
         num_baskets: int,
         delta: float = 0.0,
         prior: Iterable[float] | None = None,
-        max_baskets: int = MAX_BASKETS,
     ) -> "PartitionSet":
         """Enumerate partitions and attach either the delta-family prior or a
         user-supplied probability vector."""
-        parts = enumerate_partitions(num_baskets, max_baskets=max_baskets)
+        parts = enumerate_partitions(num_baskets)
         if prior is None:
             weights = partition_prior(parts, delta)
         else:

@@ -90,11 +90,6 @@ class BasketData:
     def num_baskets(self) -> int:
         return len(self.x)
 
-    @property
-    def y(self) -> tuple[int, ...]:
-        """Non-responses per basket."""
-        return tuple(n - x for x, n in zip(self.x, self.n))
-
 
 @dataclass(frozen=True)
 class PartitionPosterior:

@@ -7,6 +7,7 @@ how trials are split across workers. Aggregation uses integer counters only.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,40 +71,27 @@ class OperatingCharacteristics:
     seed: int | None = None
 
 
-@dataclass(frozen=True)
-class TrialOutcomes:
-    """Raw per-trial simulation results (row = trial)."""
-
-    x_interim: np.ndarray | None
-    x_total: np.ndarray
-    continued: np.ndarray
-    rejected: np.ndarray
-
-
 def generate_counts(
     spec: DesignSpec, scenario: Scenario, trials: range, seed: int
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Stage-wise binomial draws for a block of trial indices."""
+    """Binomial draws for a block of trial indices: (x_interim, x_total), each (T, B).
+
+    Stage 1 draws spec.stage1_sizes() patients per basket on stream
+    (t, b, STAGE1) and stage 2 the remaining patients on (t, b, STAGE2). A
+    single-stage design draws only stage 1, at its maximum sizes, and returns
+    (None, x_total).
+    """
     root = RngStream(seed)
-    num = len(trials)
-    if spec.stages == 1:
-        x = np.zeros((num, spec.num_baskets), dtype=int)
-        for i, t in enumerate(trials):
-            for b in range(spec.num_baskets):
-                x[i, b] = binomial_draw(
-                    root.child(t, b, STAGE1), spec.max_sizes[b], scenario.true_rates[b]
-                )
-        return None, x
     n1 = spec.stage1_sizes()
-    x1 = np.zeros((num, spec.num_baskets), dtype=int)
-    x2 = np.zeros((num, spec.num_baskets), dtype=int)
+    draws = [(STAGE1, n1)]
+    if spec.stages == 2:
+        draws.append((STAGE2, tuple(n - m for n, m in zip(spec.max_sizes, n1))))
+    x = np.zeros((len(draws), len(trials), spec.num_baskets), dtype=int)
     for i, t in enumerate(trials):
-        for b in range(spec.num_baskets):
-            x1[i, b] = binomial_draw(root.child(t, b, STAGE1), n1[b], scenario.true_rates[b])
-            x2[i, b] = binomial_draw(
-                root.child(t, b, STAGE2), spec.max_sizes[b] - n1[b], scenario.true_rates[b]
-            )
-    return x1, x1 + x2
+        for b, rate in enumerate(scenario.true_rates):
+            for stage, sizes in draws:
+                x[stage, i, b] = binomial_draw(root.child(t, b, stage), sizes[b], rate)
+    return (x[STAGE1] if spec.stages == 2 else None), x.sum(axis=0)
 
 
 def decide_batch(
@@ -113,23 +101,14 @@ def decide_batch(
 
     Both stages go through the same survivor-set kernel as the single-trial
     steps in :mod:`localmem.design`, so row t equals run_single_stage or
-    run_two_stage on trial t.
+    run_two_stage on trial t. A single-stage design continues every basket.
     """
     boundary = spec.boundary()
-    everyone = np.ones(np.shape(x_total), dtype=bool)
-    if spec.stages == 1:
-        rejected = survivor_exceedance(spec, x_total, everyone, spec.max_sizes) > boundary.q2
-        return everyone, rejected
-    continued = survivor_exceedance(spec, x_interim, everyone, spec.stage1_sizes()) > boundary.q1
+    continued = np.ones(np.shape(x_total), dtype=bool)
+    if spec.stages == 2:
+        continued = survivor_exceedance(spec, x_interim, continued, spec.stage1_sizes()) > boundary.q1
     rejected = survivor_exceedance(spec, x_total, continued, spec.max_sizes) > boundary.q2
     return continued, rejected
-
-
-def run_trials(spec: DesignSpec, scenario: Scenario, n_sims: int, seed: int) -> TrialOutcomes:
-    """Simulate trials and keep the per-trial outcomes."""
-    x1, xt = generate_counts(spec, scenario, range(n_sims), seed)
-    continued, rejected = decide_batch(spec, x1, xt)
-    return TrialOutcomes(x_interim=x1, x_total=xt, continued=continued, rejected=rejected)
 
 
 def _chunk_counts(args) -> tuple[np.ndarray, int, np.ndarray]:
@@ -142,17 +121,24 @@ def _chunk_counts(args) -> tuple[np.ndarray, int, np.ndarray]:
 
 
 def _chunk_ranges(n_sims: int, workers: int) -> list[tuple[int, int]]:
-    chunk = -(-n_sims // max(1, workers))
+    chunk = -(-n_sims // workers)
     return [(lo, min(lo + chunk, n_sims)) for lo in range(0, n_sims, chunk)]
 
 
 def _collect(fn, spec, scenario, n_sims, seed, workers) -> list:
-    """fn applied to every trial chunk of n_sims, in trial order; chunks run
-    in a process pool when there are several workers."""
+    """fn applied to every trial chunk of n_sims, in trial order.
+
+    workers sets the number of chunks only. The chunks run in a process pool
+    of at most os.cpu_count() processes: under the fork start method the pool
+    starts every process it is sized for at its first submit.
+    """
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     jobs = [(spec, scenario, seed, lo, hi) for lo, hi in _chunk_ranges(n_sims, workers)]
-    if workers <= 1 or len(jobs) == 1:
+    processes = min(len(jobs), os.cpu_count() or 1)
+    if processes == 1:
         return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=processes) as pool:
         return list(pool.map(fn, jobs))
 
 

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from localmem.calibration import CalibrationProblem, calibrate, calibrate_fixed, calibrated_spec
+from localmem.calibration import CalibrationProblem, calibrate, calibrated_spec
 from localmem.design import DesignSpec
 from localmem.numerics import log_beta, reg_inc_beta
 from localmem.partitions import PartitionSet, enumerate_partitions, partition_prior
@@ -151,7 +151,7 @@ def test_criterion_06_fixed_design_delta2():
     the published power and type-I profile."""
     template = DesignSpec.create(4, 19, 0.15, 0.45, lam=0.5, delta=2.0, stages=1)
     problem = CalibrationProblem(spec_template=template, n_sims=N_SIMS, seed=CAL_SEED)
-    result = calibrate_fixed(problem)
+    result = calibrate(problem)
     chosen = calibrated_spec(problem, result)
     ocs = suite_ocs(chosen)
     table_4s = (0.897, 0.888, 0.897, 0.885)
@@ -178,7 +178,7 @@ def test_criterion_07_heterogeneous_null():
         4, 19, (0.25, 0.25, 0.15, 0.15), (0.55, 0.55, 0.45, 0.45), lam=0.5, delta=2.0, stages=1
     )
     problem = CalibrationProblem(spec_template=template, n_sims=N_SIMS, seed=CAL_SEED)
-    result = calibrate_fixed(problem)
+    result = calibrate(problem)
     chosen = calibrated_spec(problem, result)
     ocs = suite_ocs(chosen)
     table_4s = (0.822, 0.816, 0.857, 0.852)
@@ -202,7 +202,7 @@ def test_criterion_08_six_baskets():
     global-alternative powers are reproduced."""
     template = DesignSpec.create(6, 19, 0.15, 0.45, lam=0.5, delta=2.0, stages=1)
     problem = CalibrationProblem(spec_template=template, n_sims=N_SIMS, seed=CAL_SEED)
-    result = calibrate_fixed(problem)
+    result = calibrate(problem)
     chosen = calibrated_spec(problem, result)
     null_oc = simulate(chosen, scenario_suite(chosen)[0], n_sims=N_SIMS, seed=EVAL_SEED)
     alt_oc = simulate(chosen, scenario_suite(chosen)[6], n_sims=N_SIMS, seed=EVAL_SEED)

@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from localmem.calibration import (
     CalibrationProblem,
     calibrate,
-    calibrate_fixed,
     calibrated_spec,
 )
 from localmem.design import DesignSpec
@@ -34,7 +35,7 @@ class TestCalibrateFixed:
             n_sims=400,
             seed=1,
         )
-        result = calibrate_fixed(problem)
+        result = calibrate(problem)
         assert result.lam == 0.9999
         assert result.gamma == 0.0
         assert result.achieved_fwer <= 0.10
@@ -49,7 +50,7 @@ class TestCalibrateFixed:
             seed=1,
         )
         with pytest.raises(InfeasibleCalibrationError) as err:
-            calibrate_fixed(problem)
+            calibrate(problem)
         assert err.value.min_achieved_fwer > 0.0
 
     def test_single_basket_reproduces_exact_binomial_test(self):
@@ -61,7 +62,7 @@ class TestCalibrateFixed:
         problem = CalibrationProblem(
             spec_template=template, fwer_target=target, n_sims=20_000, seed=31
         )
-        result = calibrate_fixed(problem)
+        result = calibrate(problem)
         # exhaustive enumeration oracle over rejection cutoffs
         exact_alpha = {
             c: 1.0 if c == 0 else binom_sf(c - 1, size, p0) for c in range(size + 1)
@@ -79,7 +80,7 @@ class TestCalibrateFixed:
             n_sims=1200,
             seed=5,
         )
-        result = calibrate_fixed(problem)
+        result = calibrate(problem)
         assert result.achieved_fwer <= problem.fwer_target
         for point in result.frontier:
             assert point.fwer <= problem.fwer_target
@@ -95,7 +96,7 @@ class TestCalibrateFixed:
             n_sims=1500,
             seed=6,
         )
-        result = calibrate_fixed(problem)
+        result = calibrate(problem)
         by_lam = sorted((p.lam, p.fwer) for p in result.frontier)
         fwers = [f for _, f in by_lam]
         assert all(a >= b - 1e-12 for a, b in zip(fwers, fwers[1:]))
@@ -149,16 +150,6 @@ class TestCalibrateTwoStage:
         best = min(same_power, key=lambda p: (p.fwer, p.lam, p.gamma))
         assert (result.lam, result.gamma) == (best.lam, best.gamma)
 
-    def test_requires_two_stage_template(self):
-        with pytest.raises(DomainError):
-            calibrate(
-                CalibrationProblem(spec_template=fixed_template(), n_sims=10, seed=0)
-            )
-        with pytest.raises(DomainError):
-            calibrate_fixed(
-                CalibrationProblem(spec_template=two_stage_template(), n_sims=10, seed=0)
-            )
-
     def test_worker_invariance(self):
         problem = CalibrationProblem(
             spec_template=two_stage_template(),
@@ -170,6 +161,45 @@ class TestCalibrateTwoStage:
         serial = calibrate(problem, workers=1)
         parallel = calibrate(problem, workers=3)
         assert serial == parallel
+
+
+class TestSweepIsTheDecisionRule:
+    # Each frontier point, re-run through simulate on the calibration's own
+    # seed, must give the same FWER count and the same trial-wise power.
+    @pytest.mark.parametrize(
+        "template, lambda_grid, gamma_grid, n_sims",
+        [
+            (two_stage_template(), (0.9, 0.95, 0.977), (0.3, 0.7, 1.5), 300),
+            (
+                DesignSpec.create(
+                    5, (10, 12, 14, 16, 18), 0.15, 0.45, lam=0.5, delta=1.0,
+                    stages=2, interim_fraction=0.5,
+                ),
+                (0.9, 0.97),
+                (0.0, 0.7, 2.0),
+                200,
+            ),
+            (fixed_template(), (0.8, 0.9, 0.95, 0.99), (0.0,), 300),
+        ],
+        ids=["paper-two-stage", "unequal-two-stage", "single-stage"],
+    )
+    def test_frontier_points_match_simulate(self, template, lambda_grid, gamma_grid, n_sims):
+        problem = CalibrationProblem(
+            spec_template=template,
+            fwer_target=0.99,
+            lambda_grid=lambda_grid,
+            gamma_grid=gamma_grid,
+            n_sims=n_sims,
+            seed=13,
+        )
+        result = calibrate(problem)
+        assert len(result.frontier) == len(lambda_grid) * len(gamma_grid)
+        for point in result.frontier:
+            spec = replace(template, lam=point.lam, gamma=point.gamma)
+            null = simulate(spec, problem.null_scenario(), n_sims, seed=problem.seed)
+            alt = simulate(spec, problem.alternative_scenario(), n_sims, seed=problem.seed)
+            assert null.fwer == point.fwer
+            assert abs(alt.trialwise_power - point.power) <= 1e-12
 
 
 class TestProblemValidation:

@@ -268,6 +268,11 @@ class TestSimulate:
         cfg = write_config(tmp_path, "s.json", {"spec": dict(TWO_STAGE_SPEC), "n_sims": 10})
         assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
 
+    def test_zero_workers_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, "s.json", self.simulate_config())
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "out", "--workers", 0]) == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestCalibrate:
     def test_small_grid_round_trip(self, tmp_path):
@@ -349,6 +354,28 @@ class TestCalibrate:
         assert run(["calibrate", "--config", cfg, "--out", tmp_path / "out"]) == 0
         report = json.loads((tmp_path / "out" / "calibration.json").read_text())
         assert report["gamma"] == 0.0
+
+    def test_single_stage_frontier_ignores_gamma_grid(self, tmp_path):
+        config = {
+            "spec": {
+                "baskets": 2,
+                "max_sizes": 19,
+                "theta0": 0.15,
+                "theta1": 0.45,
+                "delta": 2.0,
+                "stages": 1,
+            },
+            "fwer_target": 0.5,
+            "lambda_grid": [0.95, 0.97, 0.99],
+            "n_sims": 300,
+            "seed": 5,
+        }
+        cfg = write_config(tmp_path, "c.json", config)
+        assert run(["calibrate", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        lines = (tmp_path / "out" / "calibration_frontier.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[2:]]
+        assert sorted(float(r[0]) for r in rows) == [0.95, 0.97, 0.99]
+        assert all(float(r[1]) == 0.0 for r in rows)
 
 
 class TestSimon:

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,13 +8,12 @@ from localmem.design import Decision, DesignSpec, run_two_stage, run_single_stag
 from localmem.errors import DomainError, ShapeError
 from localmem.numerics import binom_cdf, reg_inc_beta
 from localmem.posterior import BasketData
-from localmem import design
+from localmem import design, simulation
 from localmem.simulation import (
     OperatingCharacteristics,
     Scenario,
     decide_batch,
     generate_counts,
-    run_trials,
     scenario_suite,
     simulate,
 )
@@ -72,6 +72,30 @@ class TestSimulate:
         serial = simulate(spec, scenario, 300, seed=5, workers=1)
         parallel = simulate(spec, scenario, 300, seed=5, workers=4)
         assert serial == parallel
+
+    def test_pool_never_exceeds_cpu_count(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+        spec = paper_two_stage()
+        scenario = scenario_suite(spec)[1]
+        split = simulate(spec, scenario, 40, seed=3, workers=10_000)
+        cpus = os.cpu_count() or 1
+        assert sizes == ([min(40, cpus)] if cpus > 1 else [])
+        assert split == simulate(spec, scenario, 40, seed=3, workers=1)
 
     def test_fwer_bounds(self):
         spec = paper_two_stage()
@@ -133,24 +157,23 @@ class TestAgainstDesignEngine:
     def test_two_stage_decisions_match(self):
         spec = paper_two_stage()
         scenario = scenario_suite(spec)[2]
-        outcomes = run_trials(spec, scenario, 150, seed=99)
+        x1, xt = generate_counts(spec, scenario, range(150), seed=99)
+        continued, rejected = decide_batch(spec, x1, xt)
         for t in range(150):
-            state = run_two_stage(list(outcomes.x_interim[t]), list(outcomes.x_total[t]), spec)
+            state = run_two_stage(list(x1[t]), list(xt[t]), spec)
             for b in range(4):
-                continued = state.decisions[b] is not Decision.FUTILITY_STOPPED
-                assert outcomes.continued[t, b] == continued
-                assert outcomes.rejected[t, b] == (state.decisions[b] is Decision.EFFICACIOUS)
+                assert continued[t, b] == (state.decisions[b] is not Decision.FUTILITY_STOPPED)
+                assert rejected[t, b] == (state.decisions[b] is Decision.EFFICACIOUS)
 
     def test_single_stage_decisions_match(self):
         spec = DesignSpec.create(4, 19, 0.15, 0.45, lam=0.977, delta=2.0, stages=1)
         scenario = scenario_suite(spec)[3]
-        outcomes = run_trials(spec, scenario, 150, seed=98)
+        x1, xt = generate_counts(spec, scenario, range(150), seed=98)
+        _, rejected = decide_batch(spec, x1, xt)
         for t in range(150):
-            decisions = run_single_stage(
-                BasketData.create(outcomes.x_total[t], spec.max_sizes), spec
-            )
+            decisions = run_single_stage(BasketData.create(xt[t], spec.max_sizes), spec)
             for b in range(4):
-                assert outcomes.rejected[t, b] == (decisions[b] is Decision.EFFICACIOUS)
+                assert rejected[t, b] == (decisions[b] is Decision.EFFICACIOUS)
 
 
 class TestStageTwoEngines:
