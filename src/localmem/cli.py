@@ -97,11 +97,7 @@ def _meta(command: str, config: dict, seed=None, n_sims=None) -> dict:
 
 def _seed(args, config: dict) -> int:
     """The run seed: the --seed flag if given, else the config's (schema-checked) seed."""
-    if args.seed is None:
-        return config["seed"]
-    if not 0 <= args.seed < 2**64:
-        raise ConfigError(f"--seed must lie in [0, 2**64 - 1], got {args.seed}")
-    return args.seed
+    return config["seed"] if args.seed is None else args.seed
 
 
 def _prior(doc: dict) -> BetaParams:
@@ -193,7 +189,7 @@ def cmd_analyze(args) -> int:
                 "prior": float(result.pset.prior[j]),
                 "weight": float(pp.weights[j]),
             }
-            for j, part in enumerate(result.pset.partitions)
+            for j, part in enumerate(map(result.pset.partition, range(len(result.pset))))
         ],
         "similarity": [[float(v) for v in row] for row in result.similarity.psi],
         "top_partition": {
@@ -531,6 +527,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Every subcommand takes these flags, so every one checks them.
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        if args.seed is not None and not 0 <= args.seed < 2**64:
+            raise ConfigError(f"--seed must lie in [0, 2**64 - 1], got {args.seed}")
         return args.func(args)
     except json.JSONDecodeError as err:
         print(f"input error: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}", file=sys.stderr)

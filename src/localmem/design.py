@@ -154,14 +154,10 @@ class DesignSpec:
         return tuple(int(round(self.interim_fraction * n)) for n in self.max_sizes)
 
     def information_fraction(self) -> float:
-        """Fraction of total information available at the interim look."""
-        if self.stages == 1:
-            return 1.0
+        """Fraction of total information available at the interim look (1.0 for one stage)."""
         return sum(self.stage1_sizes()) / sum(self.max_sizes)
 
     def boundary(self) -> Boundary:
-        if self.stages == 1:
-            return Boundary(q1=self.lam, q2=self.lam)
         return stopping_boundary(self.lam, self.gamma, self.information_fraction())
 
     def partition_set(self, num_baskets: int | None = None) -> PartitionSet:

@@ -5,13 +5,15 @@ rate. Partitions are encoded as restricted-growth strings: the first basket
 always gets block label 1 and each later basket gets either an existing label
 or the smallest unused one. That encoding is canonical, so equality and
 ordering are well defined.
+
+A partition set is one read-only ``(Bell(B), B)`` int8 array of these strings,
+one row per partition in lexicographic order; a row's block count is its
+maximum label. :class:`Partition` is the value a report derives from one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,38 +43,17 @@ class Partition:
     membership: tuple[int, ...]
     num_blocks: int
 
-    @classmethod
-    def from_membership(cls, membership: Sequence[int]) -> "Partition":
-        m = tuple(int(v) for v in membership)
-        if not m:
-            raise ShapeError("partition membership must be non-empty")
-        if m[0] != 1:
-            raise DomainError(f"restricted-growth string must start at 1, got {m}")
-        mx = 1
-        for v in m[1:]:
-            if not (1 <= v <= mx + 1):
-                raise DomainError(f"invalid restricted-growth string {m}")
-            mx = max(mx, v)
-        return cls(membership=m, num_blocks=mx)
-
-    @property
-    def num_baskets(self) -> int:
-        return len(self.membership)
-
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """Basket indices per block, ordered by block label."""
-        out: list[list[int]] = [[] for _ in range(self.num_blocks)]
-        for basket, label in enumerate(self.membership):
-            out[label - 1].append(basket)
-        return tuple(tuple(b) for b in out)
-
     def membership_string(self) -> str:
         return "|".join(str(v) for v in self.membership)
 
 
-def enumerate_partitions(num_baskets: int) -> list[Partition]:
-    """All set partitions of ``num_baskets`` elements, lexicographically ordered.
+def enumerate_partitions(num_baskets: int) -> np.ndarray:
+    """All set partitions of ``num_baskets`` elements as a read-only
+    ``(Bell(B), B)`` int8 array of restricted-growth strings, one row per
+    partition in lexicographic order.
 
+    Rows grow one basket at a time: each row is extended by every label from 1
+    to its maximum + 1 in increasing order, which keeps the rows sorted.
     Growth is the Bell number, so a capacity guard refuses anything past
     ``MAX_BASKETS`` (Bell(10) = 115975).
     """
@@ -83,75 +64,57 @@ def enumerate_partitions(num_baskets: int) -> list[Partition]:
             f"{num_baskets} baskets would enumerate Bell({num_baskets}) = "
             f"{bell_number(num_baskets)} partitions; the configured cap is {MAX_BASKETS}"
         )
-    out: list[Partition] = []
-    membership = [1] * num_baskets
+    labels = np.ones((1, num_baskets), dtype=np.int8)
+    running_max = np.ones(1, dtype=np.int8)
+    for pos in range(1, num_baskets):
+        children = running_max + 1
+        parent = np.repeat(np.arange(len(labels)), children)
+        # Rank of each child among its parent's children, plus 1.
+        label = np.arange(len(parent)) - np.repeat(np.cumsum(children) - children, children) + 1
+        labels = labels[parent]
+        labels[:, pos] = label
+        running_max = np.maximum(running_max[parent], labels[:, pos])
+    labels.setflags(write=False)
+    return labels
 
-    def extend(pos: int, mx: int) -> None:
-        if pos == num_baskets:
-            out.append(Partition(membership=tuple(membership), num_blocks=mx))
-            return
-        for label in range(1, mx + 2):
-            membership[pos] = label
-            extend(pos + 1, max(mx, label))
 
-    extend(1, 1)
-    return out
-
-
-def partition_prior(partitions: Sequence[Partition], delta: float) -> np.ndarray:
-    """Prior weights proportional to (number of blocks)**delta.
+def partition_prior(memberships, delta: float) -> np.ndarray:
+    """Prior weights proportional to (number of blocks)**delta over the rows
+    of a ``(partitions, baskets)`` membership array.
 
     delta = 0 is uniform; positive delta favors partitions with more blocks
     (less pooling), negative delta favors fewer blocks.
     """
-    if not partitions:
-        raise ShapeError("partition_prior needs a non-empty partition list")
-    log_k = np.log([p.num_blocks for p in partitions])
+    labels = np.asarray(memberships)
+    if labels.ndim != 2 or labels.size == 0:
+        raise ShapeError("partition_prior needs a non-empty (partitions, baskets) array")
+    # float64 before the log: the log of an int8 array is computed in float16.
+    log_k = np.log(labels.max(axis=1).astype(float))
     logits = delta * log_k
     return np.exp(logits - log_sum_exp(logits))
 
 
 @dataclass(frozen=True)
 class PartitionSet:
-    """The full hypothesis space for one analysis: partitions plus their prior."""
+    """The full hypothesis space for one analysis: the read-only membership
+    array of :func:`enumerate_partitions` plus the prior over its rows."""
 
     num_baskets: int
-    partitions: tuple[Partition, ...]
+    memberships: np.ndarray = field(repr=False)
     prior: np.ndarray = field(repr=False)
 
     @classmethod
-    def build(
-        cls,
-        num_baskets: int,
-        delta: float = 0.0,
-        prior: Iterable[float] | None = None,
-    ) -> "PartitionSet":
-        """Enumerate partitions and attach either the delta-family prior or a
-        user-supplied probability vector."""
-        parts = enumerate_partitions(num_baskets)
-        if prior is None:
-            weights = partition_prior(parts, delta)
-        else:
-            weights = np.asarray(list(prior), dtype=float)
-            if weights.shape != (len(parts),):
-                raise ShapeError(
-                    f"prior vector has length {weights.size}, expected {len(parts)}"
-                )
-            if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
-                raise DomainError("prior vector entries must be finite and non-negative")
-            total = weights.sum()
-            if abs(total - 1.0) > 1e-9 or total <= 0.0:
-                raise DomainError(f"prior vector must sum to 1, got {total}")
-            weights = weights / total
+    def build(cls, num_baskets: int, delta: float = 0.0) -> "PartitionSet":
+        """Enumerate partitions and attach the delta-family prior."""
+        labels = enumerate_partitions(num_baskets)
+        weights = partition_prior(labels, delta)
         weights.setflags(write=False)
-        return cls(num_baskets=num_baskets, partitions=tuple(parts), prior=weights)
+        return cls(num_baskets=num_baskets, memberships=labels, prior=weights)
 
     def __len__(self) -> int:
-        return len(self.partitions)
+        return len(self.memberships)
 
-    @cached_property
-    def memberships(self) -> np.ndarray:
-        """Block labels as a read-only (partitions, baskets) array."""
-        labels = np.array([p.membership for p in self.partitions], dtype=np.int8)
-        labels.setflags(write=False)
-        return labels
+    def partition(self, j: int) -> Partition:
+        """Partition ``j`` of the set as a value."""
+        row = self.memberships[j]
+        return Partition(membership=tuple(int(v) for v in row), num_blocks=int(row.max()))

@@ -235,7 +235,7 @@ class AnalysisResult:
 
     @property
     def top_partition(self) -> Partition:
-        return self.pset.partitions[self.partition_posterior.top_index]
+        return self.pset.partition(self.partition_posterior.top_index)
 
 
 def analyze(

@@ -9,8 +9,10 @@ control at the calibration stream.
 """
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,7 +62,7 @@ def test_criterion_01_table1_priors():
     for col, delta in enumerate((0.0, 1.0, 2.0)):
         weights = partition_prior(parts, delta)
         for part, w in zip(parts, weights):
-            worst = max(worst, abs(w - table[part.num_blocks][col]))
+            worst = max(worst, abs(w - table[int(part.max())][col]))
     checks.append(("15 x 3 prior values to 3 decimals", worst < 5e-4, f"max dev {worst:.2e}"))
     report("1 (partition priors)", checks)
 
@@ -274,6 +276,9 @@ def test_criterion_10_worker_determinism(tmp_path):
     }
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps(config))
+    # The pytest pythonpath setting does not reach a subprocess.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     blobs = []
     for workers in (1, 4, 16):
         out = tmp_path / f"w{workers}"
@@ -282,6 +287,7 @@ def test_criterion_10_worker_determinism(tmp_path):
              "--out", str(out), "--workers", str(workers)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         blobs.append((out / "simulation.csv").read_bytes())

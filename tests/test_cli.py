@@ -409,6 +409,43 @@ class TestSimon:
         )
 
 
+class TestSharedFlags:
+    """--workers and --seed are checked for every subcommand, used or not."""
+
+    def commands(self, tmp_path):
+        analyze = write_config(
+            tmp_path, "a.json", {"x": [0, 2], "n": [2, 2], "delta": 0.0, "theta0": 0.15}
+        )
+        monitor = write_config(
+            tmp_path,
+            "m.json",
+            {"spec": TWO_STAGE_SPEC, "stage": 1, "x": [0, 0, 0, 8], "n": [10, 10, 10, 10]},
+        )
+        return {
+            "analyze": ["analyze", "--config", analyze],
+            "monitor": ["monitor", "--config", monitor],
+            "simon": ["simon", "--p0", 0.15, "--p1", 0.45, "--alpha", 0.025, "--beta", 0.20],
+        }
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("analyze", ["--workers", 0]),
+            ("simon", ["--workers", -3]),
+            ("monitor", ["--seed", -1]),
+            ("analyze", ["--seed", 2**64]),
+        ],
+    )
+    def test_out_of_range_flag_exits_2(self, tmp_path, command, flags):
+        args = self.commands(tmp_path)[command] + ["--out", tmp_path / "out"] + flags
+        assert run(args) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_one_worker_runs(self, tmp_path):
+        args = self.commands(tmp_path)["analyze"] + ["--out", tmp_path / "out", "--workers", 1]
+        assert run(args) == 0
+
+
 class TestFormatFlag:
     def test_json_only(self, tmp_path):
         cfg = write_config(

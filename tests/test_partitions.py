@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ class TestEnumeration:
     def test_single_basket(self):
         parts = enumerate_partitions(1)
         assert len(parts) == 1
-        assert parts[0].membership == (1,)
+        assert tuple(parts[0]) == (1,)
 
     def test_four_baskets(self):
         assert len(enumerate_partitions(4)) == 15
@@ -41,25 +43,40 @@ class TestEnumeration:
         assert len(enumerate_partitions(6)) == 203
 
     def test_restricted_growth_validity(self):
-        for part in enumerate_partitions(5):
-            m = part.membership
+        pset = PartitionSet.build(5)
+        for j, row in enumerate(pset.memberships):
+            m = tuple(row)
             assert m[0] == 1
             running_max = 1
             for v in m[1:]:
                 assert 1 <= v <= running_max + 1
                 running_max = max(running_max, v)
-            assert part.num_blocks == max(m)
+            assert pset.partition(j).num_blocks == max(m)
 
     def test_lexicographic_order(self):
-        memberships = [p.membership for p in enumerate_partitions(5)]
+        memberships = [tuple(p) for p in enumerate_partitions(5)]
         assert memberships == sorted(memberships)
         assert len(set(memberships)) == len(memberships)
 
     def test_matches_insertion_oracle(self):
         for b in range(1, 7):
-            mine = {p.membership for p in enumerate_partitions(b)}
+            mine = {tuple(p) for p in enumerate_partitions(b)}
             oracle = {membership_of(p, b) for p in partitions_by_insertion(b)}
             assert mine == oracle
+
+    @pytest.mark.parametrize("num_baskets", [7, 8, 9, 10])
+    def test_large_sets_are_exactly_the_restricted_growth_strings(self, num_baskets):
+        # Valid strings, strictly increasing and Bell(B) of them: exactly the set.
+        labels = enumerate_partitions(num_baskets)
+        assert labels.shape == (bell_number(num_baskets), num_baskets)
+        assert labels.dtype == np.int8 and not labels.flags.writeable
+        running_max = np.maximum.accumulate(labels, axis=1)
+        assert np.all(labels[:, 0] == 1)
+        assert np.all(labels[:, 1:] >= 1)
+        assert np.all(labels[:, 1:] <= running_max[:, :-1] + 1)
+        diff = np.diff(labels.astype(int), axis=0)
+        first = np.argmax(diff != 0, axis=1)
+        assert np.all(diff[np.arange(len(diff)), first] > 0)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -69,7 +86,7 @@ class TestEnumeration:
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
-        parts = {p.membership for p in enumerate_partitions(5)}
+        parts = {tuple(p) for p in enumerate_partitions(5)}
         perm = rng.permutation(5)
         relabeled = set()
         for m in parts:
@@ -88,7 +105,7 @@ class TestPrior:
             weights = partition_prior(parts, delta)
             assert weights.sum() == pytest.approx(1.0, abs=1e-12)
             for part, w in zip(parts, weights):
-                assert abs(w - TABLE1[part.num_blocks][col]) < 5e-4
+                assert abs(w - TABLE1[int(part.max())][col]) < 5e-4
 
     def test_uniform_at_zero(self):
         parts = enumerate_partitions(4)
@@ -97,13 +114,13 @@ class TestPrior:
     def test_large_delta_concentrates_on_singletons(self):
         parts = enumerate_partitions(4)
         weights = partition_prior(parts, 50.0)
-        singleton = next(i for i, p in enumerate(parts) if p.num_blocks == 4)
+        singleton = next(i for i, p in enumerate(parts) if p.max() == 4)
         assert weights[singleton] > 0.999
 
     def test_negative_delta_favors_pooling(self):
         parts = enumerate_partitions(4)
         weights = partition_prior(parts, -2.0)
-        pooled = next(i for i, p in enumerate(parts) if p.num_blocks == 1)
+        pooled = next(i for i, p in enumerate(parts) if p.max() == 1)
         assert weights[pooled] == weights.max()
 
     def test_empty_list_rejected(self):
@@ -117,33 +134,17 @@ class TestPartitionSet:
         assert len(pset) == 15
         assert pset.prior.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_user_supplied_prior(self):
-        custom = [0.0] * 15
-        custom[3] = 1.0
-        pset = PartitionSet.build(4, prior=custom)
-        assert pset.prior[3] == 1.0
-
-    def test_bad_prior_rejected(self):
-        with pytest.raises(ShapeError):
-            PartitionSet.build(4, prior=[1.0])
-        with pytest.raises(DomainError):
-            PartitionSet.build(2, prior=[0.7, 0.7])
-        with pytest.raises(DomainError):
-            PartitionSet.build(2, prior=[-0.5, 1.5])
+    def test_b10_build_under_8mb(self):
+        tracemalloc.start()
+        try:
+            pset = PartitionSet.build(10, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pset) == 115975
+        assert peak < 8 * 2**20
 
 
 class TestPartitionType:
     def test_membership_string(self):
-        assert Partition.from_membership([1, 1, 2, 1]).membership_string() == "1|1|2|1"
-
-    def test_blocks(self):
-        part = Partition.from_membership([1, 2, 1, 3])
-        assert part.blocks() == ((0, 2), (1,), (3,))
-
-    def test_invalid_strings(self):
-        with pytest.raises(DomainError):
-            Partition.from_membership([2, 1])
-        with pytest.raises(DomainError):
-            Partition.from_membership([1, 3])
-        with pytest.raises(ShapeError):
-            Partition.from_membership([])
+        assert Partition((1, 1, 2, 1), 2).membership_string() == "1|1|2|1"

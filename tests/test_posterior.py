@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ class TestPartitionPosteriorExamples:
         pp = partition_posterior(data, pset)
         assert pp.weights[0] == pytest.approx(3 / 13, abs=1e-12)
         assert pp.weights[1] == pytest.approx(10 / 13, abs=1e-12)
-        assert pset.partitions[pp.top_index].membership_string() == "1|2"
+        assert pset.partition(pp.top_index).membership_string() == "1|2"
 
     def test_no_data_returns_prior(self):
         data = BasketData.create([0, 0], [0, 0])
@@ -39,7 +41,7 @@ class TestPartitionPosteriorExamples:
         assert np.allclose(pp.weights, pset.prior, atol=1e-14)
 
     def test_degenerate_prior(self):
-        pset = PartitionSet.build(3, prior=[0, 0, 0, 1.0, 0])
+        pset = replace(PartitionSet.build(3), prior=np.array([0, 0, 0, 1.0, 0]))
         data = BasketData.create([3, 0, 2], [5, 5, 5])
         pp = partition_posterior(data, pset)
         assert pp.top_index == 3
@@ -70,9 +72,9 @@ class TestSimilarity:
     def test_degenerate_masses(self):
         pset = PartitionSet.build(3)
         singleton = next(
-            i for i, p in enumerate(pset.partitions) if p.membership == (1, 2, 3)
+            i for i, p in enumerate(pset.memberships) if tuple(p) == (1, 2, 3)
         )
-        pooled = next(i for i, p in enumerate(pset.partitions) if p.membership == (1, 1, 1))
+        pooled = next(i for i, p in enumerate(pset.memberships) if tuple(p) == (1, 1, 1))
         for idx, expect in ((singleton, np.eye(3)), (pooled, np.ones((3, 3)))):
             w = np.zeros(len(pset))
             w[idx] = 1.0
@@ -201,7 +203,7 @@ class TestRationalOracleEquivalence:
             data = BasketData.create(x, n)
             pp = partition_posterior(data, pset)
             for j in range(len(pset)):
-                assert pset.partitions[j].membership == oracle.memberships[j]
+                assert pset.partition(j).membership == oracle.memberships[j]
                 assert abs(pp.weights[j] - float(oracle.weights[j])) < 1e-9
             assert pp.top_index == oracle.top_index
             assert abs(pp.top_prob - float(oracle.top_prob)) < 1e-9
@@ -302,7 +304,7 @@ class TestInvariants:
             x = rng.integers(0, n + 1)
             data = BasketData.create(x, n)
             pp = partition_posterior(data, pset)
-            top = pset.partitions[pp.top_index]
+            top = pset.partition(pp.top_index)
             for b in range(4):
                 post = local_posterior(b, data, pp, pset, prior)
                 alone = BetaParams(prior.alpha + x[b], prior.beta + n[b] - x[b])
@@ -415,4 +417,4 @@ class TestAnalyze:
         data = BasketData.create([0, 0], [0, 0])
         pset = PartitionSet.build(2, 0.0)  # uniform prior, no data: exact tie
         pp = partition_posterior(data, pset)
-        assert pset.partitions[pp.top_index].membership == (1, 2)
+        assert pset.partition(pp.top_index).membership == (1, 2)
