@@ -40,11 +40,10 @@ from .errors import (
     ShapeError,
 )
 from .numerics import (
-    RngStream,
     binom_cdf,
     binom_pmf,
     binom_sf,
-    binomial_draw,
+    binomial_draws,
     log_beta,
     log_gamma,
     log_sum_exp,

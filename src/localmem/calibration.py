@@ -12,6 +12,12 @@ probabilities, plus stage-2 exceedance probabilities for every survivor set a
 trial can produce as q1 sweeps through its range (survivor sets are nested in
 q1, so there are at most B + 1 of them per trial).
 
+The sweep is vectorised over the lam grid: per block of trials and per
+gamma, it counts every trial's survivors at each lam's q1 = lam * t^gamma in
+one comparison, gathers the stage-2 analysis of that survivor set, and adds
+integer FWER and power counts for the whole lam row. The counts are those of
+evaluating each grid point on its own.
+
 A single-stage design is the case with no interim look: it runs the same
 code with a stage 1 that stops no basket, and its sweep covers lam only.
 """
@@ -24,7 +30,7 @@ import numpy as np
 
 from .design import DesignSpec, survivor_exceedance
 from .errors import DomainError, InfeasibleCalibrationError
-from .simulation import Scenario, _collect, generate_counts
+from .simulation import TRIAL_BLOCK, Scenario, _collect, generate_counts
 
 DEFAULT_LAMBDA_GRID = tuple(np.round(np.arange(0.900, 0.9995, 0.001), 3))
 DEFAULT_GAMMA_GRID = tuple(np.round(np.arange(0.0, 3.0001, 0.05), 2))
@@ -130,20 +136,29 @@ def calibrate(problem: CalibrationProblem, workers: int = 1) -> CalibrationResul
     p2_null = np.concatenate([p[1] for p in null_parts])
     p1_alt = np.concatenate([p[0] for p in alt_parts])
     p2_alt = np.concatenate([p[1] for p in alt_parts])
-    rows = np.arange(n_sims)
+    lam_arr = np.asarray(problem.lambda_grid, dtype=float)
 
-    # (fwer_count, power_count, lam, gamma) per grid point
-    candidates = []
-    for gamma in gamma_grid:
-        shrink = t_frac**gamma
-        for lam in problem.lambda_grid:
-            q1 = lam * shrink
-            r_null = (p1_null > q1).sum(axis=1)
-            fwer_count = int((p2_null[rows, r_null, :].max(axis=1) > lam).sum())
-            r_alt = (p1_alt > q1).sum(axis=1)
-            reject_alt = p2_alt[rows, r_alt, :] > lam
-            power_count = int((reject_alt * weights[None, :]).sum())
-            candidates.append((fwer_count, power_count, float(lam), float(gamma)))
+    # (fwer_count, power_count) per (gamma, lam), summed over trial blocks
+    fwer_counts = np.zeros((len(gamma_grid), len(lam_arr)), dtype=np.int64)
+    power_counts = np.zeros_like(fwer_counts)
+    for lo in range(0, n_sims, TRIAL_BLOCK):
+        p1n, p1a = p1_null[lo : lo + TRIAL_BLOCK], p1_alt[lo : lo + TRIAL_BLOCK]
+        p2n_max = p2_null[lo : lo + TRIAL_BLOCK].max(axis=2)
+        p2a = p2_alt[lo : lo + TRIAL_BLOCK]
+        rows = np.arange(len(p1n))[:, None]
+        for g, gamma in enumerate(gamma_grid):
+            q1 = lam_arr * t_frac**gamma
+            # survivor counts per (trial, lam); at most MAX_BASKETS, so int8
+            r_null = (p1n[:, :, None] > q1).sum(axis=1, dtype=np.int8)
+            fwer_counts[g] += (p2n_max[rows, r_null] > lam_arr).sum(axis=0)
+            r_alt = (p1a[:, :, None] > q1).sum(axis=1, dtype=np.int8)
+            for b, weight in enumerate(weights):
+                power_counts[g] += weight * (p2a[rows, r_alt, b] > lam_arr).sum(axis=0)
+    candidates = [
+        (int(fwer_counts[g, i]), int(power_counts[g, i]), float(lam), float(gamma))
+        for g, gamma in enumerate(gamma_grid)
+        for i, lam in enumerate(problem.lambda_grid)
+    ]
     feasible = [c for c in candidates if c[0] <= problem.fwer_target * n_sims + 1e-9]
     if not feasible:
         min_fwer = min(c[0] for c in candidates) / n_sims

@@ -3,16 +3,28 @@
 Everything here is evaluated on the natural-log scale where underflow is a
 risk. All functions are pure and accept either Python scalars or numpy
 arrays; scalar inputs yield scalar outputs.
+
+Random draws come from one stream per key, such as (trial, basket, stage):
+the stream of key k under a master seed is numpy's
+Generator(PCG64(SeedSequence(seed, spawn_key=k))). binomial_draws derives
+the seed words of many streams at once, with SeedSequence's pool mixing
+(O'Neill's seed_seq) redone in uint32 numpy arithmetic over all keys, turns
+each into its PCG64 state with PCG64's srandom step, and draws every stream
+through one reused Generator. The draws therefore equal those of a fresh
+generator per stream as long as numpy keeps SeedSequence and PCG64
+stream-compatible, which its NEP 19 policy promises and a test checks. Each
+key must be below 2^32: SeedSequence hashes a larger key as two words,
+which the fixed-width hash here does not reproduce, so such a key raises
+CapacityError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import CapacityError, ConvergenceError, DomainError, ShapeError
 
 _LN_SQRT_2PI = 0.9189385332046727417803297364056176
 _LN_PI = 1.1447298858494001741434273513530587
@@ -279,42 +291,123 @@ def log_sum_exp(values, axis=None):
     return np.squeeze(out, axis=axis)
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """A named, reproducible random stream.
+# numpy's SeedSequence (O'Neill's seed_seq) with its default pool of four
+# uint32 words, and the multiplier of numpy's PCG64 (PCG XSL-RR 128/64).
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
-    The same (master_seed, path) pair always produces the same generator
-    state; distinct paths give statistically independent streams. Paths are
-    tuples of non-negative indices such as (trial, basket, stage), so results
-    never depend on how work is split across workers.
+
+class _Hasher:
+    """SeedSequence's multiply-xorshift hash with its running multiplier.
+
+    The multiplier sequence depends only on how many words were hashed
+    before, never on their values, so one hasher serves every row at once.
     """
 
-    master_seed: int
-    path: tuple[int, ...] = ()
+    def __init__(self, init: int, mult: int):
+        self.const = init
+        self.mult = mult
 
-    def __post_init__(self):
-        if not (0 <= int(self.master_seed) < 2**64):
-            raise DomainError(f"master_seed must be an unsigned 64-bit int, got {self.master_seed}")
-        if any(int(i) < 0 for i in self.path):
-            raise DomainError(f"stream path indices must be non-negative, got {self.path}")
-        object.__setattr__(self, "path", tuple(int(i) for i in self.path))
-
-    def child(self, *indices: int) -> "RngStream":
-        return RngStream(self.master_seed, self.path + tuple(int(i) for i in indices))
-
-    def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=int(self.master_seed), spawn_key=self.path)
-        return np.random.Generator(np.random.PCG64(seq))
+    def __call__(self, value: np.ndarray) -> np.ndarray:
+        value = value ^ np.uint32(self.const)
+        self.const = self.const * self.mult & _MASK32
+        value = value * np.uint32(self.const)
+        return value ^ (value >> _XSHIFT)
 
 
-def binomial_draw(stream: RngStream, n: int, p: float) -> int:
-    """One Binomial(n, p) draw, a pure function of (stream, n, p)."""
-    if n < 0:
-        raise DomainError(f"binomial_draw requires n >= 0, got {n}")
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"binomial_draw requires p in [0, 1], got {p}")
-    if n == 0 or p == 0.0:
-        return 0
-    if p == 1.0:
-        return int(n)
-    return int(stream.generator().binomial(n, p))
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _seed_words(seed: int, keys: np.ndarray) -> np.ndarray:
+    """SeedSequence(entropy=seed, spawn_key=row).generate_state(4, np.uint64)
+    for every row of keys, as an (N, 4) uint64 array.
+
+    The entropy is the seed's uint32 words, low word first, zero-padded to
+    the pool size, then one word per key column (every key is < 2^32).
+    """
+    rows = len(keys)
+    entropy = [
+        np.full(rows, (seed >> 32 * i) & _MASK32, dtype=np.uint32) for i in range(_POOL_SIZE)
+    ]
+    entropy += list(keys.astype(np.uint32).T)
+    hashmix = _Hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    output = _Hasher(_INIT_B, _MULT_B)
+    words = np.empty((rows, _POOL_SIZE), dtype=np.uint64)
+    for k in range(_POOL_SIZE):
+        low = output(pool[2 * k % _POOL_SIZE]).astype(np.uint64)
+        high = output(pool[(2 * k + 1) % _POOL_SIZE]).astype(np.uint64)
+        words[:, k] = low | high << np.uint64(32)
+    return words
+
+
+def _pcg64_state(w0: int, w1: int, w2: int, w3: int) -> dict:
+    """The state PCG64 seeds itself with from four seed words (its srandom step)."""
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    return {"state": ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
+
+
+def binomial_draws(seed: int, keys, n, p) -> np.ndarray:
+    """One Binomial(n[i], p[i]) draw per row of keys, as an int64 array.
+
+    Draw i is the first binomial of
+    Generator(PCG64(SeedSequence(seed, spawn_key=keys[i]))), so it is a pure
+    function of (seed, keys[i], n[i], p[i]) and independent of the other
+    rows. n == 0 or p == 0 gives 0 and p == 1 gives n, without drawing.
+    Every argument is checked before anything is drawn.
+    """
+    seed = int(seed)
+    if not (0 <= seed < 2**64):
+        raise DomainError(f"seed must be an unsigned 64-bit int, got {seed}")
+    keys = np.asarray(keys)
+    n = np.asarray(n)
+    p = np.asarray(p, dtype=float)
+    if keys.ndim != 2 or n.shape != (len(keys),) or p.shape != (len(keys),):
+        raise ShapeError(
+            f"need (N, k) keys and length-N n and p, got {keys.shape}, {n.shape}, {p.shape}"
+        )
+    if (keys < 0).any():
+        raise DomainError("stream keys must be non-negative")
+    if (keys >= 2**32).any():
+        raise CapacityError(
+            "stream keys must be below 2^32; SeedSequence splits a larger key into two words"
+        )
+    if (n < 0).any():
+        raise DomainError(f"binomial_draws requires n >= 0, got {n.min()}")
+    if not ((p >= 0.0) & (p <= 1.0)).all():
+        raise DomainError("binomial_draws requires p in [0, 1]")
+
+    out = np.where(p == 1.0, n, 0).astype(np.int64)
+    todo = np.flatnonzero((n > 0) & (p > 0.0) & (p < 1.0))
+    if todo.size == 0:
+        return out
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    words = _seed_words(seed, keys[todo])
+    for i, w, ni, pi in zip(todo.tolist(), words, n[todo].tolist(), p[todo].tolist()):
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": _pcg64_state(*w.tolist()),
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        out[i] = gen.binomial(ni, pi)
+    return out

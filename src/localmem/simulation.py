@@ -2,7 +2,9 @@
 
 Each simulated trial draws its stage cohorts from a dedicated random stream
 keyed on (seed, trial, basket, stage), so results are bit-identical no matter
-how trials are split across workers. Aggregation uses integer counters only.
+how trials are split across workers. Draws are made in blocks of 512 trials
+(TRIAL_BLOCK), one vectorised seeding pass per block, so memory stays
+bounded at any trial count. Aggregation uses integer counters only.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ import numpy as np
 
 from .design import DesignSpec, survivor_exceedance
 from .errors import DomainError, ShapeError
-from .numerics import RngStream, binomial_draw
+from .numerics import binomial_draws
 
-STAGE1 = 0
-STAGE2 = 1
+TRIAL_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -74,24 +75,31 @@ class OperatingCharacteristics:
 def generate_counts(
     spec: DesignSpec, scenario: Scenario, trials: range, seed: int
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Binomial draws for a block of trial indices: (x_interim, x_total), each (T, B).
+    """Binomial draws for a range of trial indices: (x_interim, x_total), each (T, B).
 
     Stage 1 draws spec.stage1_sizes() patients per basket on stream
-    (t, b, STAGE1) and stage 2 the remaining patients on (t, b, STAGE2). A
+    (t, b, 0) and stage 2 the remaining patients on (t, b, 1). A
     single-stage design draws only stage 1, at its maximum sizes, and returns
-    (None, x_total).
+    (None, x_total). The trials are drawn in blocks of TRIAL_BLOCK, one
+    binomial_draws call per block, which keeps every temporary bounded.
     """
-    root = RngStream(seed)
     n1 = spec.stage1_sizes()
-    draws = [(STAGE1, n1)]
+    sizes = [n1]
     if spec.stages == 2:
-        draws.append((STAGE2, tuple(n - m for n, m in zip(spec.max_sizes, n1))))
-    x = np.zeros((len(draws), len(trials), spec.num_baskets), dtype=int)
-    for i, t in enumerate(trials):
-        for b, rate in enumerate(scenario.true_rates):
-            for stage, sizes in draws:
-                x[stage, i, b] = binomial_draw(root.child(t, b, stage), sizes[b], rate)
-    return (x[STAGE1] if spec.stages == 2 else None), x.sum(axis=0)
+        sizes.append(tuple(n - m for n, m in zip(spec.max_sizes, n1)))
+    sizes = np.array(sizes)
+    stage, basket = np.indices(sizes.shape)
+    rates = np.broadcast_to(scenario.true_rates, sizes.shape)
+    x = np.empty((len(sizes), len(trials), spec.num_baskets), dtype=int)
+    for lo in range(0, len(trials), TRIAL_BLOCK):
+        block = np.asarray(trials[lo : lo + TRIAL_BLOCK])
+        t, s, b, n, p = np.broadcast_arrays(
+            block[None, :, None], *(a[:, None, :] for a in (stage, basket, sizes, rates))
+        )
+        keys = np.stack([t, b, s], axis=-1).reshape(-1, 3)
+        draws = binomial_draws(seed, keys, n.ravel(), p.ravel())
+        x[:, lo : lo + len(block)] = draws.reshape(t.shape)
+    return (x[0] if spec.stages == 2 else None), x.sum(axis=0)
 
 
 def decide_batch(

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,13 +6,16 @@ import pytest
 
 from localmem.calibration import (
     CalibrationProblem,
+    CalibrationResult,
+    FrontierPoint,
+    _two_stage_chunk,
     calibrate,
     calibrated_spec,
 )
 from localmem.design import DesignSpec
 from localmem.errors import DomainError, InfeasibleCalibrationError
 from localmem.numerics import binom_sf, reg_inc_beta
-from localmem.simulation import scenario_suite, simulate
+from localmem.simulation import _collect, scenario_suite, simulate
 
 
 def fixed_template(num_baskets=4, size=19, delta=2.0):
@@ -200,6 +204,100 @@ class TestSweepIsTheDecisionRule:
             alt = simulate(spec, problem.alternative_scenario(), n_sims, seed=problem.seed)
             assert null.fwer == point.fwer
             assert abs(alt.trialwise_power - point.power) <= 1e-12
+
+
+def per_point_calibrate(problem):
+    """calibrate with every grid point evaluated on its own, one at a time."""
+    spec = problem.spec_template
+    n_sims = problem.n_sims
+    weights = np.asarray(spec.max_sizes)
+    trial_weight = int(weights.sum())
+    t_frac = spec.information_fraction()
+    gamma_grid = problem.gamma_grid if spec.stages == 2 else (0.0,)
+    null_parts = _collect(_two_stage_chunk, spec, problem.null_scenario(), n_sims, problem.seed, 1)
+    alt_parts = _collect(_two_stage_chunk, spec, problem.alternative_scenario(), n_sims, problem.seed, 1)
+    p1_null = np.concatenate([p[0] for p in null_parts])
+    p2_null = np.concatenate([p[1] for p in null_parts])
+    p1_alt = np.concatenate([p[0] for p in alt_parts])
+    p2_alt = np.concatenate([p[1] for p in alt_parts])
+    rows = np.arange(n_sims)
+    candidates = []
+    for gamma in gamma_grid:
+        shrink = t_frac**gamma
+        for lam in problem.lambda_grid:
+            q1 = lam * shrink
+            r_null = (p1_null > q1).sum(axis=1)
+            fwer_count = int((p2_null[rows, r_null, :].max(axis=1) > lam).sum())
+            r_alt = (p1_alt > q1).sum(axis=1)
+            reject_alt = p2_alt[rows, r_alt, :] > lam
+            power_count = int((reject_alt * weights[None, :]).sum())
+            candidates.append((fwer_count, power_count, float(lam), float(gamma)))
+    feasible = [c for c in candidates if c[0] <= problem.fwer_target * n_sims + 1e-9]
+    fwer_count, power_count, lam, gamma = min(feasible, key=lambda c: (-c[1], c[0], c[2], c[3]))
+    return CalibrationResult(
+        lam=lam,
+        gamma=gamma,
+        achieved_fwer=fwer_count / n_sims,
+        achieved_power=power_count / (n_sims * trial_weight),
+        frontier=tuple(
+            FrontierPoint(lam=lm, gamma=gm, fwer=fc / n_sims, power=pc / (n_sims * trial_weight))
+            for fc, pc, lm, gm in feasible
+        ),
+    )
+
+
+class TestVectorisedSweep:
+    # The grid sweep must give exactly the per-point answer. The trial
+    # counts are not multiples of the 512-trial block.
+    @pytest.mark.parametrize(
+        "template, lambda_grid, gamma_grid, n_sims, fwer_target",
+        [
+            (two_stage_template(), None, None, 2000, 0.10),
+            (two_stage_template(), (0.9, 0.95, 0.977), (0.3, 0.7, 1.5), 1100, 0.99),
+            (
+                DesignSpec.create(
+                    5, (10, 12, 14, 16, 18), 0.15, 0.45, lam=0.5, delta=1.0,
+                    stages=2, interim_fraction=0.5,
+                ),
+                (0.9, 0.97),
+                (0.0, 0.7, 2.0),
+                700,
+                0.99,
+            ),
+            (fixed_template(), (0.8, 0.9, 0.95, 0.99), (0.0,), 1300, 0.99),
+            (fixed_template(num_baskets=3, size=(12, 19, 25)), None, None, 1500, 0.10),
+        ],
+        ids=[
+            "paper-default-grid",
+            "paper-two-stage",
+            "unequal-two-stage",
+            "single-stage",
+            "single-stage-default-grid",
+        ],
+    )
+    def test_equals_per_point_evaluation(
+        self, template, lambda_grid, gamma_grid, n_sims, fwer_target
+    ):
+        grids = {}
+        if lambda_grid is not None:
+            grids = {"lambda_grid": lambda_grid, "gamma_grid": gamma_grid}
+        problem = CalibrationProblem(
+            spec_template=template, fwer_target=fwer_target, n_sims=n_sims, seed=13, **grids
+        )
+        result = calibrate(problem)
+        reference = per_point_calibrate(problem)
+        assert result == reference
+        assert result.frontier == reference.frontier
+
+    def test_memory_is_bounded_by_the_trial_block(self):
+        problem = CalibrationProblem(spec_template=two_stage_template(), n_sims=2000, seed=13)
+        tracemalloc.start()
+        try:
+            calibrate(problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 class TestProblemValidation:

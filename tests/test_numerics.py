@@ -4,13 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from localmem.errors import ConvergenceError, DomainError
+from localmem.errors import CapacityError, ConvergenceError, DomainError
 from localmem.numerics import (
-    RngStream,
+    _pcg64_state,
+    _seed_words,
     binom_cdf,
     binom_pmf,
     binom_sf,
-    binomial_draw,
+    binomial_draws,
     log_beta,
     log_gamma,
     log_sum_exp,
@@ -175,45 +176,95 @@ class TestBinomial:
             binom_pmf(1, 4, 1.5)
 
 
+def draw(seed, key, n, p):
+    """One draw on the stream of one key."""
+    return int(binomial_draws(seed, [key], [n], [p])[0])
+
+
+def fresh_stream(seed, key):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
 class TestRngStream:
+    # Streams keyed on (seed, key), drawn through binomial_draws.
     def test_deterministic(self):
-        s = RngStream(99, (3, 1, 0))
-        assert binomial_draw(s, 19, 0.45) == binomial_draw(s, 19, 0.45)
+        assert draw(99, (3, 1, 0), 19, 0.45) == draw(99, (3, 1, 0), 19, 0.45)
 
     def test_trivial_draws(self):
-        s = RngStream(1)
-        assert binomial_draw(s.child(0), 0, 0.45) == 0
-        assert binomial_draw(s.child(1), 10, 0.0) == 0
-        assert binomial_draw(s.child(2), 10, 1.0) == 10
+        assert draw(1, (0,), 0, 0.45) == 0
+        assert draw(1, (1,), 10, 0.0) == 0
+        assert draw(1, (2,), 10, 1.0) == 10
 
     def test_empirical_mean(self):
-        root = RngStream(2024)
         n, p = 12, 0.35
-        draws = [binomial_draw(root.child(t), n, p) for t in range(100_000)]
+        t = np.arange(100_000)
+        draws = binomial_draws(2024, t[:, None], np.full(len(t), n), np.full(len(t), p))
         se = math.sqrt(n * p * (1 - p) / len(draws))
         assert abs(float(np.mean(draws)) - n * p) < 4 * se
 
     def test_stream_isolation(self):
-        # a trial's draws depend only on its own path
-        a = [binomial_draw(RngStream(7, (t, 0, 0)), 10, 0.5) for t in range(6)]
-        b = [binomial_draw(RngStream(7, (t, 0, 0)), 10, 0.5) for t in (5, 1, 4, 0, 3, 2)]
+        # a trial's draws depend only on its own key
+        a = [draw(7, (t, 0, 0), 10, 0.5) for t in range(6)]
+        b = [draw(7, (t, 0, 0), 10, 0.5) for t in (5, 1, 4, 0, 3, 2)]
         assert a == [b[i] for i in (3, 1, 5, 4, 2, 0)]
 
     def test_swapping_trials_affects_only_those(self):
-        draws = {t: binomial_draw(RngStream(7, (t, 0, 0)), 10, 0.5) for t in range(4)}
+        draws = {t: draw(7, (t, 0, 0), 10, 0.5) for t in range(4)}
         # relabel trials 0 <-> 1: draws move with the labels, trials 2,3 unchanged
         swapped = {0: draws[1], 1: draws[0], 2: draws[2], 3: draws[3]}
         relabel = {0: 1, 1: 0, 2: 2, 3: 3}
         for t in range(4):
-            assert swapped[t] == binomial_draw(RngStream(7, (relabel[t], 0, 0)), 10, 0.5)
+            assert swapped[t] == draw(7, (relabel[t], 0, 0), 10, 0.5)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            RngStream(-1)
+            draw(-1, (0,), 10, 0.5)
         with pytest.raises(DomainError):
-            binomial_draw(RngStream(1), -2, 0.5)
+            draw(1, (), -2, 0.5)
         with pytest.raises(DomainError):
-            binomial_draw(RngStream(1), 3, 1.5)
+            draw(1, (), 3, 1.5)
+
+    def test_key_of_two_words_is_refused(self):
+        # SeedSequence hashes a key >= 2^32 as two words; refuse it rather
+        # than return a different stream, before any row is drawn.
+        with pytest.raises(CapacityError):
+            binomial_draws(1, [[0, 0, 0], [2**32, 0, 0]], [10, 10], [0.5, 0.5])
+        with pytest.raises(DomainError):
+            binomial_draws(1, [[0, -1, 0]], [10], [0.5])
+
+
+class TestStreamsMatchNumpy:
+    # The vectorised seeding must reproduce SeedSequence and PCG64 exactly;
+    # a failure here means numpy broke its NEP 19 stream compatibility.
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 7, 2**64 - 1])
+    def test_seed_words_and_states(self, seed):
+        rng = np.random.default_rng(seed % 1000)
+        keys = rng.integers(0, 2**32, size=(1000, 3), dtype=np.int64)
+        keys[:3] = 0
+        keys[3:10] = rng.integers(2**32 - 3, 2**32, size=(7, 3))
+        words = _seed_words(seed, keys)
+        assert words.dtype == np.uint64 and words.shape == (1000, 4)
+        for row, w in zip(keys.tolist(), words.tolist()):
+            seq = np.random.SeedSequence(seed, spawn_key=row)
+            assert w == seq.generate_state(4, np.uint64).tolist()
+            assert _pcg64_state(*w) == np.random.PCG64(seq).state["state"]
+
+    def test_draws_equal_fresh_generators(self):
+        # n up to 1000 covers numpy's BTPE branch as well as inversion
+        rng = np.random.default_rng(3)
+        keys = rng.integers(0, 2**32, size=(3000, 3), dtype=np.int64)
+        n = rng.integers(0, 1001, size=3000)
+        p = rng.random(3000)
+        p[:50] = rng.choice([0.0, 1.0], size=50)
+        draws = binomial_draws(12345, keys, n, p)
+        assert draws.dtype == np.int64
+        for row, got, ni, pi in zip(keys.tolist(), draws.tolist(), n.tolist(), p.tolist()):
+            if ni == 0 or pi == 0.0:
+                assert got == 0
+            elif pi == 1.0:
+                assert got == ni
+            else:
+                assert got == fresh_stream(12345, row).binomial(ni, pi)
 
 
 class TestLogSumExp:

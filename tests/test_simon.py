@@ -6,7 +6,6 @@ import pytest
 
 from localmem.design import Decision, DesignSpec
 from localmem.errors import CapacityError, DomainError
-from localmem.numerics import RngStream
 from localmem.simon import (
     SimonDesign,
     expected_size,
@@ -125,15 +124,18 @@ class TestOperatingCharacteristics:
             simon_oc(paper_search.minimax, scenario_for(4, 0), 6)
 
 
+def stream(seed, *key):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
 class TestMonteCarloAgreement:
     def test_simulated_decisions_match_exact_rates(self, paper_search):
         d = paper_search.minimax
         n_sims = 100_000
-        root = RngStream(314159)
         for theta, exact in ((0.15, d.alpha_actual), (0.45, d.power_actual)):
             hits = 0
             for t in range(n_sims):
-                gen = root.child(t, int(theta * 100)).generator()
+                gen = stream(314159, t, int(theta * 100))
                 x1 = int(gen.binomial(d.n1, theta))
                 x_total = x1 + int(gen.binomial(d.n - d.n1, theta))
                 if x1 > d.r1 and simon_decide(d, x1, x_total) is Decision.EFFICACIOUS:
@@ -145,10 +147,9 @@ class TestMonteCarloAgreement:
     def test_expected_size_matches_simulation(self, paper_search):
         d = paper_search.minimax
         n_sims = 50_000
-        root = RngStream(2718)
         sizes = []
         for t in range(n_sims):
-            x1 = int(root.child(t).generator().binomial(d.n1, 0.15))
+            x1 = int(stream(2718, t).binomial(d.n1, 0.15))
             sizes.append(d.n1 if x1 <= d.r1 else d.n)
         exact = expected_size(d, 0.15)
         se = np.std(sizes) / math.sqrt(n_sims)

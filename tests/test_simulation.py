@@ -1,11 +1,12 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from localmem.design import Decision, DesignSpec, run_two_stage, run_single_stage
-from localmem.errors import DomainError, ShapeError
+from localmem.errors import CapacityError, DomainError, ShapeError
 from localmem.numerics import binom_cdf, reg_inc_beta
 from localmem.posterior import BasketData
 from localmem import design, simulation
@@ -174,6 +175,82 @@ class TestAgainstDesignEngine:
             decisions = run_single_stage(BasketData.create(xt[t], spec.max_sizes), spec)
             for b in range(4):
                 assert rejected[t, b] == (decisions[b] is Decision.EFFICACIOUS)
+
+
+def per_draw_counts(spec, scenario, trials, seed):
+    """generate_counts with a fresh generator per (trial, basket, stage) stream."""
+    n1 = spec.stage1_sizes()
+    stages = [n1]
+    if spec.stages == 2:
+        stages.append(tuple(n - m for n, m in zip(spec.max_sizes, n1)))
+    x = np.zeros((len(stages), len(trials), spec.num_baskets), dtype=int)
+    for i, t in enumerate(trials):
+        for b, rate in enumerate(scenario.true_rates):
+            for stage, sizes in enumerate(stages):
+                if sizes[b] == 0 or rate == 0.0:
+                    continue
+                if rate == 1.0:
+                    x[stage, i, b] = sizes[b]
+                    continue
+                seq = np.random.SeedSequence(seed, spawn_key=(t, b, stage))
+                gen = np.random.Generator(np.random.PCG64(seq))
+                x[stage, i, b] = gen.binomial(sizes[b], rate)
+    return (x[0] if spec.stages == 2 else None), x.sum(axis=0)
+
+
+class TestGenerateCounts:
+    def assert_identical(self, got, want):
+        for g, w in zip(got, want):
+            if w is None:
+                assert g is None
+            else:
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize(
+        "trials", [range(0, 1500), range(700, 1300)], ids=["0-1500", "700-1300"]
+    )
+    def test_paper_design_matches_per_draw_streams(self, trials):
+        spec = paper_two_stage()
+        scenario = scenario_suite(spec)[2]
+        self.assert_identical(
+            generate_counts(spec, scenario, trials, 2024),
+            per_draw_counts(spec, scenario, trials, 2024),
+        )
+
+    def test_single_stage_with_degenerate_rates(self):
+        spec = DesignSpec.create(3, 19, 0.15, 0.45, lam=0.977, delta=2.0, stages=1)
+        scenario = Scenario.from_rates(spec, [0.0, 1.0, 0.3], "degenerate")
+        got = generate_counts(spec, scenario, range(600), 5)
+        self.assert_identical(got, per_draw_counts(spec, scenario, range(600), 5))
+        assert (got[1][:, 0] == 0).all() and (got[1][:, 1] == 19).all()
+
+    def test_large_cohorts_take_the_btpe_branch(self):
+        # numpy draws by BTPE once n * min(p, 1 - p) >= 30
+        spec = DesignSpec.create(
+            2, 120, 0.15, 0.45, lam=0.977, gamma=0.7, delta=2.0, stages=2, interim_sizes=80
+        )
+        scenario = Scenario.from_rates(spec, [0.45, 0.6], "large")
+        self.assert_identical(
+            generate_counts(spec, scenario, range(300), 77),
+            per_draw_counts(spec, scenario, range(300), 77),
+        )
+
+    def test_trial_index_of_two_words_is_refused(self):
+        spec = paper_two_stage()
+        with pytest.raises(CapacityError):
+            generate_counts(spec, scenario_suite(spec)[0], range(2**32 - 1, 2**32 + 1), 0)
+
+    def test_memory_is_bounded_by_the_trial_block(self):
+        spec = paper_two_stage()
+        scenario = scenario_suite(spec)[2]
+        tracemalloc.start()
+        try:
+            generate_counts(spec, scenario, range(20_000), 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestStageTwoEngines:
