@@ -40,7 +40,6 @@ from .errors import (
     ShapeError,
 )
 from .numerics import (
-    binom_cdf,
     binom_pmf,
     binom_sf,
     binomial_draws,
@@ -65,13 +64,9 @@ from .posterior import (
     BatchPosterior,
     BetaParams,
     PartitionPosterior,
-    SimilarityMatrix,
     analyze,
     default_basket_ids,
-    effective_sample_size,
-    local_posterior,
     partition_posterior,
-    prob_exceeds,
     similarity_matrix,
 )
 from .simon import (

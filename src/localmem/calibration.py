@@ -30,6 +30,7 @@ import numpy as np
 
 from .design import DesignSpec, survivor_exceedance
 from .errors import DomainError, InfeasibleCalibrationError
+from .numerics import as_int
 from .simulation import TRIAL_BLOCK, Scenario, _collect, generate_counts
 
 DEFAULT_LAMBDA_GRID = tuple(np.round(np.arange(0.900, 0.9995, 0.001), 3))
@@ -56,6 +57,7 @@ class CalibrationProblem:
             raise DomainError("gamma grid must be non-empty with values >= 0")
         if not (0.0 <= self.fwer_target < 1.0):
             raise DomainError(f"fwer_target must lie in [0, 1), got {self.fwer_target}")
+        object.__setattr__(self, "n_sims", as_int(self.n_sims, "n_sims"))
         if self.n_sims < 1:
             raise DomainError(f"n_sims must be >= 1, got {self.n_sims}")
 

@@ -43,6 +43,7 @@ from .errors import (
     InfeasibleCalibrationError,
     LocalMemError,
 )
+from .numerics import as_int
 from .posterior import DEFAULT_PRIOR, BasketData, BetaParams, analyze, default_basket_ids
 from .simon import DEFAULT_N_MAX, simon_oc, simon_search
 from .simulation import Scenario, scenario_suite, simulate
@@ -97,7 +98,7 @@ def _meta(command: str, config: dict, seed=None, n_sims=None) -> dict:
 
 def _seed(args, config: dict) -> int:
     """The run seed: the --seed flag if given, else the config's (schema-checked) seed."""
-    return config["seed"] if args.seed is None else args.seed
+    return as_int(config["seed"], "seed") if args.seed is None else args.seed
 
 
 def _prior(doc: dict) -> BetaParams:
@@ -191,7 +192,7 @@ def cmd_analyze(args) -> int:
             }
             for j, part in enumerate(map(result.pset.partition, range(len(result.pset))))
         ],
-        "similarity": [[float(v) for v in row] for row in result.similarity.psi],
+        "similarity": [[float(v) for v in row] for row in result.similarity],
         "top_partition": {
             "membership": result.top_partition.membership_string(),
             "weight": pp.top_prob,
@@ -233,9 +234,9 @@ def cmd_monitor(args) -> int:
     spec = _build_spec(config["spec"])
     if spec.stages != 2:
         raise ConfigError("monitor requires a two-stage design spec")
-    stage = config["stage"]
-    x = [int(v) for v in config["x"]]
-    n = [int(v) for v in config["n"]]
+    stage = as_int(config["stage"], "stage")
+    x = [as_int(v, "x") for v in config["x"]]
+    n = [as_int(v, "n") for v in config["n"]]
     if len(x) != spec.num_baskets or len(n) != spec.num_baskets:
         raise ConfigError(
             f"x and n must have {spec.num_baskets} entries, got {len(x)} and {len(n)}"
@@ -262,12 +263,15 @@ def cmd_monitor(args) -> int:
         analyzed = [b for b in range(spec.num_baskets) if active[b]]
         if not analyzed:
             raise ConfigError("stage 2 needs at least one active basket")
-        for b in analyzed:
-            if n[b] != spec.max_sizes[b]:
+        n1 = spec.stage1_sizes()
+        for b in range(spec.num_baskets):
+            size = spec.max_sizes[b] if active[b] else n1[b]
+            if n[b] != size:
                 raise ConfigError(
-                    f"basket {b} is listed as active at stage 2 but has n={n[b]}, "
-                    f"expected the maximum size {spec.max_sizes[b]}; a stopped basket "
-                    "cannot re-enter the active set"
+                    f"basket {b} is listed as {'active' if active[b] else 'stopped'} at stage 2 "
+                    f"but has n={n[b]}, expected its {'maximum' if active[b] else 'interim'} "
+                    f"size {size}; a stopped basket keeps its interim size and cannot re-enter "
+                    "the active set"
                 )
         state = TrialState(
             stage=STAGE_FINAL,
@@ -345,7 +349,7 @@ def cmd_simulate(args) -> int:
     _validate(config, schemas.SIMULATE_CONFIG)
     spec = _build_spec(config["spec"])
     seed = _seed(args, config)
-    n_sims = config.get("n_sims", 5000)
+    n_sims = as_int(config.get("n_sims", 5000), "n_sims")
     scenarios_doc = config.get("scenarios", "suite")
     if scenarios_doc == "suite":
         scenarios = scenario_suite(spec)
@@ -376,7 +380,7 @@ def cmd_calibrate(args) -> int:
     _validate(config, schemas.CALIBRATE_CONFIG)
     spec = _build_spec(config["spec"], lam_default=0.5)
     seed = _seed(args, config)
-    n_sims = config.get("n_sims", 5000)
+    n_sims = as_int(config.get("n_sims", 5000), "n_sims")
     problem = CalibrationProblem(
         spec_template=spec,
         fwer_target=config.get("fwer_target", 0.10),

@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, DomainError, ShapeError
+from .numerics import as_int
 from .partitions import MAX_BASKETS, PartitionSet
 from .posterior import DEFAULT_PRIOR, AnalysisResult, BasketData, BatchPosterior, BetaParams, analyze
 
@@ -88,28 +89,29 @@ class DesignSpec:
         interim_fraction: float | None = None,
         interim_sizes=None,
     ) -> "DesignSpec":
-        def expand(v, name, cast):
-            if isinstance(v, numbers.Real):
-                return tuple(cast(v) for _ in range(num_baskets))
-            vals = tuple(cast(u) for u in v)
+        def expand(v, name, integer=False):
+            vals = (v,) * num_baskets if isinstance(v, numbers.Real) else tuple(v)
             if len(vals) != num_baskets:
                 raise ShapeError(f"{name} must have one entry per basket, got {len(vals)}")
-            return vals
+            return tuple(as_int(u, name) if integer else float(u) for u in vals)
 
+        num_baskets = as_int(num_baskets, "num_baskets")
         if num_baskets < 1:
             raise DomainError(f"need at least one basket, got {num_baskets}")
         spec = cls(
-            num_baskets=int(num_baskets),
-            max_sizes=expand(max_sizes, "max_sizes", int),
-            theta0=expand(theta0, "theta0", float),
-            theta1=expand(theta1, "theta1", float),
+            num_baskets=num_baskets,
+            max_sizes=expand(max_sizes, "max_sizes", integer=True),
+            theta0=expand(theta0, "theta0"),
+            theta1=expand(theta1, "theta1"),
             lam=float(lam),
             gamma=float(gamma),
             delta=float(delta),
             prior=prior,
-            stages=int(stages),
+            stages=as_int(stages, "stages"),
             interim_fraction=None if interim_fraction is None else float(interim_fraction),
-            interim_sizes=None if interim_sizes is None else expand(interim_sizes, "interim_sizes", int),
+            interim_sizes=(
+                None if interim_sizes is None else expand(interim_sizes, "interim_sizes", integer=True)
+            ),
         )
         spec.validate()
         return spec
@@ -195,7 +197,7 @@ class TrialState:
         Stopped baskets keep their interim counts; their entries in x_total
         are ignored.
         """
-        xs = tuple(int(v) for v in x_total)
+        xs = tuple(as_int(v, "x_total") for v in x_total)
         if len(xs) != spec.num_baskets:
             raise ShapeError(f"x_total must have {spec.num_baskets} entries, got {len(xs)}")
         x = tuple(

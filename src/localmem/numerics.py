@@ -245,6 +245,28 @@ def log_choose(n: int, k: int) -> float:
     return log_gamma(n + 1.0) - log_gamma(k + 1.0) - log_gamma(n - k + 1.0)
 
 
+def as_int(value, name: str):
+    """An integral value as an int, or an array of them as an integer array.
+
+    Any numeric type is accepted (2, 2.0, np.int64(2)); a fractional,
+    non-finite or non-numeric value raises DomainError, so no count is ever
+    silently truncated.
+    """
+    if np.ndim(value) == 0:
+        try:
+            if int(value) == value:
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    arr = np.asarray(value)
+    if arr.dtype.kind in "biu":
+        return arr
+    if arr.dtype.kind != "f" or not (np.isfinite(arr) & (arr == np.round(arr))).all():
+        raise DomainError(f"{name} must hold integers, got {arr.tolist()!r}")
+    return arr.astype(np.int64)
+
+
 def _check_counts(k: int, n: int, p: float) -> None:
     if n < 0 or k < 0 or k > n:
         raise DomainError(f"require 0 <= k <= n, got k={k}, n={n}")
@@ -260,14 +282,6 @@ def binom_pmf(k: int, n: int, p: float) -> float:
     if p == 1.0:
         return 1.0 if k == n else 0.0
     return math.exp(log_choose(n, k) + k * math.log(p) + (n - k) * math.log1p(-p))
-
-
-def binom_cdf(k: int, n: int, p: float) -> float:
-    """P(X <= k) for X ~ Binomial(n, p)."""
-    _check_counts(k, n, p)
-    if k == n:
-        return 1.0
-    return min(1.0, math.fsum(binom_pmf(j, n, p) for j in range(k + 1)))
 
 
 def binom_sf(k: int, n: int, p: float) -> float:
@@ -374,11 +388,11 @@ def binomial_draws(seed: int, keys, n, p) -> np.ndarray:
     rows. n == 0 or p == 0 gives 0 and p == 1 gives n, without drawing.
     Every argument is checked before anything is drawn.
     """
-    seed = int(seed)
+    seed = as_int(seed, "seed")
     if not (0 <= seed < 2**64):
         raise DomainError(f"seed must be an unsigned 64-bit int, got {seed}")
-    keys = np.asarray(keys)
-    n = np.asarray(n)
+    keys = np.asarray(as_int(keys, "stream keys"))
+    n = np.asarray(as_int(n, "n"))
     p = np.asarray(p, dtype=float)
     if keys.ndim != 2 or n.shape != (len(keys),) or p.shape != (len(keys),):
         raise ShapeError(

@@ -9,6 +9,11 @@ Partition weights are computed from the marginal likelihood of the observed
 per-basket counts. The per-basket binomial coefficients in that marginal are
 identical under every partition, so they cancel after normalization and are
 omitted; only the Beta-function block factors are evaluated.
+
+Two entry points give every posterior quantity: :func:`analyze` for one
+dataset (partition posterior, similarity, and each basket's borrowing
+posterior, effective sample size and exceedance probability) and
+:class:`BatchPosterior` for many count rows; they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -19,12 +24,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .numerics import log_beta, reg_inc_beta
+from .numerics import as_int, log_beta, reg_inc_beta
 from .partitions import Partition, PartitionSet  # noqa: F401 (Partition is public API)
 
 # Two partition weights closer than this are treated as tied when picking the
 # top partition.
 TOP_TIE_TOL = 1e-12
+
+# Largest rows x partitions evaluated at once by BatchPosterior.exceed_probs.
+# A row at B = 10 holds about 1.9 MB of weights and temporaries, so a chunk of
+# 144 rows stays near 270 MB however many rows are asked for.
+MAX_CELLS = 2**24
 
 _DEFAULT_IDS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -71,8 +81,8 @@ class BasketData:
         n: Sequence[int],
         basket_ids: Sequence[str] | None = None,
     ) -> "BasketData":
-        xs = tuple(int(v) for v in x)
-        ns = tuple(int(v) for v in n)
+        xs = tuple(as_int(v, "x") for v in x)
+        ns = tuple(as_int(v, "n") for v in n)
         if len(xs) != len(ns) or not xs:
             raise ShapeError(f"x and n must be equal-length and non-empty, got {len(xs)} and {len(ns)}")
         for b, (xv, nv) in enumerate(zip(xs, ns)):
@@ -98,18 +108,6 @@ class PartitionPosterior:
     weights: np.ndarray = field(repr=False)
     top_index: int
     top_prob: float
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Posterior co-membership probabilities between basket pairs."""
-
-    psi: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.psi, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ShapeError(f"similarity matrix must be square, got shape {m.shape}")
 
 
 def _tiebreak_ranks(pset: PartitionSet) -> np.ndarray:
@@ -140,9 +138,10 @@ def partition_posterior(
     return PartitionPosterior(weights=row, top_index=int(top[0]), top_prob=float(top_prob[0]))
 
 
-def similarity_matrix(pp: PartitionPosterior, pset: PartitionSet) -> SimilarityMatrix:
-    """Pairwise co-membership probability: the summed weight of partitions
-    placing the two baskets in one block. Diagonal is 1 by convention."""
+def similarity_matrix(pp: PartitionPosterior, pset: PartitionSet) -> np.ndarray:
+    """Pairwise co-membership probability as a read-only (B, B) array: the
+    summed weight of partitions placing the two baskets in one block.
+    Diagonal is 1 by convention."""
     if len(pp.weights) != len(pset):
         raise ShapeError("posterior weights and partition set sizes differ")
     labels = pset.memberships
@@ -151,7 +150,7 @@ def similarity_matrix(pp: PartitionPosterior, pset: PartitionSet) -> SimilarityM
     )
     np.fill_diagonal(psi, 1.0)
     psi.setflags(write=False)
-    return SimilarityMatrix(psi=psi)
+    return psi
 
 
 def borrow(x, n, labels, top_prob, prior: BetaParams = DEFAULT_PRIOR):
@@ -176,51 +175,6 @@ def borrow(x, n, labels, top_prob, prior: BetaParams = DEFAULT_PRIOR):
     return alpha, beta, ess
 
 
-def _check_basket(basket: int, data: BasketData) -> None:
-    if not (0 <= basket < data.num_baskets):
-        raise DomainError(f"basket index {basket} out of range for {data.num_baskets} baskets")
-
-
-def _borrow_one(
-    data: BasketData, pp: PartitionPosterior, pset: PartitionSet, prior: BetaParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows = borrow([data.x], data.n, pset.memberships[[pp.top_index]], [pp.top_prob], prior)
-    return tuple(v[0] for v in rows)
-
-
-def local_posterior(
-    basket: int,
-    data: BasketData,
-    pp: PartitionPosterior,
-    pset: PartitionSet,
-    prior: BetaParams = DEFAULT_PRIOR,
-) -> BetaParams:
-    """Borrowing posterior for one basket: a one-row call of :func:`borrow`."""
-    _check_basket(basket, data)
-    alpha, beta, _ = _borrow_one(data, pp, pset, prior)
-    return BetaParams(alpha=float(alpha[basket]), beta=float(beta[basket]))
-
-
-def effective_sample_size(
-    basket: int,
-    data: BasketData,
-    pp: PartitionPosterior,
-    pset: PartitionSet,
-    prior: BetaParams = DEFAULT_PRIOR,
-) -> float:
-    """Prior mass plus own and borrowed patients; equals alpha + beta of the
-    borrowing posterior up to rounding."""
-    _check_basket(basket, data)
-    return float(_borrow_one(data, pp, pset, prior)[2][basket])
-
-
-def prob_exceeds(post: BetaParams, theta0: float) -> float:
-    """Posterior probability that the response rate exceeds theta0."""
-    if not (0.0 < theta0 < 1.0):
-        raise DomainError(f"theta0 must lie in (0, 1), got {theta0}")
-    return 1.0 - reg_inc_beta(theta0, post.alpha, post.beta)
-
-
 @dataclass(frozen=True)
 class AnalysisResult:
     """Everything a one-shot analysis of observed data produces."""
@@ -228,7 +182,7 @@ class AnalysisResult:
     data: BasketData
     pset: PartitionSet
     partition_posterior: PartitionPosterior
-    similarity: SimilarityMatrix
+    similarity: np.ndarray
     posteriors: tuple[BetaParams, ...]
     ess: tuple[float, ...]
     prob_exceeds: tuple[float, ...]
@@ -258,7 +212,8 @@ def analyze(
     if not np.all((t0 > 0.0) & (t0 < 1.0)):
         raise DomainError(f"theta0 must lie in (0, 1), got {t0.tolist()}")
     pp = partition_posterior(data, pset, prior)
-    alpha, beta, ess = _borrow_one(data, pp, pset, prior)
+    top = pset.memberships[[pp.top_index]]
+    alpha, beta, ess = (v[0] for v in borrow([data.x], data.n, top, [pp.top_prob], prior))
     probs = 1.0 - reg_inc_beta(t0, alpha, beta)
     return AnalysisResult(
         data=data,
@@ -276,9 +231,11 @@ class BatchPosterior:
 
     Bound to a fixed sample-size vector, partition set and prior; the data
     matrix varies across rows, and each row's result is independent of the
-    others. This is the only code that computes partition weights: the
-    one-shot analysis (and through it every look of a single trial) calls it
-    with a single row, and its borrowing parameters come from :func:`borrow`.
+    others. This is the only code that computes partition weights and the
+    public way to analyze many rows: :func:`analyze` (and through it every
+    look of a single trial) calls it with a single row, simulation and
+    calibration with whole batches, and its borrowing parameters come from
+    :func:`borrow`.
 
     A block's log Beta factor depends only on which baskets it holds, so a
     row needs at most 2**B - 1 factors, and each partition sums at most B of
@@ -287,7 +244,7 @@ class BatchPosterior:
     """
 
     def __init__(self, n: Sequence[int], pset: PartitionSet, prior: BetaParams = DEFAULT_PRIOR):
-        n = tuple(int(v) for v in n)
+        n = tuple(as_int(v, "n") for v in n)
         if len(n) != pset.num_baskets:
             raise ShapeError("sample-size vector does not match the partition set")
         if any(v < 0 for v in n):
@@ -327,7 +284,7 @@ class BatchPosterior:
         self._ranks = _tiebreak_ranks(pset)
 
     def _as_matrix(self, x) -> np.ndarray:
-        mat = np.asarray(x, dtype=int)
+        mat = np.asarray(as_int(x, "x"), dtype=int)
         if mat.ndim == 1:
             mat = mat[None, :]
         if mat.shape[1] != self.pset.num_baskets:
@@ -366,7 +323,18 @@ class BatchPosterior:
         return alpha, beta
 
     def exceed_probs(self, x, theta0) -> np.ndarray:
-        """Per-basket posterior exceedance probabilities, shape (T, B)."""
-        alpha, beta = self.borrow_params(x)
-        t0 = np.broadcast_to(np.asarray(theta0, dtype=float), alpha.shape)
-        return 1.0 - reg_inc_beta(t0, alpha, beta)
+        """Per-basket posterior exceedance probabilities, shape (T, B).
+
+        Rows are evaluated in chunks of at most MAX_CELLS rows x partitions,
+        which bounds memory at any batch size; rows are independent, so the
+        chunking never changes a result.
+        """
+        mat = self._as_matrix(x)
+        t0 = np.broadcast_to(np.asarray(theta0, dtype=float), mat.shape)
+        step = max(1, MAX_CELLS // len(self.pset))
+        out = np.empty(mat.shape)
+        for lo in range(0, len(mat), step):
+            rows = slice(lo, lo + step)
+            alpha, beta = self.borrow_params(mat[rows])
+            out[rows] = 1.0 - reg_inc_beta(t0[rows], alpha, beta)
+        return out

@@ -18,7 +18,7 @@ import numpy as np
 
 from .design import DesignSpec, survivor_exceedance
 from .errors import DomainError, ShapeError
-from .numerics import binomial_draws
+from .numerics import as_int, binomial_draws
 
 TRIAL_BLOCK = 512
 
@@ -162,6 +162,7 @@ def simulate(
     The worker count only splits the trial range; per-trial streams plus
     integer-count aggregation make the result identical for any split.
     """
+    n_sims = as_int(n_sims, "n_sims")
     if n_sims < 1:
         raise DomainError(f"n_sims must be >= 1, got {n_sims}")
     if len(scenario.true_rates) != spec.num_baskets:

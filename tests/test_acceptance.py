@@ -21,7 +21,7 @@ from localmem.calibration import CalibrationProblem, calibrate, calibrated_spec
 from localmem.design import DesignSpec
 from localmem.numerics import log_beta, reg_inc_beta
 from localmem.partitions import PartitionSet, enumerate_partitions, partition_prior
-from localmem.posterior import BasketData, local_posterior, partition_posterior, similarity_matrix, effective_sample_size
+from localmem.posterior import BasketData, analyze
 from localmem.simon import simon_oc, simon_search
 from localmem.simulation import Scenario, scenario_suite, simulate
 
@@ -234,25 +234,22 @@ def test_criterion_09_rational_oracle_equivalence():
         for x, n in stack:
             cases += 1
             oracle = RationalAnalysis(list(x), list(n), 2)
-            data = BasketData.create(x, n)
-            pp = partition_posterior(data, pset)
+            result = analyze(BasketData.create(x, n), pset=pset)
+            pp = result.partition_posterior
             worst = max(
                 worst,
                 max(abs(pp.weights[j] - float(oracle.weights[j])) for j in range(len(pset))),
             )
             assert pp.top_index == oracle.top_index
-            psi = similarity_matrix(pp, pset).psi
+            psi = result.similarity
             for s in range(num_baskets):
                 for t in range(num_baskets):
                     worst = max(worst, abs(psi[s, t] - float(oracle.psi(s, t))))
             for b in range(num_baskets):
-                post = local_posterior(b, data, pp, pset)
+                post = result.posteriors[b]
                 alpha, beta = oracle.local_params(b)
                 worst = max(worst, abs(post.alpha - float(alpha)), abs(post.beta - float(beta)))
-                worst = max(
-                    worst,
-                    abs(effective_sample_size(b, data, pp, pset) - float(oracle.ess(b))),
-                )
+                worst = max(worst, abs(result.ess[b] - float(oracle.ess(b))))
     report(
         "9 (exact-rational oracle)",
         [("all quantities within 1e-9 of the oracle", worst < 1e-9,

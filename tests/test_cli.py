@@ -1,4 +1,5 @@
 import json
+import re
 
 import jsonschema
 import pytest
@@ -201,6 +202,23 @@ class TestMonitor:
         )
         assert run(["monitor", "--config", cfg, "--out", tmp_path]) == 2
 
+    def test_stopped_basket_past_interim_size_exits_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "m.json",
+            {
+                "spec": TWO_STAGE_SPEC,
+                "stage": 2,
+                "x": [0, 9, 8, 9],
+                "n": [16, 16, 16, 16],
+                "active": [False, True, True, True],
+            },
+        )
+        assert run(["monitor", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "basket 0 is listed as stopped" in err and "expected its interim size 10" in err
+        assert not (tmp_path / "out").exists()
+
     def test_wrong_interim_sizes_exit_2(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -208,6 +226,49 @@ class TestMonitor:
             {"spec": TWO_STAGE_SPEC, "stage": 1, "x": [0, 0, 0, 0], "n": [9, 10, 10, 10]},
         )
         assert run(["monitor", "--config", cfg, "--out", tmp_path]) == 2
+
+
+def _reports(out_dir):
+    """Every file a command wrote, with the config hash blanked out."""
+    blobs = {}
+    for path in sorted(out_dir.iterdir()):
+        text = path.read_text()
+        if path.suffix == ".json":
+            doc = json.loads(text)
+            doc["meta"]["config_hash"] = None
+            text = json.dumps(doc, sort_keys=True)
+        else:
+            text = re.sub(r"config_hash=\w+", "config_hash=-", text)
+        blobs[path.name] = text
+    return blobs
+
+
+class TestIntegralFloats:
+    # JSON Schema's "integer" accepts 4.0, so such a config must run as the
+    # integer one does and report ints.
+    @pytest.mark.parametrize(
+        "command, config, floats",
+        [
+            (
+                "monitor",
+                {"spec": TWO_STAGE_SPEC, "stage": 1, "x": [0, 3, 1, 8], "n": [10, 10, 10, 10]},
+                {"spec": dict(TWO_STAGE_SPEC, baskets=4.0, max_sizes=16.0, interim_sizes=10.0),
+                 "stage": 1.0, "x": [0.0, 3, 1, 8.0]},
+            ),
+            (
+                "simulate",
+                {"spec": TWO_STAGE_SPEC, "n_sims": 50, "seed": 7},
+                {"n_sims": 50.0, "seed": 7.0},
+            ),
+        ],
+    )
+    def test_same_reports_as_integer_config(self, tmp_path, command, config, floats):
+        blobs = []
+        for name, doc in (("int", config), ("float", dict(config, **floats))):
+            cfg = write_config(tmp_path, f"{name}.json", doc)
+            assert run([command, "--config", cfg, "--out", tmp_path / name]) == 0
+            blobs.append(_reports(tmp_path / name))
+        assert blobs[0] == blobs[1]
 
 
 class TestSimulate:

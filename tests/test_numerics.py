@@ -1,14 +1,18 @@
+import argparse
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from localmem import cli
+from localmem.calibration import CalibrationProblem
+from localmem.design import DesignSpec, TrialState
 from localmem.errors import CapacityError, ConvergenceError, DomainError
 from localmem.numerics import (
     _pcg64_state,
     _seed_words,
-    binom_cdf,
+    as_int,
     binom_pmf,
     binom_sf,
     binomial_draws,
@@ -17,6 +21,9 @@ from localmem.numerics import (
     log_sum_exp,
     reg_inc_beta,
 )
+
+from localmem.posterior import BasketData
+from localmem.simulation import Scenario, simulate
 
 from oracles import binom_cdf_rational, reg_inc_beta_quadrature
 
@@ -150,8 +157,8 @@ class TestBinomial:
         assert binom_pmf(2, 4, 0.5) == pytest.approx(0.375, rel=1e-14)
 
     def test_cdf_rational_oracle(self):
-        expect = binom_cdf_rational(1, 10, Fraction(15, 100))
-        assert binom_cdf(1, 10, 0.15) == pytest.approx(float(expect), rel=1e-12)
+        expect = 1 - binom_cdf_rational(1, 10, Fraction(15, 100))
+        assert binom_sf(1, 10, 0.15) == pytest.approx(float(expect), rel=1e-12)
 
     def test_pmf_rational_grid(self):
         for n in (1, 7, 19, 55, 120):
@@ -160,18 +167,19 @@ class TestBinomial:
                 assert binom_pmf(k, n, 0.45) == pytest.approx(float(expect), rel=1e-12)
 
     def test_cdf_terminal(self):
-        assert binom_cdf(7, 7, 0.3) == 1.0
-        assert binom_cdf(19, 19, 0.999) == 1.0
+        assert binom_sf(7, 7, 0.3) == 0.0
+        assert binom_sf(19, 19, 0.999) == 0.0
 
     def test_sf_complements_cdf(self):
         for k in range(11):
-            assert binom_sf(k, 10, 0.3) + binom_cdf(k, 10, 0.3) == pytest.approx(1.0, abs=1e-13)
+            cdf = math.fsum(binom_pmf(j, 10, 0.3) for j in range(k + 1))
+            assert binom_sf(k, 10, 0.3) + cdf == pytest.approx(1.0, abs=1e-13)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             binom_pmf(5, 4, 0.5)
         with pytest.raises(DomainError):
-            binom_cdf(-1, 4, 0.5)
+            binom_sf(-1, 4, 0.5)
         with pytest.raises(DomainError):
             binom_pmf(1, 4, 1.5)
 
@@ -282,3 +290,61 @@ class TestLogSumExp:
         out = log_sum_exp(arr, axis=1)
         assert out[0] == pytest.approx(0.0, abs=1e-14)
         assert out[1] == pytest.approx(1.0 + math.log(2.0), abs=1e-14)
+
+
+def _spec(**kwargs):
+    args = dict(num_baskets=2, max_sizes=16, theta0=0.15, theta1=0.45, lam=0.9, interim_sizes=10)
+    args.update(kwargs)
+    return DesignSpec.create(**args)
+
+
+class TestAsInt:
+    def test_integral_values_of_any_type(self):
+        for value in (2, 2.0, np.int64(2), np.float32(2.0), Fraction(4, 2)):
+            out = as_int(value, "v")
+            assert out == 2 and type(out) is int
+        ints = np.array([1, 2], dtype=np.int32)
+        assert as_int(ints, "v") is ints
+        floats = as_int([[1.0, 2.0], [0.0, 7.0]], "v")
+        assert floats.dtype == np.int64 and floats.tolist() == [[1, 2], [0, 7]]
+
+    @pytest.mark.parametrize(
+        "value", [1.5, np.float64(-0.5), math.nan, math.inf, "3", None, [1, 2.5], [math.inf]]
+    )
+    def test_fractional_or_non_numeric_refused(self, value):
+        with pytest.raises(DomainError):
+            as_int(value, "v")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: BasketData.create([1.5, 2], [2, 4]),
+            lambda: BasketData.create([1, 2], [2.9, 4]),
+            lambda: _spec(num_baskets=2.5),
+            lambda: _spec(max_sizes=16.7),
+            lambda: _spec(interim_sizes=(10, 10.2)),
+            lambda: simulate(_spec(), Scenario.from_rates(_spec(), [0.15, 0.45], "s"), n_sims=1.5),
+            lambda: CalibrationProblem(_spec(), n_sims=1.5),
+            lambda: TrialState.at_interim([1, 2], _spec()).with_final_data([1.5, 2], _spec()),
+            lambda: binomial_draws(0, [[0, 0, 0]], [2.5], [0.5]),
+            lambda: binomial_draws(0, [[0.7, 0, 0]], [2], [0.5]),
+            lambda: cli._seed(argparse.Namespace(seed=None), {"seed": 1.5}),
+        ],
+        ids=[
+            "BasketData-x", "BasketData-n", "DesignSpec-num_baskets", "DesignSpec-max_sizes",
+            "DesignSpec-interim_sizes", "simulate-n_sims", "CalibrationProblem-n_sims",
+            "TrialState-with_final_data", "binomial_draws-n", "binomial_draws-keys", "cli-seed",
+        ],
+    )
+    def test_entry_points_refuse_fractions(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_integral_floats_are_stored_as_ints(self):
+        spec = _spec(num_baskets=2.0, max_sizes=(16.0, np.int64(16)), interim_sizes=10.0)
+        assert spec == _spec()
+        assert all(type(v) is int for v in (spec.num_baskets, *spec.max_sizes, *spec.interim_sizes))
+        data = BasketData.create([1.0, np.int64(2)], [2.0, 4])
+        assert (data.x, data.n) == ((1, 2), (2, 4))
+        assert all(type(v) is int for v in data.x + data.n)
+        assert type(CalibrationProblem(_spec(), n_sims=50.0).n_sims) is int

@@ -1,8 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from localmem import posterior
 from localmem.errors import DomainError, ShapeError
 from localmem.partitions import PartitionSet
 from localmem.posterior import (
@@ -12,10 +14,7 @@ from localmem.posterior import (
     BetaParams,
     analyze,
     default_basket_ids,
-    effective_sample_size,
-    local_posterior,
     partition_posterior,
-    prob_exceeds,
     similarity_matrix,
 )
 
@@ -66,8 +65,9 @@ class TestSimilarity:
         data = BasketData.create([0, 2], [2, 2])
         pset = PartitionSet.build(2, 0.0)
         psi = similarity_matrix(partition_posterior(data, pset), pset)
-        assert psi.psi[0, 1] == pytest.approx(3 / 13, abs=1e-12)
-        assert psi.psi[0, 0] == 1.0
+        assert psi.shape == (2, 2) and not psi.flags.writeable
+        assert psi[0, 1] == pytest.approx(3 / 13, abs=1e-12)
+        assert psi[0, 0] == 1.0
 
     def test_degenerate_masses(self):
         pset = PartitionSet.build(3)
@@ -81,7 +81,7 @@ class TestSimilarity:
             from localmem.posterior import PartitionPosterior
 
             pp = PartitionPosterior(weights=w, top_index=idx, top_prob=1.0)
-            assert np.allclose(similarity_matrix(pp, pset).psi, expect)
+            assert np.allclose(similarity_matrix(pp, pset), expect)
 
     def test_bounds_symmetry_random(self):
         rng = np.random.default_rng(22)
@@ -89,9 +89,7 @@ class TestSimilarity:
         for _ in range(10):
             n = rng.integers(1, 15, size=5)
             x = rng.integers(0, n + 1)
-            psi = similarity_matrix(
-                partition_posterior(BasketData.create(x, n), pset), pset
-            ).psi
+            psi = similarity_matrix(partition_posterior(BasketData.create(x, n), pset), pset)
             assert np.allclose(psi, psi.T)
             assert np.all(psi >= 0) and np.all(psi <= 1 + 1e-12)
             assert np.allclose(np.diag(psi), 1.0)
@@ -104,24 +102,22 @@ class TestLocalPosterior:
         # counts scaled by 6/11.
         data = BasketData.create([1, 1], [2, 2])
         pset = PartitionSet.build(2, 0.0)
-        pp = partition_posterior(data, pset)
-        assert pp.top_prob == pytest.approx(6 / 11, abs=1e-12)
-        post = local_posterior(0, data, pp, pset)
+        result = analyze(data, pset=pset)
+        assert result.partition_posterior.top_prob == pytest.approx(6 / 11, abs=1e-12)
+        post = result.posteriors[0]
         assert post.alpha == pytest.approx(2 + 6 / 11, abs=1e-12)
         assert post.beta == pytest.approx(2 + 6 / 11, abs=1e-12)
 
     def test_singleton_top_no_borrowing(self):
         data = BasketData.create([0, 2], [2, 2])
         pset = PartitionSet.build(2, 0.0)
-        pp = partition_posterior(data, pset)  # top is the split partition
-        post = local_posterior(0, data, pp, pset)
+        post = analyze(data, pset=pset).posteriors[0]  # top is the split partition
         assert (post.alpha, post.beta) == (1.0, 3.0)
 
     def test_empty_neighbours_match_singleton(self):
         data = BasketData.create([2, 0], [6, 0])
         pset = PartitionSet.build(2, 0.0)
-        pp = partition_posterior(data, pset)
-        post = local_posterior(0, data, pp, pset)
+        post = analyze(data, pset=pset).posteriors[0]
         assert post.alpha == pytest.approx(1 + 2, abs=1e-12)
         assert post.beta == pytest.approx(1 + 4, abs=1e-12)
 
@@ -130,20 +126,17 @@ class TestEffectiveSampleSize:
     def test_singleton_reduction(self):
         data = BasketData.create([0, 2], [2, 2])
         pset = PartitionSet.build(2, 0.0)
-        pp = partition_posterior(data, pset)
-        assert effective_sample_size(0, data, pp, pset) == pytest.approx(1 + 1 + 2, abs=1e-12)
+        assert analyze(data, pset=pset).ess[0] == pytest.approx(1 + 1 + 2, abs=1e-12)
 
     def test_pooled_value(self):
         data = BasketData.create([1, 1], [2, 2])
         pset = PartitionSet.build(2, 0.0)
-        pp = partition_posterior(data, pset)
-        assert effective_sample_size(0, data, pp, pset) == pytest.approx(4 + 12 / 11, abs=1e-12)
+        assert analyze(data, pset=pset).ess[0] == pytest.approx(4 + 12 / 11, abs=1e-12)
 
     def test_no_patients(self):
         data = BasketData.create([0, 0], [0, 0])
         pset = PartitionSet.build(2, 0.0)
-        pp = partition_posterior(data, pset)
-        assert effective_sample_size(0, data, pp, pset) == pytest.approx(2.0, abs=1e-12)
+        assert analyze(data, pset=pset).ess[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_equals_alpha_plus_beta_randomized(self):
         rng = np.random.default_rng(23)
@@ -151,32 +144,28 @@ class TestEffectiveSampleSize:
         for _ in range(30):
             n = rng.integers(0, 20, size=4)
             x = rng.integers(0, n + 1)
-            data = BasketData.create(x, n)
-            pp = partition_posterior(data, pset)
+            result = analyze(BasketData.create(x, n), pset=pset)
             for b in range(4):
-                post = local_posterior(b, data, pp, pset)
-                assert effective_sample_size(b, data, pp, pset) == pytest.approx(
-                    post.alpha + post.beta, abs=1e-10
-                )
+                post = result.posteriors[b]
+                assert result.ess[b] == pytest.approx(post.alpha + post.beta, abs=1e-10)
 
 
 class TestProbExceeds:
+    # One basket: with x = 0 of n = 0 the borrowing posterior is the prior,
+    # Beta(1, 1) here; x = 1 of n = 2 gives Beta(2, 2).
     def test_uniform(self):
-        assert prob_exceeds(BetaParams(1, 1), 0.3) == pytest.approx(0.7, abs=1e-12)
+        result = analyze(BasketData.create([0], [0]), theta0=0.3)
+        assert result.prob_exceeds[0] == pytest.approx(0.7, abs=1e-12)
 
     def test_symmetry(self):
-        assert prob_exceeds(BetaParams(2, 2), 0.5) == pytest.approx(0.5, abs=1e-10)
+        result = analyze(BasketData.create([1], [2]), theta0=0.5)
+        assert result.prob_exceeds[0] == pytest.approx(0.5, abs=1e-10)
 
     def test_quadrature(self):
-        post = BetaParams(16 / 7, 3.0)
-        assert prob_exceeds(post, 0.15) == pytest.approx(
-            beta_tail_quadrature(16 / 7, 3.0, 0.15), abs=1e-8
-        )
-        assert prob_exceeds(post, 0.15) == pytest.approx(0.925991235648435, abs=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            prob_exceeds(BetaParams(1, 1), 0.0)
+        prior = BetaParams(16 / 7, 3.0)
+        prob = analyze(BasketData.create([0], [0]), prior=prior, theta0=0.15).prob_exceeds[0]
+        assert prob == pytest.approx(beta_tail_quadrature(16 / 7, 3.0, 0.15), abs=1e-8)
+        assert prob == pytest.approx(0.925991235648435, abs=1e-10)
 
 
 def _all_count_vectors(num_baskets, max_n):
@@ -200,25 +189,23 @@ class TestRationalOracleEquivalence:
         pset = PartitionSet.build(num_baskets, float(delta))
         for x, n in _all_count_vectors(num_baskets, 4):
             oracle = RationalAnalysis(x, n, delta)
-            data = BasketData.create(x, n)
-            pp = partition_posterior(data, pset)
+            result = analyze(BasketData.create(x, n), pset=pset)
+            pp = result.partition_posterior
             for j in range(len(pset)):
                 assert pset.partition(j).membership == oracle.memberships[j]
                 assert abs(pp.weights[j] - float(oracle.weights[j])) < 1e-9
             assert pp.top_index == oracle.top_index
             assert abs(pp.top_prob - float(oracle.top_prob)) < 1e-9
-            psi = similarity_matrix(pp, pset).psi
+            psi = result.similarity
             for s in range(num_baskets):
                 for t in range(num_baskets):
                     assert abs(psi[s, t] - float(oracle.psi(s, t))) < 1e-9
             for b in range(num_baskets):
-                post = local_posterior(b, data, pp, pset)
+                post = result.posteriors[b]
                 alpha, beta = oracle.local_params(b)
                 assert abs(post.alpha - float(alpha)) < 1e-9
                 assert abs(post.beta - float(beta)) < 1e-9
-                assert abs(
-                    effective_sample_size(b, data, pp, pset) - float(oracle.ess(b))
-                ) < 1e-9
+                assert abs(result.ess[b] - float(oracle.ess(b))) < 1e-9
 
     @pytest.mark.parametrize("num_baskets", [4, 5])
     def test_seeded_rows_larger_b(self, num_baskets):
@@ -235,20 +222,20 @@ class TestRationalOracleEquivalence:
                 n = rng.integers(0, 7, size=num_baskets)
                 x = rng.integers(0, n + 1)
             oracle = RationalAnalysis(x, n, 2)
-            data = BasketData.create(x, n)
-            pp = partition_posterior(data, pset)
+            result = analyze(BasketData.create(x, n), pset=pset)
+            pp = result.partition_posterior
             assert pp.top_index == oracle.top_index
             assert np.allclose(pp.weights, [float(w) for w in oracle.weights], rtol=0, atol=1e-9)
-            psi = similarity_matrix(pp, pset).psi
+            psi = result.similarity
             for s in range(num_baskets):
                 for t in range(num_baskets):
                     assert abs(psi[s, t] - float(oracle.psi(s, t))) < 1e-9
             for b in range(num_baskets):
-                post = local_posterior(b, data, pp, pset)
+                post = result.posteriors[b]
                 alpha, beta = oracle.local_params(b)
                 assert abs(post.alpha - float(alpha)) < 1e-9
                 assert abs(post.beta - float(beta)) < 1e-9
-                assert abs(effective_sample_size(b, data, pp, pset) - float(oracle.ess(b))) < 1e-9
+                assert abs(result.ess[b] - float(oracle.ess(b))) < 1e-9
 
     def test_random_cases_jeffreys_prior(self):
         rng = np.random.default_rng(31)
@@ -258,12 +245,12 @@ class TestRationalOracleEquivalence:
             n = rng.integers(0, 5, size=3)
             x = rng.integers(0, n + 1)
             oracle = RationalAnalysis(x, n, 0, alpha2=1, beta2=1)
-            data = BasketData.create(x, n)
-            pp = partition_posterior(data, pset, prior)
+            result = analyze(BasketData.create(x, n), pset=pset, prior=prior)
+            pp = result.partition_posterior
             for j in range(len(pset)):
                 assert abs(pp.weights[j] - float(oracle.weights[j])) < 1e-9
             for b in range(3):
-                post = local_posterior(b, data, pp, pset, prior)
+                post = result.posteriors[b]
                 alpha, beta = oracle.local_params(b)
                 assert abs(post.alpha - float(alpha)) < 1e-9
                 assert abs(post.beta - float(beta)) < 1e-9
@@ -277,15 +264,13 @@ class TestInvariants:
             n = rng.integers(1, 12, size=4)
             x = rng.integers(0, n + 1)
             perm = rng.permutation(4)
-            data = BasketData.create(x, n)
-            pdata = BasketData.create(x[perm], n[perm])
-            pp = partition_posterior(data, pset)
-            ppp = partition_posterior(pdata, pset)
-            psi = similarity_matrix(pp, pset).psi
-            ppsi = similarity_matrix(ppp, pset).psi
+            result = analyze(BasketData.create(x, n), pset=pset)
+            presult = analyze(BasketData.create(x[perm], n[perm]), pset=pset)
+            psi = result.similarity
+            ppsi = presult.similarity
             for i in range(4):
-                post = local_posterior(int(np.where(perm == i)[0][0]), pdata, ppp, pset)
-                ref = local_posterior(i, data, pp, pset)
+                post = presult.posteriors[int(np.where(perm == i)[0][0])]
+                ref = result.posteriors[i]
                 assert post.alpha == pytest.approx(ref.alpha, abs=1e-9)
                 assert post.beta == pytest.approx(ref.beta, abs=1e-9)
                 for j in range(4):
@@ -302,11 +287,10 @@ class TestInvariants:
         for _ in range(60):
             n = rng.integers(1, 16, size=4)
             x = rng.integers(0, n + 1)
-            data = BasketData.create(x, n)
-            pp = partition_posterior(data, pset)
-            top = pset.partition(pp.top_index)
+            result = analyze(BasketData.create(x, n), pset=pset, prior=prior)
+            top = result.top_partition
             for b in range(4):
-                post = local_posterior(b, data, pp, pset, prior)
+                post = result.posteriors[b]
                 alone = BetaParams(prior.alpha + x[b], prior.beta + n[b] - x[b])
                 label = top.membership[b]
                 bs = sum(int(x[t]) for t in range(4) if top.membership[t] == label)
@@ -327,16 +311,16 @@ class TestBatchPosterior:
         alpha, beta = engine.borrow_params(xs)
         probs = engine.exceed_probs(xs, 0.15)
         for t in range(len(xs)):
-            data = BasketData.create(xs[t], n)
-            pp = partition_posterior(data, pset)
+            result = analyze(BasketData.create(xs[t], n), pset=pset, theta0=0.15)
+            pp = result.partition_posterior
             assert np.allclose(weights[t], pp.weights, atol=1e-12)
             assert top[t] == pp.top_index
             assert top_prob[t] == pytest.approx(pp.top_prob, abs=1e-12)
             for b in range(4):
-                post = local_posterior(b, data, pp, pset)
+                post = result.posteriors[b]
                 assert alpha[t, b] == pytest.approx(post.alpha, abs=1e-10)
                 assert beta[t, b] == pytest.approx(post.beta, abs=1e-10)
-                assert probs[t, b] == pytest.approx(prob_exceeds(post, 0.15), abs=1e-12)
+                assert probs[t, b] == pytest.approx(result.prob_exceeds[b], abs=1e-12)
 
     def test_heterogeneous_theta0(self):
         n = [6, 6]
@@ -345,14 +329,9 @@ class TestBatchPosterior:
         xs = np.array([[2, 5], [0, 3]])
         probs = engine.exceed_probs(xs, np.array([0.25, 0.15]))
         for t in range(2):
-            data = BasketData.create(xs[t], n)
-            pp = partition_posterior(data, pset)
-            assert probs[t, 0] == pytest.approx(
-                prob_exceeds(local_posterior(0, data, pp, pset), 0.25), abs=1e-12
-            )
-            assert probs[t, 1] == pytest.approx(
-                prob_exceeds(local_posterior(1, data, pp, pset), 0.15), abs=1e-12
-            )
+            result = analyze(BasketData.create(xs[t], n), pset=pset, theta0=[0.25, 0.15])
+            assert probs[t, 0] == pytest.approx(result.prob_exceeds[0], abs=1e-12)
+            assert probs[t, 1] == pytest.approx(result.prob_exceeds[1], abs=1e-12)
 
     def test_rows_do_not_depend_on_batch(self):
         rng = np.random.default_rng(36)
@@ -366,6 +345,34 @@ class TestBatchPosterior:
             w1, top1, prob1 = engine.posterior(xs[t])
             assert np.array_equal(w1[0], weights[t])
             assert top1[0] == top[t] and prob1[0] == top_prob[t]
+
+    def test_chunked_rows_equal_one_chunk(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        n = [6, 9, 4, 7]
+        engine = BatchPosterior(n, PartitionSet.build(4, 1.0))
+        xs = rng.integers(0, np.asarray(n) + 1, size=(60, 4))
+        theta0 = np.array([0.1, 0.2, 0.3, 0.15])
+        whole = engine.exceed_probs(xs, theta0)
+        # 15 partitions x 7 rows per chunk: eight full chunks and one of 4 rows.
+        monkeypatch.setattr(posterior, "MAX_CELLS", 15 * 7)
+        chunked = engine.exceed_probs(xs, theta0)
+        assert chunked.shape == whole.shape and chunked.tobytes() == whole.tobytes()
+
+    def test_b10_rows_bounded_memory(self):
+        # A B = 10 row holds about 1.9 MB of weights and temporaries, so 300
+        # rows at once would peak near 570 MB; chunks of MAX_CELLS cells stay
+        # near 270 MB.
+        rng = np.random.default_rng(38)
+        engine = BatchPosterior([12] * 10, PartitionSet.build(10, 2.0))
+        xs = rng.integers(0, 13, size=(300, 10))
+        tracemalloc.start()
+        try:
+            probs = engine.exceed_probs(xs, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert probs.shape == (300, 10)
+        assert peak < 400e6
 
     def test_b10_index_arrays_under_50mb(self):
         engine = BatchPosterior([1] * 10, PartitionSet.build(10, 0.0))

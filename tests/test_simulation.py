@@ -7,7 +7,7 @@ import pytest
 
 from localmem.design import Decision, DesignSpec, run_two_stage, run_single_stage
 from localmem.errors import CapacityError, DomainError, ShapeError
-from localmem.numerics import binom_cdf, reg_inc_beta
+from localmem.numerics import binom_sf, reg_inc_beta
 from localmem.posterior import BasketData
 from localmem import design, simulation
 from localmem.simulation import (
@@ -286,7 +286,7 @@ class TestMonteCarloAgainstExactBinomial:
         for theta in (0.15, 0.45):
             scenario = Scenario.from_rates(spec, [theta], "one")
             oc = simulate(spec, scenario, n_sims, seed=1234)
-            exact = 1.0 - binom_cdf(cutoff - 1, 19, theta)
+            exact = binom_sf(cutoff - 1, 19, theta)
             se = math.sqrt(exact * (1 - exact) / n_sims)
             assert abs(oc.per_basket_reject_rate[0] - exact) < 4 * se
 
