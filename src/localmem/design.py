@@ -98,6 +98,10 @@ class DesignSpec:
         num_baskets = as_int(num_baskets, "num_baskets")
         if num_baskets < 1:
             raise DomainError(f"need at least one basket, got {num_baskets}")
+        if num_baskets > MAX_BASKETS:
+            raise CapacityError(
+                f"{num_baskets} baskets exceeds the partition-enumeration cap of {MAX_BASKETS}"
+            )
         spec = cls(
             num_baskets=num_baskets,
             max_sizes=expand(max_sizes, "max_sizes", integer=True),
@@ -123,10 +127,6 @@ class DesignSpec:
             raise DomainError(f"lam must lie in (0, 1), got {self.lam}")
         if self.gamma < 0.0:
             raise DomainError(f"gamma must be >= 0, got {self.gamma}")
-        if self.num_baskets > MAX_BASKETS:
-            raise CapacityError(
-                f"{self.num_baskets} baskets exceeds the partition-enumeration cap of {MAX_BASKETS}"
-            )
         for b in range(self.num_baskets):
             if self.max_sizes[b] < 1:
                 raise DomainError(f"basket {b}: max size must be >= 1")

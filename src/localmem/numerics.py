@@ -6,16 +6,20 @@ arrays; scalar inputs yield scalar outputs.
 
 Random draws come from one stream per key, such as (trial, basket, stage):
 the stream of key k under a master seed is numpy's
-Generator(PCG64(SeedSequence(seed, spawn_key=k))). binomial_draws derives
-the seed words of many streams at once, with SeedSequence's pool mixing
-(O'Neill's seed_seq) redone in uint32 numpy arithmetic over all keys, turns
-each into its PCG64 state with PCG64's srandom step, and draws every stream
-through one reused Generator. The draws therefore equal those of a fresh
-generator per stream as long as numpy keeps SeedSequence and PCG64
-stream-compatible, which its NEP 19 policy promises and a test checks. Each
-key must be below 2^32: SeedSequence hashes a larger key as two words,
-which the fixed-width hash here does not reproduce, so such a key raises
-CapacityError.
+Generator(PCG64(SeedSequence(seed, spawn_key=k))). binomial_draws makes the
+first binomial draw of many streams in one numpy pass. It redoes
+SeedSequence's pool mixing (O'Neill's seed_seq) in uint32 arithmetic over
+all keys, turns each row's seed words into its PCG64 (state, inc) held as
+uint64 hi/lo limbs, and steps the 128-bit state with products built from
+32-bit halves. Rows in numpy's inversion branch are then drawn together by
+a masked copy of numpy's inversion sampler; the few rows numpy draws by BTPE
+go through one Generator set to their state. The draws therefore equal those
+of a fresh generator per stream as long as numpy keeps SeedSequence, PCG64
+and its binomial samplers stream-compatible, which its NEP 19 policy
+promises and tests check, at random keys and at crafted states on the
+sampler's thresholds. Each key must be below 2^32: SeedSequence hashes a
+larger key as two words, which the fixed-width hash here does not
+reproduce, so such a key raises CapacityError.
 """
 
 from __future__ import annotations
@@ -316,8 +320,13 @@ _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_PCG64_MULT_HI = np.uint64(0x2360ED051FC65DA4)
+_PCG64_MULT_LO = np.uint64(0x4385DF649FCCF645)
+_LOW32 = np.uint64(_MASK32)
+_SHIFT32 = np.uint64(32)
+_ONE = np.uint64(1)
+# numpy draws a binomial by inversion when min(p, 1 - p) * n is at most this.
+_INVERSION_MAX_MEAN = 30.0
 
 
 class _Hasher:
@@ -373,10 +382,118 @@ def _seed_words(seed: int, keys: np.ndarray) -> np.ndarray:
     return words
 
 
-def _pcg64_state(w0: int, w1: int, w2: int, w3: int) -> dict:
-    """The state PCG64 seeds itself with from four seed words (its srandom step)."""
-    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-    return {"state": ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
+def _mul_wide(a: np.ndarray, b) -> tuple[np.ndarray, np.ndarray]:
+    """The full 128-bit products of uint64 values, as (hi, lo), from 32-bit halves."""
+    a0, a1 = a & _LOW32, a >> _SHIFT32
+    b0, b1 = b & _LOW32, b >> _SHIFT32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
+    lo = (p00 & _LOW32) | (mid << _SHIFT32)
+    hi = a1 * b1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg64_step(s_hi, s_lo, i_hi, i_lo) -> tuple[np.ndarray, np.ndarray]:
+    """state * MULT + inc mod 2^128, on (hi, lo) limbs."""
+    hi, lo = _mul_wide(s_lo, _PCG64_MULT_LO)
+    return _add128(hi + s_hi * _PCG64_MULT_LO + s_lo * _PCG64_MULT_HI, lo, i_hi, i_lo)
+
+
+def _pcg64_limbs(words: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (state, inc) PCG64 seeds itself with from (N, 4) seed words (its
+    srandom step), as uint64 limbs (state_hi, state_lo, inc_hi, inc_lo)."""
+    w0, w1, w2, w3 = words.T
+    inc_hi = w2 << _ONE | w3 >> np.uint64(63)
+    inc_lo = w3 << _ONE | _ONE
+    return (*_pcg64_step(*_add128(inc_hi, inc_lo, w0, w1), inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _next_double(s_hi, s_lo, i_hi, i_lo) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One PCG64 step and its XSL-RR output as a double in [0, 1): (state_hi, state_lo, u)."""
+    s_hi, s_lo = _pcg64_step(s_hi, s_lo, i_hi, i_lo)
+    rot = s_hi >> np.uint64(58)
+    x = s_hi ^ s_lo
+    out = x >> rot | x << (-rot & np.uint64(63))
+    return s_hi, s_lo, (out >> np.uint64(11)).astype(float) * 2.0**-53
+
+
+def _inversion(limbs: tuple[np.ndarray, ...], n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """numpy's inversion sampler (BINV) for 0 < p <= 0.5 and n * p <= 30, run
+    as one masked loop over the rows still searching.
+
+    Its constants are computed once per distinct (n, p) with Python's math,
+    in the operation order of numpy's C code: qn = exp(n * log1p(-p)) and
+    the search bound int(min(n, np + 10 sqrt(np q + 1))), past which a row
+    restarts on a fresh double.
+    """
+    n_vals, n_idx = np.unique(n, return_inverse=True)
+    p_vals, p_idx = np.unique(p, return_inverse=True)
+    pairs, pair_idx = np.unique(n_idx * len(p_vals) + p_idx, return_inverse=True)
+    qn_of, bound_of = np.empty(len(pairs)), np.empty(len(pairs), dtype=np.int64)
+    pair_n, pair_p = n_vals[pairs // len(p_vals)], p_vals[pairs % len(p_vals)]
+    for j, (nj, pj) in enumerate(zip(pair_n.tolist(), pair_p.tolist())):
+        mean = nj * pj
+        qn_of[j] = math.exp(nj * math.log1p(-pj))
+        bound_of[j] = int(min(nj, mean + 10.0 * math.sqrt(mean * (1.0 - pj) + 1)))
+    qn, bound, q = qn_of[pair_idx], bound_of[pair_idx], 1.0 - p
+    i_hi, i_lo = limbs[2:]
+    s_hi, s_lo, u = _next_double(*limbs)
+    rows = np.arange(len(n))
+    x = np.zeros(len(n), dtype=np.int64)
+    px = qn
+    out = np.empty(len(n), dtype=np.int64)
+    while True:
+        search = u > px
+        out[rows[~search]] = x[~search]
+        if not search.any():
+            return out
+        rows, x, px, u, n, p, q, bound = (a[search] for a in (rows, x, px, u, n, p, q, bound))
+        x += 1
+        u = u - px
+        px = ((n - x + 1) * p * px) / (x * q)
+        restart = np.flatnonzero(x > bound)
+        if restart.size:
+            r = rows[restart]
+            x[restart] = 0
+            px[restart] = qn[r]
+            s_hi[r], s_lo[r], u[restart] = _next_double(s_hi[r], s_lo[r], i_hi[r], i_lo[r])
+
+
+def _binomial_from_limbs(limbs: tuple[np.ndarray, ...], n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The first Generator.binomial(n[i], p[i]) of PCG64 streams given by their
+    (state_hi, state_lo, inc_hi, inc_lo) limbs, for n > 0 and 0 < p < 1.
+
+    Like numpy, p > 0.5 is drawn as n - Binomial(n, 1 - p). Rows with
+    min(p, 1 - p) * n <= 30 take the vectorised inversion sampler; the rest
+    (numpy's BTPE branch) are drawn one by one through a Generator set to
+    their state.
+    """
+    flip = p > 0.5
+    small = np.where(flip, 1.0 - p, p)
+    inv = small * n <= _INVERSION_MAX_MEAN
+    out = np.empty(len(n), dtype=np.int64)
+    rows = np.flatnonzero(inv)
+    x = _inversion(tuple(a[rows] for a in limbs), n[rows], small[rows])
+    out[rows] = np.where(flip[rows], n[rows] - x, x)
+    rows = np.flatnonzero(~inv)
+    if rows.size:
+        bitgen = np.random.PCG64(0)
+        gen = np.random.Generator(bitgen)
+        s_hi, s_lo, i_hi, i_lo = (a[rows].tolist() for a in limbs)
+        for k, i in enumerate(rows.tolist()):
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": s_hi[k] << 64 | s_lo[k], "inc": i_hi[k] << 64 | i_lo[k]},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            out[i] = gen.binomial(int(n[i]), float(p[i]))
+    return out
 
 
 def binomial_draws(seed: int, keys, n, p) -> np.ndarray:
@@ -387,6 +504,14 @@ def binomial_draws(seed: int, keys, n, p) -> np.ndarray:
     function of (seed, keys[i], n[i], p[i]) and independent of the other
     rows. n == 0 or p == 0 gives 0 and p == 1 gives n, without drawing.
     Every argument is checked before anything is drawn.
+
+    Seed words and PCG64 states are derived in numpy, each 128-bit state as
+    two uint64 limbs. Rows in numpy's inversion branch (min(p, 1 - p) * n
+    <= 30, every cohort of the paper's designs) are drawn together by a
+    vectorised copy of numpy's inversion sampler. Its starting probability
+    must be exp(n * log1p(-p)), as in numpy: exp(n * log(1 - p)) can differ
+    in the last bit and move a draw. Larger rows go through numpy's BTPE
+    sampler, one Generator call per row.
     """
     seed = as_int(seed, "seed")
     if not (0 <= seed < 2**64):
@@ -411,17 +536,7 @@ def binomial_draws(seed: int, keys, n, p) -> np.ndarray:
 
     out = np.where(p == 1.0, n, 0).astype(np.int64)
     todo = np.flatnonzero((n > 0) & (p > 0.0) & (p < 1.0))
-    if todo.size == 0:
-        return out
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    words = _seed_words(seed, keys[todo])
-    for i, w, ni, pi in zip(todo.tolist(), words, n[todo].tolist(), p[todo].tolist()):
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": _pcg64_state(*w.tolist()),
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        out[i] = gen.binomial(ni, pi)
+    if todo.size:
+        limbs = _pcg64_limbs(_seed_words(seed, keys[todo]))
+        out[todo] = _binomial_from_limbs(limbs, n[todo].astype(np.int64), p[todo])
     return out

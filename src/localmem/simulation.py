@@ -3,8 +3,9 @@
 Each simulated trial draws its stage cohorts from a dedicated random stream
 keyed on (seed, trial, basket, stage), so results are bit-identical no matter
 how trials are split across workers. Draws are made in blocks of 512 trials
-(TRIAL_BLOCK), one vectorised seeding pass per block, so memory stays
-bounded at any trial count. Aggregation uses integer counters only.
+(TRIAL_BLOCK), one numpy binomial_draws pass per block that seeds and draws
+every stream of the block, so memory stays bounded at any trial count.
+Aggregation uses integer counters only.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from localmem.design import (
     stopping_boundary,
     survivor_exceedance,
 )
-from localmem.errors import DomainError, ShapeError
+from localmem.errors import CapacityError, DomainError, ShapeError
 from localmem.numerics import reg_inc_beta
 from localmem.posterior import JEFFREYS_PRIOR, BasketData, analyze
 
@@ -101,6 +101,14 @@ class TestDesignSpec:
             DesignSpec.create(2, 16, 0.15, 0.45, lam=0.9, stages=2)  # no interim plan
         with pytest.raises(ShapeError):
             DesignSpec.create(3, (16, 16), 0.15, 0.45, lam=0.9, stages=1)
+
+    def test_basket_cap_is_checked_before_any_field_is_expanded(self):
+        class Untouchable:
+            def __iter__(self):
+                raise AssertionError("max_sizes was expanded before the basket cap was checked")
+
+        with pytest.raises(CapacityError):
+            DesignSpec.create(11, Untouchable(), 0.15, 0.45, lam=0.9, stages=1)
 
 
 class TestInterimStep:

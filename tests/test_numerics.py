@@ -10,7 +10,8 @@ from localmem.calibration import CalibrationProblem
 from localmem.design import DesignSpec, TrialState
 from localmem.errors import CapacityError, ConvergenceError, DomainError
 from localmem.numerics import (
-    _pcg64_state,
+    _binomial_from_limbs,
+    _pcg64_limbs,
     _seed_words,
     as_int,
     binom_pmf,
@@ -252,10 +253,13 @@ class TestStreamsMatchNumpy:
         keys[3:10] = rng.integers(2**32 - 3, 2**32, size=(7, 3))
         words = _seed_words(seed, keys)
         assert words.dtype == np.uint64 and words.shape == (1000, 4)
-        for row, w in zip(keys.tolist(), words.tolist()):
+        limbs = [a.tolist() for a in _pcg64_limbs(words)]
+        for row, w, s_hi, s_lo, i_hi, i_lo in zip(keys.tolist(), words.tolist(), *limbs):
             seq = np.random.SeedSequence(seed, spawn_key=row)
             assert w == seq.generate_state(4, np.uint64).tolist()
-            assert _pcg64_state(*w) == np.random.PCG64(seq).state["state"]
+            state = np.random.PCG64(seq).state["state"]
+            assert s_hi << 64 | s_lo == state["state"]
+            assert i_hi << 64 | i_lo == state["inc"]
 
     def test_draws_equal_fresh_generators(self):
         # n up to 1000 covers numpy's BTPE branch as well as inversion
@@ -273,6 +277,108 @@ class TestStreamsMatchNumpy:
                 assert got == ni
             else:
                 assert got == fresh_stream(12345, row).binomial(ni, pi)
+
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = 2**64 - 1
+
+
+def state_for_first_double(k, inc):
+    """A PCG64 state whose next double is exactly k * 2^-53.
+
+    The stepped state gets rotation 0 (top six bits clear) and low word
+    hi ^ (k << 11), so its XSL-RR output is k << 11; one step is then
+    inverted: pre = (post - inc) * MULT^-1 mod 2^128.
+    """
+    hi = (0x0123456789ABCDEF ^ k) & (2**58 - 1)
+    post = hi << 64 | hi ^ k << 11
+    return (post - inc) * pow(_PCG64_MULT, -1, 2**128) % 2**128
+
+
+def generator_at(state, inc):
+    bitgen = np.random.PCG64(0)
+    bitgen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bitgen)
+
+
+def double_index(u, shift=0):
+    """The k whose double k * 2^-53 is nearest u, moved by shift, within [0, 2^53)."""
+    return min(max(round(u * 2**53) + shift, 0), 2**53 - 1)
+
+
+def inversion_thresholds(n, p):
+    """U values where numpy's inversion sampler moves from X to X + 1 (p <= 0.5)."""
+    q = 1.0 - p
+    px = math.exp(n * math.log1p(-p))
+    cut, cuts = px, [px]
+    for x in range(1, n + 1):
+        px = (n - x + 1) * p * px / (x * q)
+        cut += px
+        cuts.append(cut)
+    return cuts
+
+
+class TestInversionAtCraftedStates:
+    # Random rows almost never land within a few 2^-53 of a threshold of
+    # numpy's sampler; these states put the first double exactly there.
+    INC = (0x9E3779B97F4A7C15F39CC0605CEDC835 << 1 | 1) % 2**128
+
+    def assert_matches_numpy(self, ks, n, p, inc=INC):
+        states = [state_for_first_double(k, inc) for k in ks]
+        limbs = tuple(
+            np.array(values, dtype=np.uint64)
+            for values in (
+                [s >> 64 for s in states],
+                [s & _MASK64 for s in states],
+                [inc >> 64] * len(ks),
+                [inc & _MASK64] * len(ks),
+            )
+        )
+        got = _binomial_from_limbs(limbs, np.full(len(ks), n), np.full(len(ks), p))
+        want = [int(generator_at(s, inc).binomial(n, p)) for s in states]
+        assert got.tolist() == want
+
+    def test_crafted_state_gives_the_chosen_double(self):
+        for k in (0, 1, 2**52 + 12345, 2**53 - 1):
+            gen = generator_at(state_for_first_double(k, self.INC), self.INC)
+            assert gen.random() == k * 2.0**-53
+
+    @pytest.mark.parametrize("n, p", [(2, 0.15), (16, 0.15), (10, 0.45), (6, 0.3)])
+    def test_at_and_around_every_threshold(self, n, p):
+        ks = sorted(
+            {double_index(cut, d) for cut in inversion_thresholds(n, p) for d in range(-3, 4)}
+        )
+        self.assert_matches_numpy(ks, n, p)
+
+    @pytest.mark.parametrize("n, p", [(2, 0.15), (16, 0.15), (16, 0.85)])
+    def test_largest_doubles(self, n, p):
+        self.assert_matches_numpy([2**53 - 1, 2**53 - 2], n, p)
+
+    @pytest.mark.parametrize("n, p, bound", [(100, 0.01, 15), (400, 0.02, 37)])
+    def test_search_past_the_bound_restarts_on_a_fresh_double(self, n, p, bound):
+        # Doubles this close to 1 exceed every cumulative probability up to
+        # the search bound (below n here), so each row draws again.
+        assert inversion_thresholds(n, p)[bound] < 1.0 - 2.0**-49
+        ks = [2**53 - 1 - j for j in range(16)]
+        for inc in (self.INC, 1, 2**128 - 1, *(2 * j + 1 << 64 | 2 * j + 1 for j in range(1, 8))):
+            self.assert_matches_numpy(ks, n, p, inc)
+
+    # 0.5 * 60 == 30 stays on inversion; (1 - 0.7) * 100 rounds to
+    # 30.000000000000004, so (100, 0.7) takes BTPE.
+    @pytest.mark.parametrize(
+        "n, p",
+        [(10, 0.5), (60, 0.5), (16, 0.85), (100, 0.7), (61, 0.5), (120, 0.45)],
+        ids=["p=0.5", "np=30", "reflected", "(1-p)n>30 BTPE", "np>30 BTPE", "BTPE"],
+    )
+    def test_branch_edges(self, n, p):
+        ks = [0, 1, 2**51, 2**52, 2**52 + 2**51, 2**53 - 1]
+        ks += [double_index(cut) for cut in inversion_thresholds(n, min(p, 1 - p))[::7]]
+        self.assert_matches_numpy(ks, n, p)
 
 
 class TestLogSumExp:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import tracemalloc
@@ -240,6 +241,16 @@ class TestGenerateCounts:
         spec = paper_two_stage()
         with pytest.raises(CapacityError):
             generate_counts(spec, scenario_suite(spec)[0], range(2**32 - 1, 2**32 + 1), 0)
+
+    def test_paper_suite_counts_are_pinned(self):
+        # Every stream of the paper's OC table, 5 scenarios x 5000 trials:
+        # any change to seeding, state stepping or sampling moves this digest.
+        spec = paper_two_stage()
+        digest = hashlib.sha256()
+        for scenario in scenario_suite(spec):
+            for x in generate_counts(spec, scenario, range(5000), 20211):
+                digest.update(x.astype(np.int64).tobytes())
+        assert digest.hexdigest() == "e77b4e44fa33c8c76c4220f1aa26f6b4cf307f8e5c143fd1cc4a02b2bfdd4f8b"
 
     def test_memory_is_bounded_by_the_trial_block(self):
         spec = paper_two_stage()
