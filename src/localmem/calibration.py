@@ -12,11 +12,15 @@ probabilities, plus stage-2 exceedance probabilities for every survivor set a
 trial can produce as q1 sweeps through its range (survivor sets are nested in
 q1, so there are at most B + 1 of them per trial).
 
-The sweep is vectorised over the lam grid: per block of trials and per
-gamma, it counts every trial's survivors at each lam's q1 = lam * t^gamma in
-one comparison, gathers the stage-2 analysis of that survivor set, and adds
-integer FWER and power counts for the whole lam row. The counts are those of
-evaluating each grid point on its own.
+The sweep works on thresholds, not grid points. On the sorted lam grid,
+basket b survives the interim look (p1 > q1 = lam * t^gamma) exactly at the
+indices below one threshold, found by one `searchsorted` per gamma, and a
+stage-2 probability rejects (p2 > lam) exactly at the indices below another,
+found once. So between consecutive survivor thresholds a trial keeps one
+survivor set, and each of its stage-2 analyses rejects on one interval of
+indices. A difference array sums these intervals into integer FWER and power
+counts for the whole lam row, the counts of evaluating each grid point on its
+own.
 
 A single-stage design is the case with no interim look: it runs the same
 code with a stage 1 that stops no basket, and its sweep covers lam only.
@@ -24,6 +28,7 @@ code with a stage 1 that stops no basket, and its sweep covers lam only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,7 +36,7 @@ import numpy as np
 from .design import DesignSpec, survivor_exceedance
 from .errors import DomainError, InfeasibleCalibrationError
 from .numerics import as_int
-from .simulation import TRIAL_BLOCK, Scenario, _collect, generate_counts
+from .simulation import Scenario, _collect, generate_counts
 
 DEFAULT_LAMBDA_GRID = tuple(np.round(np.arange(0.900, 0.9995, 0.001), 3))
 DEFAULT_GAMMA_GRID = tuple(np.round(np.arange(0.0, 3.0001, 0.05), 2))
@@ -52,9 +57,9 @@ class CalibrationProblem:
         if not self.lambda_grid or any(not (0.0 < v < 1.0) for v in self.lambda_grid):
             raise DomainError("lambda grid must be non-empty with values in (0, 1)")
         if self.spec_template.stages == 2 and (
-            not self.gamma_grid or any(v < 0.0 for v in self.gamma_grid)
+            not self.gamma_grid or any(not (math.isfinite(v) and v >= 0.0) for v in self.gamma_grid)
         ):
-            raise DomainError("gamma grid must be non-empty with values >= 0")
+            raise DomainError("gamma grid must be non-empty with finite values >= 0")
         if not (0.0 <= self.fwer_target < 1.0):
             raise DomainError(f"fwer_target must lie in [0, 1), got {self.fwer_target}")
         object.__setattr__(self, "n_sims", as_int(self.n_sims, "n_sims"))
@@ -117,6 +122,41 @@ def _two_stage_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     return p1, p2
 
 
+def _sweep_counts(p1, p2, weights, lam_grid, t_frac, gamma_grid) -> np.ndarray:
+    """Weighted rejection counts per (gamma, lam), lam in the grid's order.
+
+    count[g, i] sums weights[j] * (p2[t, r, j] > lam_i) over trials t and
+    columns j, where r = (p1[t] > lam_i * t_frac**gamma_g).sum() survivors.
+    On the sorted lam grid each (trial, cut, column) rejects on one interval
+    of indices; a difference array adds up the intervals.
+    """
+    num_trials, num_baskets = p1.shape
+    order = np.argsort(lam_grid, kind="stable")
+    lam_s = lam_grid[order]
+    width = len(lam_s) + 1
+    # p2[t, r, j] > lam_s[i] iff i < reject[t, r, j]
+    reject = np.searchsorted(lam_s, p2, side="left")
+    offsets = np.arange(p2.shape[2]) * width
+    # Each trial's survivor thresholds, highest first, framed by len(lam_s)
+    # and 0: cut r (r survivors) holds on [bounds[:, r + 1], bounds[:, r]).
+    bounds = np.empty((num_trials, num_baskets + 2), dtype=np.intp)
+    bounds[:, 0], bounds[:, -1] = len(lam_s), 0
+    lo, top = bounds[:, 1:, None], bounds[:, :-1, None]
+    p1_desc = np.sort(p1, axis=1)[:, ::-1]
+    counts = np.empty((len(gamma_grid), len(lam_s)), dtype=np.int64)
+    for g, gamma in enumerate(gamma_grid):
+        # t_frac**gamma >= 0 scales the sorted grid into a sorted q1 grid
+        q1_s = lam_s * t_frac**gamma
+        # basket b survives at sorted index i iff i < s_b, i.e. p1 > q1
+        bounds[:, 1:-1] = np.searchsorted(q1_s, p1_desc, side="left")
+        hi = np.maximum(lo, np.minimum(top, reject))
+        ends = np.bincount((hi + offsets).ravel(), minlength=offsets.size * width)
+        diff = weights.sum() * np.bincount(lo.ravel(), minlength=width)
+        diff -= weights @ ends.reshape(-1, width)
+        counts[g, order] = np.cumsum(diff[:-1])
+    return counts
+
+
 def calibrate(problem: CalibrationProblem, workers: int = 1) -> CalibrationResult:
     """Grid search over (lam, gamma).
 
@@ -138,24 +178,12 @@ def calibrate(problem: CalibrationProblem, workers: int = 1) -> CalibrationResul
     p2_null = np.concatenate([p[1] for p in null_parts])
     p1_alt = np.concatenate([p[0] for p in alt_parts])
     p2_alt = np.concatenate([p[1] for p in alt_parts])
-    lam_arr = np.asarray(problem.lambda_grid, dtype=float)
-
-    # (fwer_count, power_count) per (gamma, lam), summed over trial blocks
-    fwer_counts = np.zeros((len(gamma_grid), len(lam_arr)), dtype=np.int64)
-    power_counts = np.zeros_like(fwer_counts)
-    for lo in range(0, n_sims, TRIAL_BLOCK):
-        p1n, p1a = p1_null[lo : lo + TRIAL_BLOCK], p1_alt[lo : lo + TRIAL_BLOCK]
-        p2n_max = p2_null[lo : lo + TRIAL_BLOCK].max(axis=2)
-        p2a = p2_alt[lo : lo + TRIAL_BLOCK]
-        rows = np.arange(len(p1n))[:, None]
-        for g, gamma in enumerate(gamma_grid):
-            q1 = lam_arr * t_frac**gamma
-            # survivor counts per (trial, lam); at most MAX_BASKETS, so int8
-            r_null = (p1n[:, :, None] > q1).sum(axis=1, dtype=np.int8)
-            fwer_counts[g] += (p2n_max[rows, r_null] > lam_arr).sum(axis=0)
-            r_alt = (p1a[:, :, None] > q1).sum(axis=1, dtype=np.int8)
-            for b, weight in enumerate(weights):
-                power_counts[g] += weight * (p2a[rows, r_alt, b] > lam_arr).sum(axis=0)
+    lam_grid = np.asarray(problem.lambda_grid, dtype=float)
+    fwer_counts = _sweep_counts(
+        p1_null, p2_null.max(axis=2, keepdims=True), np.ones(1, dtype=np.int64),
+        lam_grid, t_frac, gamma_grid,
+    )
+    power_counts = _sweep_counts(p1_alt, p2_alt, weights, lam_grid, t_frac, gamma_grid)
     candidates = [
         (int(fwer_counts[g, i]), int(power_counts[g, i]), float(lam), float(gamma))
         for g, gamma in enumerate(gamma_grid)

@@ -15,6 +15,7 @@ engine, borrowing step and incomplete beta, so the two agree bit for bit.
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -51,8 +52,8 @@ def stopping_boundary(lam: float, gamma: float, t: float) -> Boundary:
     """Power-function boundary (q1, q2) = (lam * t**gamma, lam)."""
     if not (0.0 < lam < 1.0):
         raise DomainError(f"lam must lie in (0, 1), got {lam}")
-    if gamma < 0.0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise DomainError(f"gamma must be finite and >= 0, got {gamma}")
     if not (0.0 < t <= 1.0):
         raise DomainError(f"information fraction t must lie in (0, 1], got {t}")
     return Boundary(q1=lam * t**gamma, q2=lam)
@@ -125,8 +126,10 @@ class DesignSpec:
             raise DomainError(f"stages must be 1 or 2, got {self.stages}")
         if not (0.0 < self.lam < 1.0):
             raise DomainError(f"lam must lie in (0, 1), got {self.lam}")
-        if self.gamma < 0.0:
-            raise DomainError(f"gamma must be >= 0, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise DomainError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not math.isfinite(self.delta):
+            raise DomainError(f"delta must be finite, got {self.delta}")
         for b in range(self.num_baskets):
             if self.max_sizes[b] < 1:
                 raise DomainError(f"basket {b}: max size must be >= 1")

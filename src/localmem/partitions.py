@@ -13,6 +13,7 @@ maximum label. :class:`Partition` is the value a report derives from one row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,6 +86,8 @@ def partition_prior(memberships, delta: float) -> np.ndarray:
     delta = 0 is uniform; positive delta favors partitions with more blocks
     (less pooling), negative delta favors fewer blocks.
     """
+    if not math.isfinite(delta):
+        raise DomainError(f"delta must be finite, got {delta}")
     labels = np.asarray(memberships)
     if labels.ndim != 2 or labels.size == 0:
         raise ShapeError("partition_prior needs a non-empty (partitions, baskets) array")

@@ -8,6 +8,7 @@ from localmem.calibration import (
     CalibrationProblem,
     CalibrationResult,
     FrontierPoint,
+    _sweep_counts,
     _two_stage_chunk,
     calibrate,
     calibrated_spec,
@@ -266,6 +267,13 @@ class TestVectorisedSweep:
             ),
             (fixed_template(), (0.8, 0.9, 0.95, 0.99), (0.0,), 1300, 0.99),
             (fixed_template(num_baskets=3, size=(12, 19, 25)), None, None, 1500, 0.10),
+            (
+                two_stage_template(),
+                (0.99, 0.95, 0.977, 0.95, 0.9, 0.985, 0.977),
+                (1.5, 0.0, 0.7, 0.7),
+                900,
+                0.99,
+            ),
         ],
         ids=[
             "paper-default-grid",
@@ -273,6 +281,7 @@ class TestVectorisedSweep:
             "unequal-two-stage",
             "single-stage",
             "single-stage-default-grid",
+            "unsorted-duplicated-grid",
         ],
     )
     def test_equals_per_point_evaluation(
@@ -300,6 +309,77 @@ class TestVectorisedSweep:
         assert peak < 6e6
 
 
+def brute_sweep_counts(p1, p2, weights, lam_grid, t_frac, gamma_grid):
+    """The rule _sweep_counts applies, at one (gamma, lam) at a time."""
+    rows = np.arange(len(p1))
+    counts = np.zeros((len(gamma_grid), len(lam_grid)), dtype=np.int64)
+    for g, gamma in enumerate(gamma_grid):
+        for i, lam in enumerate(lam_grid):
+            survivors = (p1 > lam * t_frac**gamma).sum(axis=1)
+            counts[g, i] = ((p2[rows, survivors] > lam) * weights).sum()
+    return counts
+
+
+class TestSweepCounts:
+    # Values are drawn from small pools so that p1 sits exactly on q1 grid
+    # values, ties within a trial are common, p2 equals lam grid values and
+    # some cuts are -inf.
+    LAMBDAS = (0.99, 0.95, 0.977, 0.95, 0.9, 0.985, 0.977, 0.93)
+    GAMMAS = (0.0, 0.7, 1.5, 0.7, 3.0)
+    T_FRAC = 10 / 16
+
+    def synthetic(self, rng, num_trials, num_baskets, columns):
+        q1_values = [lam * self.T_FRAC**gamma for lam in self.LAMBDAS for gamma in self.GAMMAS]
+        p1_pool = np.concatenate([q1_values, rng.uniform(0.0, 1.0, 40), [0.0, 1.0]])
+        p1 = rng.choice(p1_pool, size=(num_trials, num_baskets))
+        p2_pool = np.concatenate([self.LAMBDAS, rng.uniform(0.85, 1.0, 40), [-np.inf]])
+        p2 = rng.choice(p2_pool, size=(num_trials, num_baskets + 1, columns))
+        return p1, p2
+
+    @pytest.mark.parametrize("num_baskets", [1, 2, 4, 6])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_equals_brute_force(self, num_baskets, weighted):
+        rng = np.random.default_rng(num_baskets)
+        columns = num_baskets if weighted else 1
+        p1, p2 = self.synthetic(rng, 1300, num_baskets, columns)
+        weights = rng.integers(1, 30, columns) if weighted else np.ones(1, dtype=np.int64)
+        lam_grid = np.asarray(self.LAMBDAS)
+        got = _sweep_counts(p1, p2, weights, lam_grid, self.T_FRAC, self.GAMMAS)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(
+            got, brute_sweep_counts(p1, p2, weights, lam_grid, self.T_FRAC, self.GAMMAS)
+        )
+
+    def test_tied_trial_and_exact_threshold(self):
+        lam_grid = np.array([0.95, 0.9, 0.95])
+        q1 = 0.95 * self.T_FRAC**0.7
+        p1 = np.array([[0.8, 0.8, 0.1], [q1, q1, q1]])
+        p2 = np.full((2, 4, 1), -np.inf)
+        # the cut inside trial 0's tie is never reached, so its 0.99 never counts
+        p2[0, 1], p2[0, 2], p2[1, 3] = 0.99, 0.96, 0.95
+        got = _sweep_counts(p1, p2, np.ones(1, dtype=np.int64), lam_grid, self.T_FRAC, (0.7,))
+        np.testing.assert_array_equal(
+            got, brute_sweep_counts(p1, p2, 1, lam_grid, self.T_FRAC, (0.7,))
+        )
+        # trial 0 keeps two baskets at every lam; trial 1, with p1 on
+        # q1(0.95), keeps all three at lam = 0.9 and none at lam = 0.95
+        np.testing.assert_array_equal(got, [[1, 2, 1]])
+
+    def test_single_stage_has_no_interim_look(self):
+        rng = np.random.default_rng(7)
+        p1 = np.full((700, 3), np.inf)
+        p2 = np.full((700, 4, 3), -np.inf)
+        p2[:, 3] = rng.choice([0.9, 0.95, 0.97, 0.99, 0.5], size=(700, 3))
+        weights = np.array([12, 19, 25])
+        lam_grid = np.asarray(self.LAMBDAS)
+        got = _sweep_counts(p1, p2, weights, lam_grid, 1.0, (0.0,))
+        np.testing.assert_array_equal(
+            got, brute_sweep_counts(p1, p2, weights, lam_grid, 1.0, (0.0,))
+        )
+        expected = [((p2[:, 3] > lam) * weights).sum() for lam in lam_grid]
+        np.testing.assert_array_equal(got, [expected])
+
+
 class TestProblemValidation:
     def test_bad_grids(self):
         with pytest.raises(DomainError):
@@ -308,5 +388,8 @@ class TestProblemValidation:
             CalibrationProblem(spec_template=two_stage_template(), lambda_grid=(1.2,))
         with pytest.raises(DomainError):
             CalibrationProblem(spec_template=two_stage_template(), gamma_grid=(-0.5,))
+        for gamma in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="gamma"):
+                CalibrationProblem(spec_template=two_stage_template(), gamma_grid=(gamma, 0.5))
         with pytest.raises(DomainError):
             CalibrationProblem(spec_template=two_stage_template(), n_sims=0)

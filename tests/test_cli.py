@@ -91,6 +91,14 @@ class TestAnalyze:
         )
         assert run(["analyze", "--config", cfg, "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_non_finite_delta_exits_2(self, tmp_path, delta):
+        cfg = write_config(
+            tmp_path, "a.json", {"x": [1, 2], "n": [4, 4], "delta": delta, "theta0": 0.15}
+        )
+        assert run(["analyze", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("theta0", [0, 1.2])
     def test_theta0_outside_unit_interval_exits_2(self, tmp_path, theta0):
         cfg = write_config(
@@ -334,6 +342,15 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "out", "--workers", 0]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field", ["gamma", "delta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_spec_value_exits_2(self, tmp_path, field, value):
+        config = self.simulate_config()
+        config["spec"][field] = value
+        cfg = write_config(tmp_path, "s.json", config)
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestCalibrate:
     def test_small_grid_round_trip(self, tmp_path):
@@ -382,6 +399,14 @@ class TestCalibrate:
         cfg = write_config(tmp_path, "c.json", self.small_grid_config(7))
         assert run(["calibrate", "--config", cfg, "--out", tmp_path, "--seed", -1]) == 2
         assert run(["calibrate", "--config", cfg, "--out", tmp_path, "--seed", 2**64]) == 2
+
+    @pytest.mark.parametrize("gamma_grid", [[float("nan"), 0.5], [float("inf")]])
+    def test_non_finite_gamma_grid_exits_2(self, tmp_path, gamma_grid):
+        config = self.small_grid_config(7)
+        config["gamma_grid"] = gamma_grid
+        cfg = write_config(tmp_path, "c.json", config)
+        assert run(["calibrate", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_infeasible_exits_1(self, tmp_path):
         spec = dict(TWO_STAGE_SPEC)

@@ -69,6 +69,11 @@ class TestStoppingBoundary:
         with pytest.raises(DomainError):
             stopping_boundary(0.9, 1.0, 0.0)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_non_finite_gamma(self, gamma):
+        with pytest.raises(DomainError, match="gamma"):
+            stopping_boundary(0.9, gamma, 0.5)
+
 
 class TestDesignSpec:
     def test_interim_from_fraction(self):
@@ -101,6 +106,18 @@ class TestDesignSpec:
             DesignSpec.create(2, 16, 0.15, 0.45, lam=0.9, stages=2)  # no interim plan
         with pytest.raises(ShapeError):
             DesignSpec.create(3, (16, 16), 0.15, 0.45, lam=0.9, stages=1)
+
+    @pytest.mark.parametrize("name", ["gamma", "delta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gamma_and_delta(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            DesignSpec.create(
+                4, 16, 0.15, 0.45, lam=0.9, stages=2, interim_sizes=10, **{name: value}
+            )
+
+    def test_negative_delta_is_allowed(self):
+        spec = DesignSpec.create(4, 16, 0.15, 0.45, lam=0.9, delta=-1.5, stages=1)
+        assert spec.delta == -1.5
 
     def test_basket_cap_is_checked_before_any_field_is_expanded(self):
         class Untouchable:

@@ -127,6 +127,13 @@ class TestPrior:
         with pytest.raises(ShapeError):
             partition_prior([], 1.0)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(DomainError, match="delta"):
+            partition_prior(enumerate_partitions(3), delta)
+        with pytest.raises(DomainError, match="delta"):
+            PartitionSet.build(3, delta)
+
 
 class TestPartitionSet:
     def test_build_with_delta(self):
