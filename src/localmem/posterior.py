@@ -32,8 +32,10 @@ from .partitions import Partition, PartitionSet  # noqa: F401 (Partition is publ
 TOP_TIE_TOL = 1e-12
 
 # Largest rows x partitions evaluated at once by BatchPosterior.exceed_probs.
-# A row at B = 10 holds about 1.9 MB of weights and temporaries, so a chunk of
-# 144 rows stays near 270 MB however many rows are asked for.
+# BatchPosterior.posterior peaks at about 17.1 bytes per row x partition cell
+# (the weights, a scratch buffer of the same size, and the top pick's
+# candidates and ranks), so a chunk peaks near 285 MB however many rows are
+# asked for: 144 rows at B = 10.
 MAX_CELLS = 2**24
 
 _DEFAULT_IDS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -108,16 +110,6 @@ class PartitionPosterior:
     weights: np.ndarray = field(repr=False)
     top_index: int
     top_prob: float
-
-
-def _tiebreak_ranks(pset: PartitionSet) -> np.ndarray:
-    # Preference order among tied weights: most blocks first (least borrowing),
-    # then lexicographically smallest membership, i.e. enumeration order.
-    blocks = pset.memberships.max(axis=1)
-    order = np.lexsort((np.arange(len(pset)), -blocks))
-    ranks = np.empty(len(pset), dtype=int)
-    ranks[order] = np.arange(len(pset))
-    return ranks
 
 
 def partition_posterior(
@@ -239,8 +231,10 @@ class BatchPosterior:
 
     A block's log Beta factor depends only on which baskets it holds, so a
     row needs at most 2**B - 1 factors, and each partition sums at most B of
-    them. Blocks are identified by their basket bitmask; the empty block
-    (mask 0, factor 0) pads every partition to B block slots.
+    them. Blocks are identified by their basket bitmask. Partitions are
+    summed in block-count order, most blocks first, so block slot s is filled
+    in a leading run of partitions and each row adds only the factors of the
+    blocks its partitions hold, never an empty block's 0.
     """
 
     def __init__(self, n: Sequence[int], pset: PartitionSet, prior: BetaParams = DEFAULT_PRIOR):
@@ -254,14 +248,26 @@ class BatchPosterior:
         self.prior = prior
         num_baskets = pset.num_baskets
 
-        labels = pset.memberships
+        # A stable sort by block count, most blocks first. Its order is also
+        # the preference among tied weights: most blocks (least borrowing),
+        # then the lexicographically smallest membership (enumeration order).
+        num_blocks = pset.memberships.max(axis=1)
+        order = np.argsort(-num_blocks, kind="stable")
+        self._ranks = np.empty(len(pset), dtype=int)
+        self._ranks[order] = np.arange(len(pset))
+        # Slot s holds a block in the first _filled[s] sorted partitions only.
+        self._filled = (num_blocks[:, None] > np.arange(num_baskets)).sum(axis=0)
+
+        labels = pset.memberships[order]
         bits = 1 << np.arange(num_baskets)
         masks = np.stack(
             [(labels == label) @ bits for label in range(1, num_baskets + 1)], axis=1
         )
         blocks, index = np.unique(masks, return_inverse=True)
-        # (J, B): block ids of each partition in label order, then padding.
-        self._block_index = index.reshape(masks.shape)
+        # (J, B): block ids of each sorted partition in label order; unfilled
+        # slots hold the empty block and are never read. Column-major, so the
+        # ids of one slot are contiguous.
+        self._block_index = np.asfortranarray(index.reshape(masks.shape))
         # (B, blocks): 0/1 basket-in-block matrix.
         self._member = (blocks[None, :] >> np.arange(num_baskets)[:, None]) & 1
 
@@ -281,7 +287,6 @@ class BatchPosterior:
 
         with np.errstate(divide="ignore"):
             self._log_prior = np.log(pset.prior)
-        self._ranks = _tiebreak_ranks(pset)
 
     def _as_matrix(self, x) -> np.ndarray:
         mat = np.asarray(as_int(x, "x"), dtype=int)
@@ -298,14 +303,24 @@ class BatchPosterior:
     def posterior(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Weights (T, J), top partition index (T,), top weight (T,)."""
         mat = self._as_matrix(x)
-        # (blocks, T): log Beta factor of every block for every row.
-        factors = self._factor_table[self._size_rank[:, None], (mat @ self._member).T]
-        log_w = factors[self._block_index[:, 0]]
+        # (T, blocks): log Beta factor of every block for every row.
+        factors = self._factor_table[self._size_rank, mat @ self._member]
+        # (T, J) log weights of the sorted partitions, row-major (np.take, not
+        # fancy indexing, which would return column-major), so a row's sums
+        # and its normalisation do not depend on the batch size. Each slot's
+        # factors go through one reused buffer and are added to the leading
+        # partitions that hold a block in that slot. mode="clip" lets np.take
+        # write straight into `out`; the default mode buffers it.
+        log_w = np.take(factors, self._block_index[:, 0], axis=1)
+        scratch = np.empty(log_w.size)
         for slot in range(1, self.pset.num_baskets):
-            log_w += factors[self._block_index[:, slot]]
-        # Row-major from here, so every row is normalized by the same
-        # pairwise sum whatever the batch size.
-        log_w = np.ascontiguousarray(log_w.T)
+            k = self._filled[slot]
+            part = scratch[: len(mat) * k].reshape(len(mat), k)
+            np.take(factors, self._block_index[:k, slot], axis=1, out=part, mode="clip")
+            log_w[:, :k] += part
+        # Back to enumeration order, into the buffer; the sorted sums are freed.
+        unsorted = scratch.reshape(log_w.shape)
+        log_w = np.take(log_w, self._ranks, axis=1, out=unsorted, mode="clip")
         log_w += self._log_prior
         log_w -= log_w.max(axis=1, keepdims=True)
         weights = np.exp(log_w, out=log_w)

@@ -165,13 +165,28 @@ class RationalAnalysis:
 
 
 def beta_density_integral(a, b, lo, hi):
-    """Integral of the Beta(a, b) density over [lo, hi] by adaptive quadrature."""
+    """Integral of the Beta(a, b) density over [lo, hi] by adaptive quadrature.
+
+    Where an interval ends at 0 or 1, the density's factor t^(a-1) or
+    (1-t)^(b-1), singular there when a or b is below 1, is handed to quad as
+    an algebraic endpoint weight and left out of the integrand.
+    """
     ln_norm = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    at_zero, at_one = lo == 0.0, hi == 1.0
 
-    def density(t):
-        return math.exp((a - 1.0) * math.log(t) + (b - 1.0) * math.log1p(-t) - ln_norm)
+    def smooth(t):
+        log_f = -ln_norm
+        if not at_zero:
+            log_f += (a - 1.0) * math.log(t)
+        if not at_one:
+            log_f += (b - 1.0) * math.log1p(-t)
+        return math.exp(log_f)
 
-    val, _ = integrate.quad(density, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
+    opts = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
+    if at_zero or at_one:
+        wvar = (a - 1.0 if at_zero else 0.0, b - 1.0 if at_one else 0.0)
+        opts.update(weight="alg", wvar=wvar)
+    val, _ = integrate.quad(smooth, lo, hi, **opts)
     return val
 
 

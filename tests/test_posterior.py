@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -19,6 +20,31 @@ from localmem.posterior import (
 )
 
 from oracles import RationalAnalysis, beta_tail_quadrature
+
+# sha256 of BatchPosterior.posterior output bytes, keyed by (B, delta); see
+# TestBatchPosterior.test_output_bytes_are_pinned.
+POSTERIOR_DIGESTS = {
+    (1, 0.0): "371b523fbc2996f9b50dd26bfd923a1c7a0b8a592f8cd116c0f13ac20d46a71c",
+    (1, 2.0): "371b523fbc2996f9b50dd26bfd923a1c7a0b8a592f8cd116c0f13ac20d46a71c",
+    (2, 0.0): "25361cfcd02a867fd37dd13f57a1f4af803b4ff815d1f227428e2415dc8db6c8",
+    (2, 2.0): "79f15a2ad2719131357f845753c1e0d73dfe01fcf87c429f260ae853ae5381b4",
+    (3, 0.0): "99d5d9bf2cd98e64840a643f32a8e3aae88d847b0bd9c89ea7b92b939a06abcd",
+    (3, 2.0): "41d19b74773446c9be139326369d96c0c25045f2269b6b749d922fcb46553187",
+    (4, 0.0): "31b9b2c72b7ab3191b05f7086e45872a64ebdbfad656b1fa4a20258c17cafa38",
+    (4, 2.0): "f860b82e5cf8a6ec6e0911566179039885da67b0b95cd497488a9b765445c3fd",
+    (5, 0.0): "9ffb58808312bfe41e58d085c7356bc4934d1b8bb80505f430d7b3062bead710",
+    (5, 2.0): "d033d024fd281ee806d592d3687cabaaf43cb037462c6578139d3e54ff5ad520",
+    (6, 0.0): "44a23191aa60e6419959c7d2f4c182db5b4529361ef74ac29a39b81f7408e506",
+    (6, 2.0): "3e12cc854c8c5863c7124c4dc230ebe90b588c40fbfa6396232f0f996c0d63fa",
+    (7, 0.0): "55ea774e8735fca7cd9e9fe2b735b856e229395f503c2e641854b8e775478b60",
+    (7, 2.0): "0ff9b2ae62940addc1584d2a72c9830b98fe67aad17643cbe065bbb0abff3af0",
+    (8, 0.0): "048c09439f4730efe3574435e42fc89c8cea03cefa03f5656228b88981351831",
+    (8, 2.0): "841039146c1cccefcec9b16d5ea418faf2777261d947f755804897b91a282ee8",
+    (9, 0.0): "89bb6ae7d83dd3323e0e405b3bbe24fa477288a01aa270e5d99eb3d63081cbe7",
+    (9, 2.0): "77d8872b4d80268c901dd6d80ecc0092e869bd27840ac303ea79259a8f81829f",
+    (10, 0.0): "f392f1fe0059c5fff7263fcfec89ed797be014f2ab74f5117c583ff83a18c574",
+    (10, 2.0): "784ef8b49b2c97924b5804d4dc65ee5f5ac4e50d330a285f0b13d8cc6df7d89e",
+}
 
 
 class TestPartitionPosteriorExamples:
@@ -334,17 +360,52 @@ class TestBatchPosterior:
             assert probs[t, 1] == pytest.approx(result.prob_exceeds[1], abs=1e-12)
 
     def test_rows_do_not_depend_on_batch(self):
+        # At B = 9 most partitions leave most block slots empty, so a slot's
+        # sums cover only a leading part of each row.
         rng = np.random.default_rng(36)
-        n = [6, 6, 6, 6, 6]
-        engine = BatchPosterior(n, PartitionSet.build(5, 1.0))
-        xs = rng.integers(0, 7, size=(60, 5))
-        xs[::5] = xs[1::5]  # repeated rows
-        xs[2::5] = 3  # all baskets equal
+        for num_baskets in (5, 9):
+            engine = BatchPosterior([6] * num_baskets, PartitionSet.build(num_baskets, 1.0))
+            xs = rng.integers(0, 7, size=(60, num_baskets))
+            xs[::5] = xs[1::5]  # repeated rows
+            xs[2::5] = 3  # all baskets equal
+            weights, top, top_prob = engine.posterior(xs)
+            for t in range(len(xs)):
+                w1, top1, prob1 = engine.posterior(xs[t])
+                assert np.array_equal(w1[0], weights[t])
+                assert top1[0] == top[t] and prob1[0] == top_prob[t]
+
+    @pytest.mark.parametrize("delta", [0.0, 2.0])
+    @pytest.mark.parametrize("num_baskets", range(1, 11))
+    def test_output_bytes_are_pinned(self, num_baskets, delta):
+        # Weights, top index and top weight of seeded rows, recorded before
+        # the weights skipped empty block slots: any change to the order of
+        # the sums, the normalisation or the tie-break moves a digest.
+        rng = np.random.default_rng(400 + num_baskets)
+        n = rng.integers(0, 13, size=num_baskets)
+        xs = rng.integers(0, n + 1, size=(8, num_baskets))
+        xs[0] = 0
+        xs[1] = n
+        engine = BatchPosterior(n, PartitionSet.build(num_baskets, delta))
         weights, top, top_prob = engine.posterior(xs)
-        for t in range(len(xs)):
-            w1, top1, prob1 = engine.posterior(xs[t])
-            assert np.array_equal(w1[0], weights[t])
-            assert top1[0] == top[t] and prob1[0] == top_prob[t]
+        digest = hashlib.sha256()
+        for a in (weights, top.astype(np.int64), top_prob):
+            digest.update(a.tobytes())
+        assert digest.hexdigest() == POSTERIOR_DIGESTS[num_baskets, delta]
+
+    def test_weights_peak_under_18_bytes_per_cell(self):
+        # Weights, one scratch buffer of the same size and the top pick's
+        # candidates and ranks: about 17.2 bytes per row x partition cell.
+        # A temporary per slot or a second copy of the weights exceeds 18.
+        rng = np.random.default_rng(39)
+        engine = BatchPosterior([12] * 9, PartitionSet.build(9, 2.0))
+        xs = rng.integers(0, 13, size=(300, 9))
+        tracemalloc.start()
+        try:
+            engine.posterior(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 * 300 * len(engine.pset)
 
     def test_chunked_rows_equal_one_chunk(self, monkeypatch):
         rng = np.random.default_rng(37)
@@ -376,7 +437,7 @@ class TestBatchPosterior:
 
     def test_b10_index_arrays_under_50mb(self):
         engine = BatchPosterior([1] * 10, PartitionSet.build(10, 0.0))
-        arrays = (engine._block_index, engine._member, engine._ranks)
+        arrays = (engine._block_index, engine._member, engine._ranks, engine._filled)
         assert engine._block_index.shape == (115975, 10)
         assert sum(a.nbytes for a in arrays) < 50e6
 
