@@ -50,10 +50,10 @@ from .numerics import (
 )
 from .partitions import (
     MAX_BASKETS,
-    Partition,
     PartitionSet,
     bell_number,
     enumerate_partitions,
+    membership_strings,
     partition_prior,
 )
 from .posterior import (

@@ -44,6 +44,7 @@ from .errors import (
     LocalMemError,
 )
 from .numerics import as_int
+from .partitions import membership_strings
 from .posterior import DEFAULT_PRIOR, BasketData, BetaParams, analyze, default_basket_ids
 from .simon import DEFAULT_N_MAX, simon_oc, simon_search
 from .simulation import Scenario, scenario_suite, simulate
@@ -168,6 +169,11 @@ def cmd_analyze(args) -> int:
     result = analyze(data, delta=config["delta"], prior=_prior(config), theta0=config["theta0"])
 
     pp = result.partition_posterior
+    labels = result.pset.memberships
+    strings = membership_strings(labels)
+    partition_rows = list(
+        zip(strings, labels.max(axis=1).tolist(), result.pset.prior.tolist(), pp.weights.tolist())
+    )
     payload = {
         "meta": _meta("analyze", config),
         "baskets": [
@@ -184,26 +190,15 @@ def cmd_analyze(args) -> int:
             for b in range(data.num_baskets)
         ],
         "partitions": [
-            {
-                "membership": part.membership_string(),
-                "num_blocks": part.num_blocks,
-                "prior": float(result.pset.prior[j]),
-                "weight": float(pp.weights[j]),
-            }
-            for j, part in enumerate(map(result.pset.partition, range(len(result.pset))))
+            {"membership": m, "num_blocks": k, "prior": p, "weight": w}
+            for m, k, p, w in partition_rows
         ],
-        "similarity": [[float(v) for v in row] for row in result.similarity],
-        "top_partition": {
-            "membership": result.top_partition.membership_string(),
-            "weight": pp.top_prob,
-        },
+        "similarity": result.similarity.tolist(),
+        "top_partition": {"membership": strings[pp.top_index], "weight": pp.top_prob},
     }
     basket_rows = [
         [r["id"], r["x"], r["n"], r["alpha"], r["beta"], r["mean"], r["ess"], r["prob_exceeds"]]
         for r in payload["baskets"]
-    ]
-    partition_rows = [
-        [r["membership"], r["num_blocks"], r["prior"], r["weight"]] for r in payload["partitions"]
     ]
     _emit(
         args,
@@ -284,6 +279,7 @@ def cmd_monitor(args) -> int:
         applied = "q2"
 
     result = state.analysis  # the step's own: all baskets, then the survivors
+    pp = result.partition_posterior
     looked = dict(zip(analyzed, zip(result.prob_exceeds, result.ess)))
     ids = state.data.basket_ids
     baskets = []
@@ -297,8 +293,8 @@ def cmd_monitor(args) -> int:
         "stage": stage,
         "boundary": {"q1": boundary.q1, "q2": boundary.q2, "applied": applied},
         "top_partition": {
-            "membership": result.top_partition.membership_string(),
-            "weight": result.partition_posterior.top_prob,
+            "membership": membership_strings(result.pset.memberships[[pp.top_index]])[0],
+            "weight": pp.top_prob,
             "basket_ids": list(result.data.basket_ids),
         },
         "baskets": baskets,

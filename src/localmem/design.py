@@ -228,16 +228,18 @@ def survivor_exceedance(spec: DesignSpec, x, survivors, sizes: Sequence[int]) ->
     sizes = np.asarray(sizes, dtype=int)
     theta0 = np.asarray(spec.theta0)
     out = np.full(x.shape, -np.inf)
-    sets, group = np.unique(survivors, axis=0, return_inverse=True)
+    # One int per row: its survivor set as a basket bitmask.
+    bits = np.arange(x.shape[1])
+    codes, group = np.unique(survivors @ (1 << bits), return_inverse=True)
     engines: dict[tuple[int, ...], BatchPosterior] = {}
-    for g, keep in enumerate(sets):
-        cols = np.flatnonzero(keep)
+    for g, code in enumerate(codes):
+        cols = np.flatnonzero(code >> bits & 1)
         if not len(cols):
             continue
         key = tuple(int(v) for v in sizes[cols])
         if key not in engines:
             engines[key] = BatchPosterior(key, spec.partition_set(len(cols)), spec.prior)
-        rows = np.flatnonzero(group.ravel() == g)
+        rows = np.flatnonzero(group == g)
         out[np.ix_(rows, cols)] = engines[key].exceed_probs(x[np.ix_(rows, cols)], theta0[cols])
     return out
 

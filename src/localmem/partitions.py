@@ -8,7 +8,8 @@ ordering are well defined.
 
 A partition set is one read-only ``(Bell(B), B)`` int8 array of these strings,
 one row per partition in lexicographic order; a row's block count is its
-maximum label. :class:`Partition` is the value a report derives from one row.
+maximum label. Reports print a row as the labels joined by "|", as
+:func:`membership_strings` formats them.
 """
 
 from __future__ import annotations
@@ -35,17 +36,6 @@ def bell_number(n: int) -> int:
             nxt.append(nxt[-1] + v)
         row = nxt
     return row[0]
-
-
-@dataclass(frozen=True)
-class Partition:
-    """One grouping of baskets into blocks, in restricted-growth form."""
-
-    membership: tuple[int, ...]
-    num_blocks: int
-
-    def membership_string(self) -> str:
-        return "|".join(str(v) for v in self.membership)
 
 
 def enumerate_partitions(num_baskets: int) -> np.ndarray:
@@ -77,6 +67,12 @@ def enumerate_partitions(num_baskets: int) -> np.ndarray:
         running_max = np.maximum(running_max[parent], labels[:, pos])
     labels.setflags(write=False)
     return labels
+
+
+def membership_strings(memberships) -> list[str]:
+    """Each row of a ``(partitions, baskets)`` membership array as the string
+    reports print, its labels joined by "|": ``"1|1|2"``."""
+    return ["|".join(map(str, row)) for row in np.asarray(memberships).tolist()]
 
 
 def partition_prior(memberships, delta: float) -> np.ndarray:
@@ -116,8 +112,3 @@ class PartitionSet:
 
     def __len__(self) -> int:
         return len(self.memberships)
-
-    def partition(self, j: int) -> Partition:
-        """Partition ``j`` of the set as a value."""
-        row = self.memberships[j]
-        return Partition(membership=tuple(int(v) for v in row), num_blocks=int(row.max()))

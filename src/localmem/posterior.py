@@ -25,17 +25,17 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .numerics import as_int, log_beta, reg_inc_beta
-from .partitions import Partition, PartitionSet  # noqa: F401 (Partition is public API)
+from .partitions import PartitionSet
 
 # Two partition weights closer than this are treated as tied when picking the
 # top partition.
 TOP_TIE_TOL = 1e-12
 
 # Largest rows x partitions evaluated at once by BatchPosterior.exceed_probs.
-# BatchPosterior.posterior peaks at about 17.1 bytes per row x partition cell
-# (the weights, a scratch buffer of the same size, and the top pick's
-# candidates and ranks), so a chunk peaks near 285 MB however many rows are
-# asked for: 144 rows at B = 10.
+# BatchPosterior.posterior peaks at about 16.2 bytes per row x partition cell
+# while it sums the block slots (the weights and a scratch buffer of the same
+# size; the top pick later needs 2 bytes per cell), so a chunk peaks near
+# 270 MB however many rows are asked for: 144 rows at B = 10.
 MAX_CELLS = 2**24
 
 _DEFAULT_IDS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -179,10 +179,6 @@ class AnalysisResult:
     ess: tuple[float, ...]
     prob_exceeds: tuple[float, ...]
 
-    @property
-    def top_partition(self) -> Partition:
-        return self.pset.partition(self.partition_posterior.top_index)
-
 
 def analyze(
     data: BasketData,
@@ -252,7 +248,7 @@ class BatchPosterior:
         # the preference among tied weights: most blocks (least borrowing),
         # then the lexicographically smallest membership (enumeration order).
         num_blocks = pset.memberships.max(axis=1)
-        order = np.argsort(-num_blocks, kind="stable")
+        self._order = order = np.argsort(-num_blocks, kind="stable")
         self._ranks = np.empty(len(pset), dtype=int)
         self._ranks[order] = np.arange(len(pset))
         # Slot s holds a block in the first _filled[s] sorted partitions only.
@@ -326,7 +322,8 @@ class BatchPosterior:
         weights = np.exp(log_w, out=log_w)
         weights /= weights.sum(axis=1, keepdims=True)
         candidates = weights >= weights.max(axis=1, keepdims=True) - TOP_TIE_TOL
-        top = np.where(candidates, self._ranks, len(self.pset)).argmin(axis=1)
+        # The first candidate in tie-break order.
+        top = self._order[np.take(candidates, self._order, axis=1).argmax(axis=1)]
         top_prob = weights[np.arange(len(mat)), top]
         return weights, top, top_prob
 

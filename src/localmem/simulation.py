@@ -108,9 +108,10 @@ def decide_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decisions for many trials: (continued, rejected) booleans of shape (T, B).
 
-    Both stages go through the same survivor-set kernel as the single-trial
-    steps in :mod:`localmem.design`, so row t equals run_single_stage or
-    run_two_stage on trial t. A single-stage design continues every basket.
+    Both stages go through :func:`~localmem.design.survivor_exceedance`, whose
+    rows equal the single-trial steps' :func:`~localmem.posterior.analyze`
+    looks bit for bit, so row t equals run_single_stage or run_two_stage on
+    trial t. A single-stage design continues every basket.
     """
     boundary = spec.boundary()
     continued = np.ones(np.shape(x_total), dtype=bool)

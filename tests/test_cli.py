@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -277,6 +278,55 @@ class TestIntegralFloats:
             assert run([command, "--config", cfg, "--out", tmp_path / name]) == 0
             blobs.append(_reports(tmp_path / name))
         assert blobs[0] == blobs[1]
+
+
+# Two analyze configs whose reports are pinned byte for byte: basket ids, a
+# vector theta0 and the Jeffreys prior at B = 4, and default ids at B = 9.
+PINNED_ANALYZE_CONFIGS = {
+    "b4-ids": {
+        "x": [1, 4, 2, 6],
+        "n": [10, 12, 9, 14],
+        "basket_ids": ["lung", "breast", "colon", "skin"],
+        "delta": 2.0,
+        "prior": {"alpha": 0.5, "beta": 0.5},
+        "theta0": [0.1, 0.15, 0.2, 0.25],
+    },
+    "b9-default": {
+        "x": [0, 1, 2, 3, 4, 5, 2, 1, 7],
+        "n": [10, 10, 12, 12, 8, 8, 14, 9, 11],
+        "delta": 1.0,
+        "theta0": 0.2,
+    },
+}
+
+# sha256 of each file with its config hash blanked, recorded before the
+# reports were written from the membership array.
+ANALYZE_REPORT_DIGESTS = {
+    "b4-ids": {
+        "analysis.json": "1cab5e3e48ed6596e4d7d30d10eae98a69d525dac554c8c00e02bd6e38eaa6ab",
+        "analysis_baskets.csv": "e6dfc4ff6fc09f0017c9c137dae750f2c1fc6f5f9dc55069ff701483b5fd18bf",
+        "analysis_partitions.csv": "1f0a32fcfee583e5dc07b7b7eddbd44d792047df07466f4656b82e378e37b08b",
+    },
+    "b9-default": {
+        "analysis.json": "36f590d000a8dfd9c7c9e89296fe2baefdeb47373400da6d4d79287c956ce2e5",
+        "analysis_baskets.csv": "c5534b638643029b3f5ff7210b32c35785d40ee91fd59bbef5e1cc9c6b6a240f",
+        "analysis_partitions.csv": "2be8a7c0496915926da6e90c9902c669612135926b68f1dbb7741893d0da00c1",
+    },
+}
+
+
+class TestAnalyzeReportBytes:
+    @pytest.mark.parametrize("name", sorted(PINNED_ANALYZE_CONFIGS))
+    def test_files_are_pinned(self, tmp_path, name):
+        cfg = write_config(tmp_path, "a.json", PINNED_ANALYZE_CONFIGS[name])
+        out = tmp_path / "out"
+        assert run(["analyze", "--config", cfg, "--out", out, "--format", "both"]) == 0
+        digests = {}
+        for path in sorted(out.iterdir()):
+            blob = re.sub(rb'"config_hash": "\w+"', b'"config_hash": null', path.read_bytes())
+            blob = re.sub(rb"config_hash=\w+", b"config_hash=-", blob)
+            digests[path.name] = hashlib.sha256(blob).hexdigest()
+        assert digests == ANALYZE_REPORT_DIGESTS[name]
 
 
 class TestSimulate:

@@ -5,10 +5,10 @@ import pytest
 
 from localmem.errors import CapacityError, DomainError, ShapeError
 from localmem.partitions import (
-    Partition,
     PartitionSet,
     bell_number,
     enumerate_partitions,
+    membership_strings,
     partition_prior,
 )
 
@@ -51,7 +51,7 @@ class TestEnumeration:
             for v in m[1:]:
                 assert 1 <= v <= running_max + 1
                 running_max = max(running_max, v)
-            assert pset.partition(j).num_blocks == max(m)
+            assert pset.memberships[j].max() == max(m)
 
     def test_lexicographic_order(self):
         memberships = [tuple(p) for p in enumerate_partitions(5)]
@@ -154,4 +154,13 @@ class TestPartitionSet:
 
 class TestPartitionType:
     def test_membership_string(self):
-        assert Partition((1, 1, 2, 1), 2).membership_string() == "1|1|2|1"
+        assert membership_strings([(1, 1, 2, 1)]) == ["1|1|2|1"]
+
+    def test_two_digit_label(self):
+        assert membership_strings(enumerate_partitions(10))[-1] == "1|2|3|4|5|6|7|8|9|10"
+
+    def test_strings_parse_back_to_rows(self):
+        for b in range(1, 9):
+            labels = enumerate_partitions(b)
+            parsed = [tuple(int(v) for v in s.split("|")) for s in membership_strings(labels)]
+            assert parsed == [tuple(row) for row in labels.tolist()]
