@@ -446,7 +446,7 @@ def cmd_simon(args) -> int:
     )
     rows = []
     for scenario in scenario_suite(spec):
-        oc = simon_oc(design, scenario, num_baskets)
+        oc = simon_oc(design, scenario)
         rows.append(_oc_row(scenario.label, scenario.true_rates, oc))
 
     def design_doc(d):

@@ -165,9 +165,6 @@ class DesignSpec:
     def boundary(self) -> Boundary:
         return stopping_boundary(self.lam, self.gamma, self.information_fraction())
 
-    def partition_set(self, num_baskets: int | None = None) -> PartitionSet:
-        return PartitionSet.build(num_baskets or self.num_baskets, self.delta)
-
 
 @dataclass(frozen=True)
 class TrialState:
@@ -238,7 +235,7 @@ def survivor_exceedance(spec: DesignSpec, x, survivors, sizes: Sequence[int]) ->
             continue
         key = tuple(int(v) for v in sizes[cols])
         if key not in engines:
-            engines[key] = BatchPosterior(key, spec.partition_set(len(cols)), spec.prior)
+            engines[key] = BatchPosterior(key, PartitionSet.build(len(cols), spec.delta), spec.prior)
         rows = np.flatnonzero(group == g)
         out[np.ix_(rows, cols)] = engines[key].exceed_probs(x[np.ix_(rows, cols)], theta0[cols])
     return out
@@ -248,7 +245,7 @@ def _look(data: BasketData, spec: DesignSpec, baskets: Sequence[int]) -> Analysi
     """One analysis of the given baskets, with partitions enumerated over them."""
     sub = BasketData.create(*([v[b] for b in baskets] for v in (data.x, data.n, data.basket_ids)))
     theta0 = [spec.theta0[b] for b in baskets]
-    return analyze(sub, prior=spec.prior, theta0=theta0, pset=spec.partition_set(len(baskets)))
+    return analyze(sub, delta=spec.delta, prior=spec.prior, theta0=theta0)
 
 
 def interim_step(state: TrialState, spec: DesignSpec) -> TrialState:

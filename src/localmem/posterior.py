@@ -185,14 +185,12 @@ def analyze(
     delta: float = 0.0,
     prior: BetaParams = DEFAULT_PRIOR,
     theta0: float | Sequence[float] = 0.5,
-    pset: PartitionSet | None = None,
 ) -> AnalysisResult:
     """Full posterior analysis: partition table, similarity, per-basket
     borrowing posteriors with their effective sample sizes and exceedance
     probabilities. One engine row, one :func:`borrow` call and one incomplete
     beta call: a row of :meth:`BatchPosterior.exceed_probs`, bit for bit."""
-    if pset is None:
-        pset = PartitionSet.build(data.num_baskets, delta)
+    pset = PartitionSet.build(data.num_baskets, delta)
     t0 = np.asarray(theta0, dtype=float)
     t0 = np.full(data.num_baskets, t0) if t0.ndim == 0 else t0
     if t0.shape != (data.num_baskets,):

@@ -3,9 +3,11 @@
 A design (r1, n1, r, n) stops for futility after n1 patients when at most r1
 responses are seen, and declares the treatment promising when the final
 response total exceeds r. All error rates here are exact binomial sums, not
-simulations. When several baskets each run the design independently, the
-per-basket significance level is the family-wise target divided by the number
-of baskets (Bonferroni).
+simulations, and one table (`_reject_table`) holds every rejection
+probability the search and the operating characteristics read. When several
+baskets each run the design independently, the caller passes the per-basket
+significance level: the paper's family-wise 0.10 over four baskets gives
+0.025.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .design import Decision
 from .errors import CapacityError, DomainError
-from .numerics import binom_pmf, binom_sf
+from .numerics import binom_pmf
 from .simulation import OperatingCharacteristics, Scenario
 
 DEFAULT_N_MAX = 55
@@ -48,35 +50,30 @@ def _pmf_vector(n: int, p: float) -> np.ndarray:
     return np.array([binom_pmf(k, n, p) for k in range(n + 1)])
 
 
-def _upper_tail(n: int, p: float) -> np.ndarray:
-    """tail[j + 1] = P(X > j) for j in -1..n."""
-    pmf = _pmf_vector(n, p)
-    geq = pmf[::-1].cumsum()[::-1]  # geq[i] = P(X >= i)
-    return np.concatenate((geq, [0.0]))
+def _reject_table(pmf1: np.ndarray, pmf2: np.ndarray) -> np.ndarray:
+    """rej[i, r] = P(X1 >= i and X1 + X2 > r) for i in 0..n1 + 1 and r in 0..n.
+
+    pmf1 and pmf2 are the stage-1 and stage-2 response pmfs. A design with
+    bounds (r1, r) rejects with probability rej[r1 + 1, r]; row n1 + 1
+    (r1 = n1) and column n (r = n) never reject and hold 0.
+    """
+    n1, n2 = len(pmf1) - 1, len(pmf2) - 1
+    tail2 = np.concatenate((pmf2[::-1].cumsum()[::-1], [0.0]))  # tail2[j] = P(X2 >= j)
+    x1, r = np.arange(n1 + 1)[:, None], np.arange(n1 + n2 + 1)[None, :]
+    j = np.clip(r - x1 + 1, 0, n2 + 1)  # tail2[j] = P(X2 > r - x1)
+    rej = np.zeros((n1 + 2, n1 + n2 + 1))
+    rej[:-1] = (pmf1[:, None] * tail2[j])[::-1].cumsum(axis=0)[::-1]  # suffix sum over x1
+    return rej
 
 
 def reject_probability(design: SimonDesign, p: float) -> float:
     """Exact probability of declaring the treatment promising at true rate p."""
-    n2 = design.n - design.n1
-    total = 0.0
-    for x1 in range(design.r1 + 1, design.n1 + 1):
-        need = design.r - x1  # stage-2 total must exceed this
-        if need < 0:
-            tail = 1.0
-        elif need >= n2:
-            tail = 0.0
-        else:
-            tail = binom_sf(need, n2, p)
-        total += binom_pmf(x1, design.n1, p) * tail
-    return total
-
-
-def early_stop_probability(design: SimonDesign, p: float) -> float:
-    return float(sum(binom_pmf(k, design.n1, p) for k in range(design.r1 + 1)))
+    pmf1, pmf2 = _pmf_vector(design.n1, p), _pmf_vector(design.n - design.n1, p)
+    return float(_reject_table(pmf1, pmf2)[design.r1 + 1, design.r])
 
 
 def expected_size(design: SimonDesign, p: float) -> float:
-    pet = early_stop_probability(design, p)
+    pet = float(_pmf_vector(design.n1, p).cumsum()[design.r1])
     return design.n1 + (1.0 - pet) * (design.n - design.n1)
 
 
@@ -94,29 +91,19 @@ def simon_search(
     if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0):
         raise DomainError(f"alpha and beta must lie in (0, 1), got {alpha}, {beta}")
 
+    pmfs_p0 = [_pmf_vector(size, p0) for size in range(n_max + 1)]
+    pmfs_p1 = [_pmf_vector(size, p1) for size in range(n_max + 1)]
     minimax: SimonDesign | None = None
     optimal: SimonDesign | None = None
     for n in range(2, n_max + 1):
         for n1 in range(1, n):
             n2 = n - n1
-            pmf1_p0 = _pmf_vector(n1, p0)
-            pmf1_p1 = _pmf_vector(n1, p1)
-            tail2_p0 = _upper_tail(n2, p0)
-            tail2_p1 = _upper_tail(n2, p1)
-            cum1_p0 = pmf1_p0.cumsum()
-            # reject prob for bounds (r1, r): sum_{x1 > r1} pmf1[x1] * P(X2 > r - x1).
-            # Build it for all (x1, r) at once, then suffix-sum over x1.
-            x1 = np.arange(n1 + 1)[:, None]
-            r_all = np.arange(n)[None, :]
-            j = np.clip(r_all - x1 + 1, 0, n2 + 1)
-            rej_p0 = (pmf1_p0[:, None] * tail2_p0[j])[::-1].cumsum(axis=0)[::-1]
-            rej_p1 = (pmf1_p1[:, None] * tail2_p1[j])[::-1].cumsum(axis=0)[::-1]
+            rej_p0 = _reject_table(pmfs_p0[n1], pmfs_p0[n2])
+            rej_p1 = _reject_table(pmfs_p1[n1], pmfs_p1[n2])
+            cum1_p0 = pmfs_p0[n1].cumsum()
             for r1 in range(0, n1):
-                alpha_by_r = rej_p0[r1 + 1, r1:]  # decreasing in r
-                feasible = alpha_by_r <= alpha
-                if not feasible.any():
-                    continue
-                r = r1 + int(np.argmax(feasible))  # smallest r meeting alpha
+                # Alpha falls with r and is 0 at r = n, which has no power.
+                r = r1 + int(np.argmax(rej_p0[r1 + 1, r1:] <= alpha))  # smallest r meeting alpha
                 power = float(rej_p1[r1 + 1, r])
                 if power < 1.0 - beta:
                     continue  # larger r only lowers power further
@@ -168,16 +155,10 @@ def simon_decide(design: SimonDesign, x1: int, x_total: int | None = None) -> De
     return Decision.EFFICACIOUS if x_total > design.r else Decision.NOT_PROMISING
 
 
-def simon_oc(
-    design: SimonDesign, scenario: Scenario, bonferroni_B: int
-) -> OperatingCharacteristics:
+def simon_oc(design: SimonDesign, scenario: Scenario) -> OperatingCharacteristics:
     """Exact operating characteristics when each basket runs the design
     independently. Baskets are independent, so the family-wise error rate is
     one minus the product of per-null-basket non-rejection probabilities."""
-    if len(scenario.true_rates) != bonferroni_B:
-        raise DomainError(
-            f"scenario covers {len(scenario.true_rates)} baskets, expected {bonferroni_B}"
-        )
     rates = tuple(reject_probability(design, p) for p in scenario.true_rates)
     null_rates = [r for r, prom in zip(rates, scenario.promising) if not prom]
     fwer = None

@@ -20,7 +20,7 @@ import pytest
 from localmem.calibration import CalibrationProblem, calibrate, calibrated_spec
 from localmem.design import DesignSpec
 from localmem.numerics import log_beta, reg_inc_beta
-from localmem.partitions import PartitionSet, enumerate_partitions, partition_prior
+from localmem.partitions import enumerate_partitions, partition_prior
 from localmem.posterior import BasketData, analyze
 from localmem.simon import simon_oc, simon_search
 from localmem.simulation import Scenario, scenario_suite, simulate
@@ -80,7 +80,7 @@ def test_criterion_03_simon_design():
     result = simon_search(0.15, 0.45, 0.025, 0.20)
     d = result.minimax
     spec = DesignSpec.create(4, 16, 0.15, 0.45, lam=0.5, stages=1)
-    oc = simon_oc(d, Scenario.from_rates(spec, [0.15] * 4, "0 success"), 4)
+    oc = simon_oc(d, Scenario.from_rates(spec, [0.15] * 4, "0 success"))
     checks = [
         ("minimax design (r1, n1, r, n)", (d.r1, d.n1, d.r, d.n) == (1, 10, 5, 16),
          f"{(d.r1, d.n1, d.r, d.n)}"),
@@ -220,13 +220,13 @@ def test_criterion_08_six_baskets():
 
 
 def test_criterion_09_rational_oracle_equivalence():
-    """Partition posterior, similarity, borrowing posterior and effective
-    sample size agree with an exact-rational brute-force oracle to 1e-9 over
-    every trial with at most 3 baskets and 4 patients per basket."""
+    """Partition order, partition posterior and its top weight, similarity,
+    borrowing posterior and effective sample size agree with an exact-rational
+    brute-force oracle to 1e-9 over every trial with at most 3 baskets and 4
+    patients per basket."""
     worst = 0.0
     cases = 0
     for num_baskets in (1, 2, 3):
-        pset = PartitionSet.build(num_baskets, 2.0)
         pairs = [(x, n) for n in range(5) for x in range(n + 1)]
         stack = [((), ())]
         for _ in range(num_baskets):
@@ -234,11 +234,13 @@ def test_criterion_09_rational_oracle_equivalence():
         for x, n in stack:
             cases += 1
             oracle = RationalAnalysis(list(x), list(n), 2)
-            result = analyze(BasketData.create(x, n), pset=pset)
+            result = analyze(BasketData.create(x, n), delta=2.0)
             pp = result.partition_posterior
+            assert [tuple(row) for row in result.pset.memberships.tolist()] == oracle.memberships
             worst = max(
                 worst,
-                max(abs(pp.weights[j] - float(oracle.weights[j])) for j in range(len(pset))),
+                max(abs(pp.weights[j] - float(oracle.weights[j])) for j in range(len(result.pset))),
+                abs(pp.top_prob - float(oracle.top_prob)),
             )
             assert pp.top_index == oracle.top_index
             psi = result.similarity

@@ -533,6 +533,18 @@ class TestSimon:
         assert len(rows) == 2 + 5
         assert abs(float(rows[2].split(",")[5]) - 0.0903791) < 1e-4
 
+    def test_scenario_rates_equal_search_rates(self, tmp_path):
+        # The OC table and the search read one rejection table, so every null
+        # basket rejects at exactly the design's alpha and every promising
+        # basket at exactly its power.
+        args = ["simon", "--p0", 0.15, "--p1", 0.45, "--alpha", 0.025, "--beta", 0.20]
+        assert run([*args, "--out", tmp_path / "out"]) == 0
+        report = json.loads((tmp_path / "out" / "simon.json").read_text())
+        mm = report["minimax"]
+        for row in report["scenarios"]:
+            for p, rate in zip(row["true_rates"], row["reject_rate"]):
+                assert rate == (mm["alpha"] if p == 0.15 else mm["power"])
+
     def test_bad_rates_exit_2(self, tmp_path):
         assert (
             run(

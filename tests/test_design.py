@@ -259,9 +259,9 @@ class TestOneRowEqualsBatch:
                 continue
             result = analyze(
                 BasketData.create(x[t, cols], sizes[cols]),
+                delta=spec.delta,
                 prior=spec.prior,
                 theta0=[spec.theta0[b] for b in cols],
-                pset=spec.partition_set(len(cols)),
             )
             assert probs[t, cols].tolist() == list(result.prob_exceeds)
 

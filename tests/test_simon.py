@@ -99,29 +99,25 @@ class TestDecide:
 
 class TestOperatingCharacteristics:
     def test_global_null_fwer(self, paper_search):
-        oc = simon_oc(paper_search.minimax, scenario_for(4, 0), 4)
+        oc = simon_oc(paper_search.minimax, scenario_for(4, 0))
         assert oc.fwer == pytest.approx(1 - (1 - paper_search.minimax.alpha_actual) ** 4, abs=1e-12)
         assert abs(oc.fwer - 0.091) < 0.005  # reported Monte-Carlo estimate
 
     def test_power_and_en(self, paper_search):
         d = paper_search.minimax
-        oc = simon_oc(d, scenario_for(4, 4), 4)
+        oc = simon_oc(d, scenario_for(4, 4))
         assert oc.fwer is None
         for rate in oc.per_basket_reject_rate:
             assert 0.79 < rate < 0.81  # reported range 0.797..0.806
-        oc0 = simon_oc(d, scenario_for(4, 0), 4)
+        oc0 = simon_oc(d, scenario_for(4, 0))
         assert abs(oc0.expected_n[0] - 12.7) < 0.2
 
     def test_mixed_scenario(self, paper_search):
         d = paper_search.minimax
-        oc = simon_oc(d, scenario_for(4, 1), 4)
+        oc = simon_oc(d, scenario_for(4, 1))
         assert oc.fwer == pytest.approx(1 - (1 - d.alpha_actual) ** 3, abs=1e-12)
         assert oc.per_basket_reject_rate[3] == pytest.approx(d.power_actual, abs=1e-12)
         assert oc.n_sims is None and oc.seed is None
-
-    def test_basket_count_mismatch(self, paper_search):
-        with pytest.raises(DomainError):
-            simon_oc(paper_search.minimax, scenario_for(4, 0), 6)
 
 
 def stream(seed, *key):
@@ -166,6 +162,18 @@ class TestRejectProbability:
         d = paper_search.minimax
         probs = [reject_probability(d, p) for p in np.linspace(0.01, 0.99, 25)]
         assert all(a <= b + 1e-12 for a, b in zip(probs, probs[1:]))
+
+    @pytest.mark.parametrize(
+        "bounds",
+        # (r1, n1, r, n); (3, 3, 5, 8) always stops early, (0, 4, 9, 9) never rejects.
+        [(1, 10, 5, 16), (1, 15, 5, 25), (3, 3, 5, 8), (0, 4, 9, 9), (4, 4, 6, 6), (0, 1, 0, 2)],
+    )
+    def test_matches_double_sum_oracle(self, bounds):
+        d = SimonDesign(*bounds, alpha_actual=0, power_actual=0, en_null=0, pet_null=0)
+        for p in (0.0, 0.15, 0.45, 1.0):
+            reject, _, en = simon_exact_rational(*bounds, Fraction(p))
+            assert abs(reject_probability(d, p) - float(reject)) < 1e-12
+            assert abs(expected_size(d, p) - float(en)) < 1e-12
 
     def test_design_validation(self):
         with pytest.raises(DomainError):
