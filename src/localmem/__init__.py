@@ -66,8 +66,6 @@ from .posterior import (
     PartitionPosterior,
     analyze,
     default_basket_ids,
-    partition_posterior,
-    similarity_matrix,
 )
 from .simon import (
     SimonDesign,

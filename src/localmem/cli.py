@@ -30,7 +30,6 @@ from .calibration import (
     calibrated_spec,
 )
 from .design import (
-    STAGE_FINAL,
     STAGE_INTERIM,
     Decision,
     DesignSpec,
@@ -227,71 +226,33 @@ def cmd_monitor(args) -> int:
     config = _load_config(args.config)
     _validate(config, schemas.MONITOR_CONFIG)
     spec = _build_spec(config["spec"])
-    if spec.stages != 2:
-        raise ConfigError("monitor requires a two-stage design spec")
     stage = as_int(config["stage"], "stage")
-    x = [as_int(v, "x") for v in config["x"]]
-    n = [as_int(v, "n") for v in config["n"]]
-    if len(x) != spec.num_baskets or len(n) != spec.num_baskets:
-        raise ConfigError(
-            f"x and n must have {spec.num_baskets} entries, got {len(x)} and {len(n)}"
-        )
-    active = config.get("active", [True] * spec.num_baskets)
-    if len(active) != spec.num_baskets:
-        raise ConfigError(f"active must have {spec.num_baskets} entries")
+    active = tuple(config.get("active", [True] * spec.num_baskets))
+    state = TrialState(
+        stage=stage,
+        active=active,
+        data=BasketData.create(config["x"], config["n"]),
+        decisions=tuple(Decision.PENDING if a else Decision.FUTILITY_STOPPED for a in active),
+    )
+    state = (interim_step if stage == STAGE_INTERIM else final_step)(state, spec)
     boundary = spec.boundary()
-
-    if stage == STAGE_INTERIM:
-        if not all(active):
-            raise ConfigError("all baskets are active at the interim analysis")
-        if tuple(n) != spec.stage1_sizes():
-            raise ConfigError(
-                f"interim sample sizes {n} do not match the design plan {list(spec.stage1_sizes())}"
-            )
-        state = interim_step(TrialState.at_interim(x, spec), spec)
-        analyzed = list(range(spec.num_baskets))
-        decisions = [
-            Decision.CONTINUE if d is Decision.PENDING else d for d in state.decisions
-        ]
-        applied = "q1"
-    else:
-        analyzed = [b for b in range(spec.num_baskets) if active[b]]
-        if not analyzed:
-            raise ConfigError("stage 2 needs at least one active basket")
-        n1 = spec.stage1_sizes()
-        for b in range(spec.num_baskets):
-            size = spec.max_sizes[b] if active[b] else n1[b]
-            if n[b] != size:
-                raise ConfigError(
-                    f"basket {b} is listed as {'active' if active[b] else 'stopped'} at stage 2 "
-                    f"but has n={n[b]}, expected its {'maximum' if active[b] else 'interim'} "
-                    f"size {size}; a stopped basket keeps its interim size and cannot re-enter "
-                    "the active set"
-                )
-        state = TrialState(
-            stage=STAGE_FINAL,
-            active=tuple(bool(a) for a in active),
-            data=BasketData.create(x, n),
-            decisions=tuple(Decision.PENDING if a else Decision.FUTILITY_STOPPED for a in active),
-        )
-        state = final_step(state, spec)
-        decisions = state.decisions
-        applied = "q2"
-
     result = state.analysis  # the step's own: all baskets, then the survivors
     pp = result.partition_posterior
+    analyzed = [b for b, keep in enumerate(active) if keep]
     looked = dict(zip(analyzed, zip(result.prob_exceeds, result.ess)))
-    ids = state.data.basket_ids
+    data = state.data
     baskets = []
-    for b in range(spec.num_baskets):
-        entry = {"id": ids[b], "x": x[b], "n": n[b], "decision": decisions[b].value}
+    for b, d in enumerate(state.decisions):
+        # Every basket still PENDING after the interim look continues.
+        decision = Decision.CONTINUE if d is Decision.PENDING else d
+        entry = {"id": data.basket_ids[b], "x": data.x[b], "n": data.n[b], "decision": decision.value}
         if b in looked:
             entry["prob_exceeds"], entry["ess"] = looked[b]
         baskets.append(entry)
     payload = {
         "meta": _meta("monitor", config),
         "stage": stage,
-        "boundary": {"q1": boundary.q1, "q2": boundary.q2, "applied": applied},
+        "boundary": {"q1": boundary.q1, "q2": boundary.q2, "applied": f"q{stage}"},
         "top_partition": {
             "membership": membership_strings(result.pset.memberships[[pp.top_index]])[0],
             "weight": pp.top_prob,

@@ -7,9 +7,14 @@ sizes, re-enumerating partitions over the survivors so dropped baskets
 contribute no data, and declares efficacy where the exceedance probability
 exceeds q2.
 
-Each single-trial look is one :func:`~localmem.posterior.analyze` call;
-simulated batches go through :func:`survivor_exceedance`. Both reach the same
-engine, borrowing step and incomplete beta, so the two agree bit for bit.
+A single trial's look is one checked step behind :func:`interim_step` and
+:func:`final_step`: it refuses a state that does not match the plan (a
+stopped basket at the interim, no active basket at the final look, a basket
+off its planned size, a basket count other than the design's), then makes one
+:func:`~localmem.posterior.analyze` call over the active baskets and applies
+the stage's cutoff. Simulated batches go through :func:`survivor_exceedance`.
+Both reach the same engine, borrowing step and incomplete beta, so the two
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -139,6 +144,8 @@ class DesignSpec:
                 raise DomainError(
                     f"basket {b}: target rate {self.theta1[b]} must exceed null rate {self.theta0[b]}"
                 )
+        if self.interim_sizes is not None and self.interim_fraction is not None:
+            raise DomainError("give interim_fraction or interim_sizes, not both")
         if self.stages == 2:
             if self.interim_sizes is None and self.interim_fraction is None:
                 raise DomainError("two-stage designs need interim_fraction or interim_sizes")
@@ -248,25 +255,64 @@ def _look(data: BasketData, spec: DesignSpec, baskets: Sequence[int]) -> Analysi
     return analyze(sub, delta=spec.delta, prior=spec.prior, theta0=theta0)
 
 
+def _step(state: TrialState, spec: DesignSpec, stage: int) -> TrialState:
+    """One look of a two-stage trial: the only code that checks and applies it.
+
+    The state must match the plan: every basket active at the interim and at
+    least one at the final look; every basket at its interim size, except an
+    active basket at the final look, which is at its maximum. The look
+    analyzes the active baskets only and compares their exceedance
+    probabilities with q1 at the interim (PENDING or FUTILITY_STOPPED) and q2
+    at the final look (EFFICACIOUS or NOT_PROMISING). Baskets left out keep
+    FUTILITY_STOPPED, and the baskets still PENDING are the next state's
+    active set.
+    """
+    if spec.stages != 2:
+        raise DomainError("interim and final looks apply to two-stage designs only")
+    if state.stage != stage:
+        raise DomainError(f"the stage-{stage} look needs a stage-{stage} state, got stage {state.stage}")
+    if len(state.active) != spec.num_baskets or state.data.num_baskets != spec.num_baskets:
+        raise ShapeError(
+            f"active and the data must cover {spec.num_baskets} baskets, "
+            f"got {len(state.active)} and {state.data.num_baskets}"
+        )
+    if stage == STAGE_INTERIM and not all(state.active):
+        raise DomainError("every basket must be active at the interim look")
+    if not any(state.active):
+        raise DomainError("stage 2 needs at least one active basket")
+    n1 = spec.stage1_sizes()
+    for b, keep in enumerate(state.active):
+        full = keep and stage == STAGE_FINAL
+        size = spec.max_sizes[b] if full else n1[b]
+        if state.data.n[b] != size:
+            raise ShapeError(
+                f"basket {b} is listed as {'active' if keep else 'stopped'} at stage {stage} "
+                f"but has n={state.data.n[b]}, expected its {'maximum' if full else 'interim'} "
+                f"size {size}; a stopped basket keeps its interim size and cannot re-enter "
+                "the active set"
+            )
+    baskets = [b for b, keep in enumerate(state.active) if keep]
+    result = _look(state.data, spec, baskets)
+    boundary = spec.boundary()
+    decisions = [Decision.FUTILITY_STOPPED] * spec.num_baskets
+    for b, p in zip(baskets, result.prob_exceeds):
+        if stage == STAGE_INTERIM:
+            decisions[b] = Decision.PENDING if p > boundary.q1 else Decision.FUTILITY_STOPPED
+        else:
+            decisions[b] = Decision.EFFICACIOUS if p > boundary.q2 else Decision.NOT_PROMISING
+    active = tuple(d is Decision.PENDING for d in decisions)
+    return TrialState(
+        stage=STAGE_FINAL if any(active) else STAGE_DONE,
+        active=active,
+        data=state.data,
+        decisions=tuple(decisions),
+        analysis=result,
+    )
+
+
 def interim_step(state: TrialState, spec: DesignSpec) -> TrialState:
     """Apply the stage-I futility rule to interim data on all baskets."""
-    if spec.stages != 2:
-        raise DomainError("interim_step applies to two-stage designs only")
-    if state.stage != STAGE_INTERIM:
-        raise DomainError(f"interim_step needs a stage-1 state, got stage {state.stage}")
-    n1 = spec.stage1_sizes()
-    if state.data.n != n1:
-        raise ShapeError(f"interim data sizes {state.data.n} do not match plan {n1}")
-    q1 = spec.boundary().q1
-    result = _look(state.data, spec, range(spec.num_baskets))
-    active = tuple(p > q1 for p in result.prob_exceeds)
-    decisions = tuple(
-        Decision.PENDING if keep else Decision.FUTILITY_STOPPED for keep in active
-    )
-    stage = STAGE_FINAL if any(active) else STAGE_DONE
-    return TrialState(
-        stage=stage, active=active, data=state.data, decisions=decisions, analysis=result
-    )
+    return _step(state, spec, STAGE_INTERIM)
 
 
 def final_step(state: TrialState, spec: DesignSpec) -> TrialState:
@@ -275,28 +321,7 @@ def final_step(state: TrialState, spec: DesignSpec) -> TrialState:
     Partitions are re-enumerated over the survivors, so data from baskets
     stopped at the interim are fully excluded from borrowing.
     """
-    if state.stage != STAGE_FINAL:
-        raise DomainError(f"final_step needs a stage-2 state, got stage {state.stage}")
-    survivors = [b for b, keep in enumerate(state.active) if keep]
-    if not survivors:
-        return replace(state, stage=STAGE_DONE, analysis=None)
-    for b in survivors:
-        if state.data.n[b] != spec.max_sizes[b]:
-            raise ShapeError(
-                f"basket {b} is active but has {state.data.n[b]} patients, expected {spec.max_sizes[b]}"
-            )
-    q2 = spec.boundary().q2
-    result = _look(state.data, spec, survivors)
-    decisions = list(state.decisions)
-    for b, p in zip(survivors, result.prob_exceeds):
-        decisions[b] = Decision.EFFICACIOUS if p > q2 else Decision.NOT_PROMISING
-    return TrialState(
-        stage=STAGE_DONE,
-        active=tuple(False for _ in state.active),
-        data=state.data,
-        decisions=tuple(decisions),
-        analysis=result,
-    )
+    return _step(state, spec, STAGE_FINAL)
 
 
 def run_single_stage(data: BasketData, spec: DesignSpec) -> tuple[Decision, ...]:

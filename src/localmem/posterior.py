@@ -13,7 +13,9 @@ omitted; only the Beta-function block factors are evaluated.
 Two entry points give every posterior quantity: :func:`analyze` for one
 dataset (partition posterior, similarity, and each basket's borrowing
 posterior, effective sample size and exceedance probability) and
-:class:`BatchPosterior` for many count rows; they agree bit for bit.
+:class:`BatchPosterior` for many count rows; they agree bit for bit. No other
+helper gives a one-dataset posterior: :func:`analyze` builds the partition
+set from ``delta`` and makes one engine call.
 """
 
 from __future__ import annotations
@@ -105,44 +107,15 @@ class BasketData:
 
 @dataclass(frozen=True)
 class PartitionPosterior:
-    """Normalized weights over a PartitionSet plus the selected top partition."""
+    """Normalized weights over a PartitionSet plus the selected top partition.
+
+    Among weights tied within TOP_TIE_TOL, the top partition is the one with
+    the most blocks, then the lexicographically smallest membership.
+    """
 
     weights: np.ndarray = field(repr=False)
     top_index: int
     top_prob: float
-
-
-def partition_posterior(
-    data: BasketData,
-    pset: PartitionSet,
-    prior: BetaParams = DEFAULT_PRIOR,
-) -> PartitionPosterior:
-    """Posterior probability of every partition given the observed counts.
-
-    A one-row call of :class:`BatchPosterior`. The weight of a partition is
-    proportional to its prior times the product of its block Beta factors.
-    Among weights tied within TOP_TIE_TOL, the top partition is the one with
-    the most blocks, then the lexicographically smallest membership.
-    """
-    weights, top, top_prob = BatchPosterior(data.n, pset, prior).posterior(data.x)
-    row = weights[0]
-    row.setflags(write=False)
-    return PartitionPosterior(weights=row, top_index=int(top[0]), top_prob=float(top_prob[0]))
-
-
-def similarity_matrix(pp: PartitionPosterior, pset: PartitionSet) -> np.ndarray:
-    """Pairwise co-membership probability as a read-only (B, B) array: the
-    summed weight of partitions placing the two baskets in one block.
-    Diagonal is 1 by convention."""
-    if len(pp.weights) != len(pset):
-        raise ShapeError("posterior weights and partition set sizes differ")
-    labels = pset.memberships
-    psi = np.stack(
-        [pp.weights @ (labels == labels[:, [s]]) for s in range(pset.num_baskets)]
-    )
-    np.fill_diagonal(psi, 1.0)
-    psi.setflags(write=False)
-    return psi
 
 
 def borrow(x, n, labels, top_prob, prior: BetaParams = DEFAULT_PRIOR):
@@ -197,15 +170,22 @@ def analyze(
         raise ShapeError(f"theta0 must have {data.num_baskets} entries, got {len(t0)}")
     if not np.all((t0 > 0.0) & (t0 < 1.0)):
         raise DomainError(f"theta0 must lie in (0, 1), got {t0.tolist()}")
-    pp = partition_posterior(data, pset, prior)
-    top = pset.memberships[[pp.top_index]]
-    alpha, beta, ess = (v[0] for v in borrow([data.x], data.n, top, [pp.top_prob], prior))
+    weights, top, top_prob = BatchPosterior(data.n, pset, prior).posterior(data.x)
+    labels = pset.memberships
+    alpha, beta, ess = (v[0] for v in borrow([data.x], data.n, labels[top], top_prob, prior))
     probs = 1.0 - reg_inc_beta(t0, alpha, beta)
+    weights = weights[0]
+    weights.setflags(write=False)
+    # Pairwise co-membership probability: the summed weight of the partitions
+    # placing two baskets in one block; the diagonal is 1 by convention.
+    similarity = np.stack([weights @ (labels == labels[:, [s]]) for s in range(data.num_baskets)])
+    np.fill_diagonal(similarity, 1.0)
+    similarity.setflags(write=False)
     return AnalysisResult(
         data=data,
         pset=pset,
-        partition_posterior=pp,
-        similarity=similarity_matrix(pp, pset),
+        partition_posterior=PartitionPosterior(weights, int(top[0]), float(top_prob[0])),
+        similarity=similarity,
         posteriors=tuple(BetaParams(float(a), float(b)) for a, b in zip(alpha, beta)),
         ess=tuple(float(v) for v in ess),
         prob_exceeds=tuple(float(v) for v in probs),

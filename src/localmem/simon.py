@@ -169,7 +169,12 @@ def simon_oc(design: SimonDesign, scenario: Scenario) -> OperatingCharacteristic
         fwer = 1.0 - keep
     if any(scenario.promising):
         promising_rates = [r for r, prom in zip(rates, scenario.promising) if prom]
-        trialwise = float(np.mean(promising_rates))  # equal basket sizes by construction
+        # Equal basket sizes by construction. Equal rates are reported as
+        # they are: their mean can be an ulp away.
+        if len(set(promising_rates)) == 1:
+            trialwise = promising_rates[0]
+        else:
+            trialwise = float(np.mean(promising_rates))
     else:
         trialwise = None
     expected_n = tuple(expected_size(design, p) for p in scenario.true_rates)

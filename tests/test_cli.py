@@ -228,6 +228,49 @@ class TestMonitor:
         assert "basket 0 is listed as stopped" in err and "expected its interim size 10" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "look",
+        [
+            pytest.param({"stage": 1, "x": [0, 3, 1], "n": [10] * 4}, id="x-length"),
+            pytest.param({"stage": 1, "x": [0, 3, 1], "n": [10] * 3}, id="x-and-n-length"),
+            pytest.param(
+                {"stage": 2, "x": [0, 9, 4, 9], "n": [10, 16, 16, 16], "active": [False, True, True]},
+                id="active-length",
+            ),
+            pytest.param(
+                {"stage": 1, "x": [0, 3, 1, 8], "n": [10] * 4, "active": [False, True, True, True]},
+                id="stopped-at-interim",
+            ),
+            pytest.param(
+                {"stage": 2, "x": [0, 1, 1, 0], "n": [10] * 4, "active": [False] * 4},
+                id="none-active",
+            ),
+            pytest.param(
+                {
+                    "spec": {k: v for k, v in TWO_STAGE_SPEC.items() if k != "interim_sizes"}
+                    | {"stages": 1},
+                    "stage": 1,
+                    "x": [0, 3, 1, 8],
+                    "n": [16] * 4,
+                },
+                id="one-stage-spec",
+            ),
+            pytest.param(
+                {
+                    "spec": dict(TWO_STAGE_SPEC, interim_fraction=0.25),
+                    "stage": 1,
+                    "x": [0, 3, 1, 8],
+                    "n": [10] * 4,
+                },
+                id="fraction-and-sizes",
+            ),
+        ],
+    )
+    def test_bad_look_exits_2_and_writes_nothing(self, tmp_path, look):
+        cfg = write_config(tmp_path, "m.json", {"spec": TWO_STAGE_SPEC, **look})
+        assert run(["monitor", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_wrong_interim_sizes_exit_2(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -250,6 +293,16 @@ def _reports(out_dir):
             text = re.sub(r"config_hash=\w+", "config_hash=-", text)
         blobs[path.name] = text
     return blobs
+
+
+def _digests(out_dir):
+    """sha256 of every file a command wrote, with the config hash blanked."""
+    digests = {}
+    for path in sorted(out_dir.iterdir()):
+        blob = re.sub(rb'"config_hash": "\w+"', b'"config_hash": null', path.read_bytes())
+        blob = re.sub(rb"config_hash=\w+", b"config_hash=-", blob)
+        digests[path.name] = hashlib.sha256(blob).hexdigest()
+    return digests
 
 
 class TestIntegralFloats:
@@ -321,12 +374,60 @@ class TestAnalyzeReportBytes:
         cfg = write_config(tmp_path, "a.json", PINNED_ANALYZE_CONFIGS[name])
         out = tmp_path / "out"
         assert run(["analyze", "--config", cfg, "--out", out, "--format", "both"]) == 0
-        digests = {}
-        for path in sorted(out.iterdir()):
-            blob = re.sub(rb'"config_hash": "\w+"', b'"config_hash": null', path.read_bytes())
-            blob = re.sub(rb"config_hash=\w+", b"config_hash=-", blob)
-            digests[path.name] = hashlib.sha256(blob).hexdigest()
-        assert digests == ANALYZE_REPORT_DIGESTS[name]
+        assert _digests(out) == ANALYZE_REPORT_DIGESTS[name]
+
+
+# Monitor looks whose reports are pinned byte for byte: the interim and the
+# final look at B = 4 and B = 7, each final look with stopped baskets.
+MONITOR_SPEC_B7 = dict(TWO_STAGE_SPEC, baskets=7)
+PINNED_MONITOR_CONFIGS = {
+    "b4-stage1": {"spec": TWO_STAGE_SPEC, "stage": 1, "x": [0, 3, 1, 8], "n": [10, 10, 10, 10]},
+    "b4-stage2": {
+        "spec": TWO_STAGE_SPEC,
+        "stage": 2,
+        "x": [0, 9, 4, 9],
+        "n": [10, 16, 16, 16],
+        "active": [False, True, True, True],
+    },
+    "b7-stage1": {"spec": MONITOR_SPEC_B7, "stage": 1, "x": [0, 3, 1, 8, 5, 2, 6], "n": [10] * 7},
+    "b7-stage2": {
+        "spec": MONITOR_SPEC_B7,
+        "stage": 2,
+        "x": [0, 7, 1, 11, 8, 2, 3],
+        "n": [10, 16, 10, 16, 16, 10, 16],
+        "active": [False, True, False, True, True, False, True],
+    },
+}
+
+# sha256 of each file with its config hash blanked, recorded before the looks
+# were moved into one checked step.
+MONITOR_REPORT_DIGESTS = {
+    "b4-stage1": {
+        "monitor.csv": "2639303b715a4705d6347470e3d33e22f3acc2e0ab2af2dde9887312b67d9a68",
+        "monitor.json": "09cd669e4755a318cc53f6c12a1642cd15b465d9b1c6c841e971ed9dc7f4e653",
+    },
+    "b4-stage2": {
+        "monitor.csv": "bc92d008301f937ae0efda106aaeb33a5c2d890615ab7e707e9e862112d2c85e",
+        "monitor.json": "aff153aa480de26e7583f5666d4566cbf903ca7687003666fccd8e705daeb690",
+    },
+    "b7-stage1": {
+        "monitor.csv": "4f3a82ef187b900a87f8f2e75515fa6fb9742fcada023802b14a176c2c56023f",
+        "monitor.json": "862c77d7693cf9f4514f4a344595900aec822f8dc474f3331985dfc085995571",
+    },
+    "b7-stage2": {
+        "monitor.csv": "e384d710a1caa49605cb2fabe10dc34c214f539238af952a4590226e3f7be002",
+        "monitor.json": "9bc2073057cf1efb00f2f25caf8c85012dfe52b8bf42d129fc2d86e4daa5d076",
+    },
+}
+
+
+class TestMonitorReportBytes:
+    @pytest.mark.parametrize("name", sorted(PINNED_MONITOR_CONFIGS))
+    def test_files_are_pinned(self, tmp_path, name):
+        cfg = write_config(tmp_path, "m.json", PINNED_MONITOR_CONFIGS[name])
+        out = tmp_path / "out"
+        assert run(["monitor", "--config", cfg, "--out", out, "--format", "both"]) == 0
+        assert _digests(out) == MONITOR_REPORT_DIGESTS[name]
 
 
 class TestSimulate:
@@ -544,6 +645,17 @@ class TestSimon:
         for row in report["scenarios"]:
             for p, rate in zip(row["true_rates"], row["reject_rate"]):
                 assert rate == (mm["alpha"] if p == 0.15 else mm["power"])
+
+    def test_trialwise_power_equals_search_power(self, tmp_path):
+        # Every promising basket has the same true rate, so the trial-wise
+        # power is that basket's rate exactly, not a mean an ulp away.
+        args = ["simon", "--p0", 0.30, "--p1", 0.55, "--alpha", 0.01, "--beta", 0.2, "--baskets", 10]
+        assert run([*args, "--out", tmp_path / "out"]) == 0
+        report = json.loads((tmp_path / "out" / "simon.json").read_text())
+        rows = [r for r in report["scenarios"] if not r["label"].startswith("0 ")]
+        assert [r["label"] for r in rows] == [f"{k} success" for k in range(1, 11)]
+        for row in rows:
+            assert row["trialwise_power"] == report["minimax"]["power"]
 
     def test_bad_rates_exit_2(self, tmp_path):
         assert (

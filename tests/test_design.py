@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,6 +82,12 @@ class TestDesignSpec:
             2, (16, 20), 0.15, 0.45, lam=0.9, gamma=1.0, stages=2, interim_fraction=0.5
         )
         assert spec.stage1_sizes() == (8, 10)
+
+    def test_fraction_and_sizes_together_are_refused(self):
+        with pytest.raises(DomainError):
+            DesignSpec.create(
+                4, 16, 0.15, 0.45, lam=0.977, stages=2, interim_fraction=0.25, interim_sizes=10
+            )
 
     def test_information_fraction_with_explicit_sizes(self):
         spec = paper_two_stage()
@@ -169,6 +176,31 @@ class TestInterimStep:
         with pytest.raises(ShapeError):
             interim_step(state, spec)
 
+    def test_stopped_basket_is_refused(self):
+        # A basket stopped before the interim look cannot be re-activated by it.
+        spec = paper_two_stage()
+        state = replace(
+            TrialState.at_interim([0, 3, 1, 8], spec), active=(True, False, True, True)
+        )
+        with pytest.raises(DomainError):
+            interim_step(state, spec)
+
+    def test_basket_count_must_match_design(self):
+        spec = paper_two_stage()
+        three = DesignSpec.create(
+            3, 16, 0.15, 0.45, lam=0.977, gamma=0.70033, delta=2.0, stages=2, interim_sizes=10
+        )
+        with pytest.raises(ShapeError):
+            interim_step(TrialState.at_interim([0, 3, 1], three), spec)
+        final = TrialState(
+            stage=STAGE_FINAL,
+            active=(True,) * 3,
+            data=BasketData.create([9, 8, 9], [16, 16, 16]),
+            decisions=(Decision.PENDING,) * 3,
+        )
+        with pytest.raises(ShapeError):
+            final_step(final, spec)
+
 
 class TestFinalStep:
     def test_matches_partition_oracle_on_survivors(self):
@@ -210,6 +242,25 @@ class TestFinalStep:
         state = interim_step(TrialState.at_interim([0, 7, 6, 7], spec), spec)
         with pytest.raises(ShapeError):
             final_step(state, spec)  # data still at interim sizes
+
+    def test_stopped_basket_keeps_interim_size(self):
+        spec = paper_two_stage()
+        state = interim_step(TrialState.at_interim([0, 7, 6, 7], spec), spec)
+        assert state.active == (False, True, True, True)
+        past = replace(state, data=BasketData.create([0, 9, 8, 9], [16, 16, 16, 16]))
+        with pytest.raises(ShapeError):
+            final_step(past, spec)
+
+    def test_no_active_basket_is_refused(self):
+        spec = paper_two_stage()
+        state = TrialState(
+            stage=STAGE_FINAL,
+            active=(False,) * 4,
+            data=BasketData.create([0, 0, 0, 0], [10, 10, 10, 10]),
+            decisions=(Decision.FUTILITY_STOPPED,) * 4,
+        )
+        with pytest.raises(DomainError):
+            final_step(state, spec)
 
 
 class TestRunSingleStage:

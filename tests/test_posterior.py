@@ -15,8 +15,6 @@ from localmem.posterior import (
     BetaParams,
     analyze,
     default_basket_ids,
-    partition_posterior,
-    similarity_matrix,
 )
 
 from oracles import RationalAnalysis, beta_tail_quadrature
@@ -52,70 +50,59 @@ class TestPartitionPosteriorExamples:
         # x=(0,2), n=(2,2), uniform prior over {pooled, split}:
         # pooled Beta factor B(3,3)/B(1,1) = 1/30, split B(1,3)B(3,1) = 1/9,
         # so weights are (3/13, 10/13).
-        data = BasketData.create([0, 2], [2, 2])
-        pset = PartitionSet.build(2, 0.0)
-        pp = partition_posterior(data, pset)
+        result = analyze(BasketData.create([0, 2], [2, 2]), delta=0.0)
+        pp = result.partition_posterior
         assert pp.weights[0] == pytest.approx(3 / 13, abs=1e-12)
         assert pp.weights[1] == pytest.approx(10 / 13, abs=1e-12)
-        assert membership_strings(pset.memberships[[pp.top_index]]) == ["1|2"]
+        assert membership_strings(result.pset.memberships[[pp.top_index]]) == ["1|2"]
 
     def test_no_data_returns_prior(self):
-        data = BasketData.create([0, 0], [0, 0])
-        pset = PartitionSet.build(2, 1.0)
-        pp = partition_posterior(data, pset)
-        assert np.allclose(pp.weights, pset.prior, atol=1e-14)
+        result = analyze(BasketData.create([0, 0], [0, 0]), delta=1.0)
+        assert np.allclose(result.partition_posterior.weights, result.pset.prior, atol=1e-14)
 
     def test_degenerate_prior(self):
         pset = replace(PartitionSet.build(3), prior=np.array([0, 0, 0, 1.0, 0]))
-        data = BasketData.create([3, 0, 2], [5, 5, 5])
-        pp = partition_posterior(data, pset)
-        assert pp.top_index == 3
-        assert pp.top_prob == pytest.approx(1.0, abs=1e-14)
+        _, top, top_prob = BatchPosterior([5, 5, 5], pset).posterior([3, 0, 2])
+        assert top[0] == 3
+        assert top_prob[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(21)
-        pset = PartitionSet.build(4, 2.0)
         for _ in range(40):
             n = rng.integers(1, 20, size=4)
             x = rng.integers(0, n + 1)
-            pp = partition_posterior(BasketData.create(x, n), pset)
+            pp = analyze(BasketData.create(x, n), delta=2.0).partition_posterior
             assert pp.weights.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_shape_error(self):
+        # One basket's sample sizes against a two-basket partition set.
         with pytest.raises(ShapeError):
-            partition_posterior(BasketData.create([1], [2]), PartitionSet.build(2))
+            BatchPosterior([2], PartitionSet.build(2))
 
 
 class TestSimilarity:
     def test_two_basket_value(self):
-        data = BasketData.create([0, 2], [2, 2])
-        pset = PartitionSet.build(2, 0.0)
-        psi = similarity_matrix(partition_posterior(data, pset), pset)
+        psi = analyze(BasketData.create([0, 2], [2, 2]), delta=0.0).similarity
         assert psi.shape == (2, 2) and not psi.flags.writeable
         assert psi[0, 1] == pytest.approx(3 / 13, abs=1e-12)
         assert psi[0, 0] == 1.0
 
     def test_degenerate_masses(self):
-        pset = PartitionSet.build(3)
-        singleton = next(
-            i for i, p in enumerate(pset.memberships) if tuple(p) == (1, 2, 3)
-        )
-        pooled = next(i for i, p in enumerate(pset.memberships) if tuple(p) == (1, 1, 1))
-        for idx, expect in ((singleton, np.eye(3)), (pooled, np.ones((3, 3)))):
-            w = np.zeros(len(pset))
-            w[idx] = 1.0
-            from localmem.posterior import PartitionPosterior
-
-            pp = PartitionPosterior(weights=w, top_index=idx, top_prob=1.0)
-            assert np.allclose(similarity_matrix(pp, pset), expect)
+        # With no data the weights are the prior, and delta = +200 (-200) puts
+        # all but about 1e-35 (1e-60) of it on the singletons (the pooled
+        # partition).
+        cases = ((200.0, (1, 2, 3), np.eye(3)), (-200.0, (1, 1, 1), np.ones((3, 3))))
+        for delta, top, expect in cases:
+            result = analyze(BasketData.create([0, 0, 0], [0, 0, 0]), delta=delta)
+            assert tuple(result.pset.memberships[result.partition_posterior.top_index]) == top
+            assert np.allclose(result.similarity, expect)
 
     def test_bounds_symmetry_random(self):
         rng = np.random.default_rng(22)
-        pset = PartitionSet.build(5, 1.0)
         for _ in range(10):
             n = rng.integers(1, 15, size=5)
             x = rng.integers(0, n + 1)
-            psi = similarity_matrix(partition_posterior(BasketData.create(x, n), pset), pset)
+            psi = analyze(BasketData.create(x, n), delta=1.0).similarity
             assert np.allclose(psi, psi.T)
             assert np.all(psi >= 0) and np.all(psi <= 1 + 1e-12)
             assert np.allclose(np.diag(psi), 1.0)
@@ -440,6 +427,5 @@ class TestAnalyze:
         # same block-size profile; the winner must have the most blocks and
         # the smallest membership among those.
         data = BasketData.create([0, 0], [0, 0])
-        pset = PartitionSet.build(2, 0.0)  # uniform prior, no data: exact tie
-        pp = partition_posterior(data, pset)
-        assert tuple(pset.memberships[pp.top_index]) == (1, 2)
+        result = analyze(data, delta=0.0)  # uniform prior, no data: exact tie
+        assert tuple(result.pset.memberships[result.partition_posterior.top_index]) == (1, 2)
