@@ -7,10 +7,12 @@ sizes, re-enumerating partitions over the survivors so dropped baskets
 contribute no data, and declares efficacy where the exceedance probability
 exceeds q2.
 
-A single trial's look is one checked step behind :func:`interim_step` and
-:func:`final_step`: it refuses a state that does not match the plan (a
-stopped basket at the interim, no active basket at the final look, a basket
-off its planned size, a basket count other than the design's), then makes one
+A single trial's look is one checked step behind :func:`interim_step`,
+:func:`final_step` and :func:`run_single_stage` (a single-stage design's only
+look is its final look): it refuses a state that does not match the plan (a
+design with another stage count, a stopped basket at the interim, no active
+basket at the final look, a basket off its planned size, a basket count other
+than the design's), then makes one
 :func:`~localmem.posterior.analyze` call over the active baskets and applies
 the stage's cutoff. Simulated batches go through :func:`survivor_exceedance`.
 Both reach the same engine, borrowing step and incomplete beta, so the two
@@ -223,9 +225,10 @@ def survivor_exceedance(spec: DesignSpec, x, survivors, sizes: Sequence[int]) ->
     x holds count rows (T, B), survivors a boolean mask per row and sizes the
     sample size of every basket. Each row is analyzed on its survivors only,
     with partitions re-enumerated over them; baskets outside the set get
-    -inf. Rows are grouped by survivor set, and a set's engine depends only
-    on its survivors' sample sizes, so an equal-size design needs at most B
-    engines.
+    -inf. An engine depends only on its survivors' sample sizes, so the rows
+    of every survivor set with the same size tuple go through one engine and
+    one :meth:`~localmem.posterior.BatchPosterior.exceed_probs` call, with
+    theta0 given per row; an equal-size design needs at most B calls.
     """
     x = np.asarray(x, dtype=int)
     survivors = np.asarray(survivors, dtype=bool)
@@ -235,40 +238,35 @@ def survivor_exceedance(spec: DesignSpec, x, survivors, sizes: Sequence[int]) ->
     # One int per row: its survivor set as a basket bitmask.
     bits = np.arange(x.shape[1])
     codes, group = np.unique(survivors @ (1 << bits), return_inverse=True)
-    engines: dict[tuple[int, ...], BatchPosterior] = {}
+    # Size tuple -> (rows, survivor columns) of each set with those sizes.
+    batches: dict[tuple[int, ...], list[tuple[np.ndarray, np.ndarray]]] = {}
     for g, code in enumerate(codes):
         cols = np.flatnonzero(code >> bits & 1)
-        if not len(cols):
-            continue
-        key = tuple(int(v) for v in sizes[cols])
-        if key not in engines:
-            engines[key] = BatchPosterior(key, PartitionSet.build(len(cols), spec.delta), spec.prior)
-        rows = np.flatnonzero(group == g)
-        out[np.ix_(rows, cols)] = engines[key].exceed_probs(x[np.ix_(rows, cols)], theta0[cols])
+        if len(cols):
+            key = tuple(int(v) for v in sizes[cols])
+            batches.setdefault(key, []).append((np.flatnonzero(group == g), cols))
+    for key, sets in batches.items():
+        rows = np.concatenate([r for r, _ in sets])[:, None]
+        cols = np.concatenate([np.broadcast_to(c, (len(r), len(c))) for r, c in sets])
+        engine = BatchPosterior(key, PartitionSet.build(len(key), spec.delta), spec.prior)
+        out[rows, cols] = engine.exceed_probs(x[rows, cols], theta0[cols])
     return out
 
 
-def _look(data: BasketData, spec: DesignSpec, baskets: Sequence[int]) -> AnalysisResult:
-    """One analysis of the given baskets, with partitions enumerated over them."""
-    sub = BasketData.create(*([v[b] for b in baskets] for v in (data.x, data.n, data.basket_ids)))
-    theta0 = [spec.theta0[b] for b in baskets]
-    return analyze(sub, delta=spec.delta, prior=spec.prior, theta0=theta0)
+def _step(state: TrialState, spec: DesignSpec, stage: int, stages: int) -> TrialState:
+    """One look of a trial: the only code that checks and applies it.
 
-
-def _step(state: TrialState, spec: DesignSpec, stage: int) -> TrialState:
-    """One look of a two-stage trial: the only code that checks and applies it.
-
-    The state must match the plan: every basket active at the interim and at
-    least one at the final look; every basket at its interim size, except an
-    active basket at the final look, which is at its maximum. The look
-    analyzes the active baskets only and compares their exceedance
-    probabilities with q1 at the interim (PENDING or FUTILITY_STOPPED) and q2
-    at the final look (EFFICACIOUS or NOT_PROMISING). Baskets left out keep
-    FUTILITY_STOPPED, and the baskets still PENDING are the next state's
-    active set.
+    The design must have the given number of stages. The state must match
+    the plan: every basket active at the interim and at least one at the
+    final look; every basket at its interim size, except an active basket at
+    the final look, which is at its maximum. The look analyzes the active
+    baskets only and compares their exceedance probabilities with q1 at the
+    interim (PENDING or FUTILITY_STOPPED) and q2 at the final look
+    (EFFICACIOUS or NOT_PROMISING). Baskets left out keep FUTILITY_STOPPED,
+    and the baskets still PENDING are the next state's active set.
     """
-    if spec.stages != 2:
-        raise DomainError("interim and final looks apply to two-stage designs only")
+    if spec.stages != stages:
+        raise DomainError(f"this look needs a {stages}-stage design, got a {spec.stages}-stage design")
     if state.stage != stage:
         raise DomainError(f"the stage-{stage} look needs a stage-{stage} state, got stage {state.stage}")
     if len(state.active) != spec.num_baskets or state.data.num_baskets != spec.num_baskets:
@@ -281,18 +279,25 @@ def _step(state: TrialState, spec: DesignSpec, stage: int) -> TrialState:
     if not any(state.active):
         raise DomainError("stage 2 needs at least one active basket")
     n1 = spec.stage1_sizes()
+    look = "interim" if stage == STAGE_INTERIM else "final"
     for b, keep in enumerate(state.active):
         full = keep and stage == STAGE_FINAL
         size = spec.max_sizes[b] if full else n1[b]
         if state.data.n[b] != size:
-            raise ShapeError(
-                f"basket {b} is listed as {'active' if keep else 'stopped'} at stage {stage} "
-                f"but has n={state.data.n[b]}, expected its {'maximum' if full else 'interim'} "
-                f"size {size}; a stopped basket keeps its interim size and cannot re-enter "
-                "the active set"
+            note = "" if keep else (
+                "; a stopped basket keeps its interim size and cannot re-enter the active set"
             )
+            raise ShapeError(
+                f"basket {b} is listed as {'active' if keep else 'stopped'} at the {look} look "
+                f"but has n={state.data.n[b]}, expected its {'maximum' if full else 'interim'} "
+                f"size {size}{note}"
+            )
+    # One analysis of the active baskets, with partitions enumerated over them.
     baskets = [b for b, keep in enumerate(state.active) if keep]
-    result = _look(state.data, spec, baskets)
+    data = state.data
+    sub = BasketData.create(*([v[b] for b in baskets] for v in (data.x, data.n, data.basket_ids)))
+    theta0 = [spec.theta0[b] for b in baskets]
+    result = analyze(sub, delta=spec.delta, prior=spec.prior, theta0=theta0)
     boundary = spec.boundary()
     decisions = [Decision.FUTILITY_STOPPED] * spec.num_baskets
     for b, p in zip(baskets, result.prob_exceeds):
@@ -312,7 +317,7 @@ def _step(state: TrialState, spec: DesignSpec, stage: int) -> TrialState:
 
 def interim_step(state: TrialState, spec: DesignSpec) -> TrialState:
     """Apply the stage-I futility rule to interim data on all baskets."""
-    return _step(state, spec, STAGE_INTERIM)
+    return _step(state, spec, STAGE_INTERIM, 2)
 
 
 def final_step(state: TrialState, spec: DesignSpec) -> TrialState:
@@ -321,24 +326,19 @@ def final_step(state: TrialState, spec: DesignSpec) -> TrialState:
     Partitions are re-enumerated over the survivors, so data from baskets
     stopped at the interim are fully excluded from borrowing.
     """
-    return _step(state, spec, STAGE_FINAL)
+    return _step(state, spec, STAGE_FINAL, 2)
 
 
 def run_single_stage(data: BasketData, spec: DesignSpec) -> tuple[Decision, ...]:
-    """One analysis over all baskets at their maximum sizes."""
-    if spec.stages != 1:
-        raise DomainError("run_single_stage applies to single-stage designs only")
-    if data.num_baskets != spec.num_baskets:
-        raise ShapeError(
-            f"data covers {data.num_baskets} baskets, design expects {spec.num_baskets}"
-        )
-    if data.n != spec.max_sizes:
-        raise ShapeError(f"data sizes {data.n} do not match the design sizes {spec.max_sizes}")
-    q2 = spec.boundary().q2
-    return tuple(
-        Decision.EFFICACIOUS if p > q2 else Decision.NOT_PROMISING
-        for p in _look(data, spec, range(spec.num_baskets)).prob_exceeds
+    """The one look of a single-stage design: every basket at its maximum
+    size against q2, checked and applied as a two-stage trial's final look."""
+    state = TrialState(
+        stage=STAGE_FINAL,
+        active=(True,) * data.num_baskets,
+        data=data,
+        decisions=(Decision.PENDING,) * data.num_baskets,
     )
+    return _step(state, spec, STAGE_FINAL, 1).decisions
 
 
 def run_two_stage(

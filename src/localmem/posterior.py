@@ -33,12 +33,17 @@ from .partitions import PartitionSet
 # top partition.
 TOP_TIE_TOL = 1e-12
 
-# Largest rows x partitions evaluated at once by BatchPosterior.exceed_probs.
-# BatchPosterior.posterior peaks at about 16.2 bytes per row x partition cell
-# while it sums the block slots (the weights and a scratch buffer of the same
-# size; the top pick later needs 2 bytes per cell), so a chunk peaks near
-# 270 MB however many rows are asked for: 144 rows at B = 10.
-MAX_CELLS = 2**24
+# Cache budget of BatchPosterior.exceed_probs: the most rows x partitions
+# whose weights are evaluated at once. 2**18 cells is 2 MiB per float64 array,
+# the size of a per-core L2 cache on common x86 servers, so the summing passes
+# over a chunk stay near the core instead of streaming from main memory.
+# BatchPosterior.posterior peaks at about 16.2 bytes per cell (the weights and
+# a scratch buffer of the same size; the top pick later needs 2 bytes per
+# cell), so the weights of a call peak near 4.3 MB however many rows are asked
+# for; the borrowing step and the incomplete beta add a few KB per row.
+# tracemalloc measured 3.7 MB for a whole 300-row call at B = 10 (two rows per
+# chunk) and 4.2 MB for a 600-row call at B = 9 (12 rows per chunk).
+MAX_CELLS = 2**18
 
 _DEFAULT_IDS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -305,26 +310,24 @@ class BatchPosterior:
         top_prob = weights[np.arange(len(mat)), top]
         return weights, top, top_prob
 
-    def borrow_params(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Borrowing-posterior (alpha, beta) arrays of shape (T, B)."""
-        mat = self._as_matrix(x)
-        _, top, top_prob = self.posterior(mat)
-        alpha, beta, _ = borrow(mat, self.n, self.pset.memberships[top], top_prob, self.prior)
-        return alpha, beta
-
     def exceed_probs(self, x, theta0) -> np.ndarray:
         """Per-basket posterior exceedance probabilities, shape (T, B).
 
-        Rows are evaluated in chunks of at most MAX_CELLS rows x partitions,
-        which bounds memory at any batch size; rows are independent, so the
-        chunking never changes a result.
+        theta0 is a scalar, one value per basket (B,) or one per cell (T, B).
+        The counts are checked before any work. The partition weights are
+        then evaluated in row chunks of at most MAX_CELLS rows x partitions,
+        keeping only each row's top partition and its weight, and one
+        :func:`borrow` call and one incomplete beta call cover the whole
+        batch. Rows are independent of their batch, so the chunking never
+        changes a result.
         """
         mat = self._as_matrix(x)
         t0 = np.broadcast_to(np.asarray(theta0, dtype=float), mat.shape)
         step = max(1, MAX_CELLS // len(self.pset))
-        out = np.empty(mat.shape)
+        top = np.empty(len(mat), dtype=int)
+        top_prob = np.empty(len(mat))
         for lo in range(0, len(mat), step):
-            rows = slice(lo, lo + step)
-            alpha, beta = self.borrow_params(mat[rows])
-            out[rows] = 1.0 - reg_inc_beta(t0[rows], alpha, beta)
-        return out
+            # Only the top pick is kept, so no chunk's weights outlive it.
+            top[lo : lo + step], top_prob[lo : lo + step] = self.posterior(mat[lo : lo + step])[1:]
+        alpha, beta, _ = borrow(mat, self.n, self.pset.memberships[top], top_prob, self.prior)
+        return 1.0 - reg_inc_beta(t0, alpha, beta)

@@ -1,9 +1,11 @@
+import hashlib
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from localmem import design
 from localmem.design import (
     Decision,
     DesignSpec,
@@ -29,6 +31,24 @@ def paper_two_stage(delta=2.0):
     return DesignSpec.create(
         4, 16, 0.15, 0.45, lam=0.977, gamma=0.70033, delta=delta, stages=2, interim_sizes=10
     )
+
+
+def unequal_six():
+    """B = 6 with unequal sizes, a vector theta0 and the Jeffreys prior; 240
+    count rows (every fourth with equal counts) and random survivor masks,
+    with empty rows and all-basket rows among them."""
+    spec = DesignSpec.create(
+        6, (16, 14, 16, 12, 14, 16), (0.1, 0.15, 0.2, 0.15, 0.1, 0.25), 0.5, lam=0.977,
+        gamma=0.7, delta=2.0, prior=JEFFREYS_PRIOR, stages=2, interim_sizes=(10, 8, 10, 6, 8, 10),
+    )
+    sizes = np.asarray(spec.max_sizes)
+    rng = np.random.default_rng(54)
+    x = rng.integers(0, sizes + 1, size=(240, 6))
+    x[::4] = rng.integers(0, 13, size=(60, 1))
+    survivors = rng.random((240, 6)) < 0.5
+    survivors[::9] = False
+    survivors[1::9] = True
+    return spec, x, survivors, sizes
 
 
 def oracle_decisions_single(x, n, delta, theta0, q2, alpha2=2, beta2=2):
@@ -222,10 +242,14 @@ class TestFinalStep:
         expect = Decision.EFFICACIOUS if p > 0.977 else Decision.NOT_PROMISING
         assert done.decisions[3] == expect
 
-    def test_no_survivors_is_noop(self):
+    def test_interim_stopping_every_basket_ends_the_trial(self):
         spec = paper_two_stage()
         state = interim_step(TrialState.at_interim([0, 0, 0, 0], spec), spec)
         assert state.stage == STAGE_DONE
+        assert state.decisions == (Decision.FUTILITY_STOPPED,) * 4
+        assert state.active == (False,) * 4
+        with pytest.raises(DomainError):
+            final_step(state.with_final_data([0, 0, 0, 0], spec), spec)  # no final look follows
 
     def test_dropped_basket_data_excluded(self):
         # Two final datasets differing only in a stopped basket's counts must
@@ -287,6 +311,22 @@ class TestRunSingleStage:
         with pytest.raises(DomainError):
             run_single_stage(BasketData.create([0] * 4, [16] * 4), paper_two_stage())
 
+    def test_checked_as_a_final_look(self):
+        # The same checks and error classes as a two-stage trial's looks.
+        spec = self.spec19()
+        with pytest.raises(ShapeError):
+            run_single_stage(BasketData.create([0] * 4, [19, 19, 16, 19]), spec)
+        with pytest.raises(ShapeError):
+            run_single_stage(BasketData.create([0] * 3, [19] * 3), spec)
+        final = TrialState(
+            stage=STAGE_FINAL,
+            active=(True,) * 4,
+            data=BasketData.create([0] * 4, [19] * 4),
+            decisions=(Decision.PENDING,) * 4,
+        )
+        with pytest.raises(DomainError):
+            final_step(final, spec)
+
 
 class TestOneRowEqualsBatch:
     def test_survivor_exceedance_rows_equal_analyze(self):
@@ -315,6 +355,34 @@ class TestOneRowEqualsBatch:
                 theta0=[spec.theta0[b] for b in cols],
             )
             assert probs[t, cols].tolist() == list(result.prob_exceeds)
+
+    def test_output_bytes_are_pinned(self):
+        # Recorded when each survivor set still had its own engine call: the
+        # grouping of rows into engine calls never moves a byte.
+        probs = survivor_exceedance(*unequal_six())
+        digest = hashlib.sha256(probs.tobytes()).hexdigest()
+        assert digest == "e6dd8de8f4409a869ddb74f3fe3826a5ec6304c6b03d7567f46a49aa19ee94c3"
+
+    def test_one_engine_call_per_size_tuple(self, monkeypatch):
+        # 60 non-empty survivor sets share 45 size tuples ({0}, {2} and {5}
+        # are all (16,)); each tuple gets one engine and one call.
+        built, called = [], []
+
+        class Counting(design.BatchPosterior):
+            def __init__(self, n, *args):
+                built.append(tuple(n))
+                super().__init__(n, *args)
+
+            def exceed_probs(self, x, theta0):
+                called.append(tuple(self.n.tolist()))
+                return super().exceed_probs(x, theta0)
+
+        monkeypatch.setattr(design, "BatchPosterior", Counting)
+        spec, x, survivors, sizes = unequal_six()
+        survivor_exceedance(spec, x, survivors, sizes)
+        keys = sorted({tuple(sizes[row].tolist()) for row in survivors if row.any()})
+        assert len(keys) == 45
+        assert sorted(built) == keys and sorted(called) == keys
 
     def test_steps_keep_their_analysis(self):
         spec = paper_two_stage()

@@ -14,6 +14,7 @@ from localmem.posterior import (
     BatchPosterior,
     BetaParams,
     analyze,
+    borrow,
     default_basket_ids,
 )
 
@@ -276,7 +277,7 @@ class TestBatchPosterior:
         engine = BatchPosterior(n, pset)
         xs = np.stack([rng.integers(0, np.asarray(n) + 1) for _ in range(80)])
         weights, top, top_prob = engine.posterior(xs)
-        alpha, beta = engine.borrow_params(xs)
+        alpha, beta, _ = borrow(xs, n, pset.memberships[top], top_prob)
         probs = engine.exceed_probs(xs, 0.15)
         for t in range(len(xs)):
             result = analyze(BasketData.create(xs[t], n), delta=2.0, theta0=0.15)
@@ -355,17 +356,21 @@ class TestBatchPosterior:
         n = [6, 9, 4, 7]
         engine = BatchPosterior(n, PartitionSet.build(4, 1.0))
         xs = rng.integers(0, np.asarray(n) + 1, size=(60, 4))
-        theta0 = np.array([0.1, 0.2, 0.3, 0.15])
-        whole = engine.exceed_probs(xs, theta0)
+        # theta0 per basket, and per row and basket as survivor_exceedance
+        # passes it when survivor sets of equal sizes share one call.
+        theta0s = (np.array([0.1, 0.2, 0.3, 0.15]), rng.uniform(0.05, 0.6, size=(60, 4)))
+        wholes = [engine.exceed_probs(xs, theta0) for theta0 in theta0s]
         # 15 partitions x 7 rows per chunk: eight full chunks and one of 4 rows.
         monkeypatch.setattr(posterior, "MAX_CELLS", 15 * 7)
-        chunked = engine.exceed_probs(xs, theta0)
-        assert chunked.shape == whole.shape and chunked.tobytes() == whole.tobytes()
+        for theta0, whole in zip(theta0s, wholes):
+            chunked = engine.exceed_probs(xs, theta0)
+            assert chunked.shape == whole.shape and chunked.tobytes() == whole.tobytes()
 
     def test_b10_rows_bounded_memory(self):
-        # A B = 10 row holds about 1.9 MB of weights and temporaries, so 300
-        # rows at once would peak near 570 MB; chunks of MAX_CELLS cells stay
-        # near 270 MB.
+        # A B = 10 row holds about 1.9 MB of weights and temporaries. Only
+        # one chunk of at most MAX_CELLS cells (two rows here) is alive at a
+        # time, at about 17 bytes per cell: near 4.5 MB. The rest, a top
+        # index, a top weight and the borrowing arrays per row, is small.
         rng = np.random.default_rng(38)
         engine = BatchPosterior([12] * 10, PartitionSet.build(10, 2.0))
         xs = rng.integers(0, 13, size=(300, 10))
@@ -376,7 +381,7 @@ class TestBatchPosterior:
         finally:
             tracemalloc.stop()
         assert probs.shape == (300, 10)
-        assert peak < 400e6
+        assert peak < 17 * posterior.MAX_CELLS + 1e6
 
     def test_b10_index_arrays_under_50mb(self):
         engine = BatchPosterior([1] * 10, PartitionSet.build(10, 0.0))
