@@ -6,14 +6,15 @@ always gets block label 1 and each later basket gets either an existing label
 or the smallest unused one. That encoding is canonical, so equality and
 ordering are well defined.
 
-A partition set is one read-only ``(Bell(B), B)`` int8 array of these strings,
-one row per partition in lexicographic order; a row's block count is its
-maximum label. Reports print a row as the labels joined by "|", as
-:func:`membership_strings` formats them.
+The partitions of B baskets are one read-only ``(Bell(B), B)`` int8 array of
+these strings in lexicographic order, built once per process; a row's block
+count is its maximum label. A partition set is a prior over its rows. Reports
+print a row as the labels joined by "|", as :func:`membership_strings` does.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -38,10 +39,11 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
+@functools.lru_cache(maxsize=MAX_BASKETS)
 def enumerate_partitions(num_baskets: int) -> np.ndarray:
     """All set partitions of ``num_baskets`` elements as a read-only
     ``(Bell(B), B)`` int8 array of restricted-growth strings, one row per
-    partition in lexicographic order.
+    partition in lexicographic order; one array per B (1.2 MB at B = 10).
 
     Rows grow one basket at a time: each row is extended by every label from 1
     to its maximum + 1 in increasing order, which keeps the rows sorted.
@@ -95,20 +97,22 @@ def partition_prior(memberships, delta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PartitionSet:
-    """The full hypothesis space for one analysis: the read-only membership
-    array of :func:`enumerate_partitions` plus the prior over its rows."""
+    """The full hypothesis space for one analysis: a prior over the rows of
+    the cached :func:`enumerate_partitions` array that ``memberships`` is."""
 
     num_baskets: int
-    memberships: np.ndarray = field(repr=False)
     prior: np.ndarray = field(repr=False)
+
+    @property
+    def memberships(self) -> np.ndarray:
+        return enumerate_partitions(self.num_baskets)
 
     @classmethod
     def build(cls, num_baskets: int, delta: float = 0.0) -> "PartitionSet":
         """Enumerate partitions and attach the delta-family prior."""
-        labels = enumerate_partitions(num_baskets)
-        weights = partition_prior(labels, delta)
+        weights = partition_prior(enumerate_partitions(num_baskets), delta)
         weights.setflags(write=False)
-        return cls(num_baskets=num_baskets, memberships=labels, prior=weights)
+        return cls(num_baskets=num_baskets, prior=weights)
 
     def __len__(self) -> int:
         return len(self.memberships)

@@ -15,11 +15,12 @@ dataset (partition posterior, similarity, and each basket's borrowing
 posterior, effective sample size and exceedance probability) and
 :class:`BatchPosterior` for many count rows; they agree bit for bit. No other
 helper gives a one-dataset posterior: :func:`analyze` builds the partition
-set from ``delta`` and makes one engine call.
+set from ``delta`` and makes one-row calls of one engine.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .numerics import as_int, log_beta, reg_inc_beta
-from .partitions import PartitionSet
+from .partitions import MAX_BASKETS, PartitionSet, enumerate_partitions
 
 # Two partition weights closer than this are treated as tied when picking the
 # top partition.
@@ -164,22 +165,15 @@ def analyze(
     prior: BetaParams = DEFAULT_PRIOR,
     theta0: float | Sequence[float] = 0.5,
 ) -> AnalysisResult:
-    """Full posterior analysis: partition table, similarity, per-basket
-    borrowing posteriors with their effective sample sizes and exceedance
-    probabilities. One engine row, one :func:`borrow` call and one incomplete
-    beta call: a row of :meth:`BatchPosterior.exceed_probs`, bit for bit."""
+    """Full posterior analysis: partition table, similarity, and per-basket
+    borrowing posteriors, effective sample sizes and exceedance probabilities,
+    all from the one-row call behind :meth:`BatchPosterior.exceed_probs`."""
     pset = PartitionSet.build(data.num_baskets, delta)
-    t0 = np.asarray(theta0, dtype=float)
-    t0 = np.full(data.num_baskets, t0) if t0.ndim == 0 else t0
-    if t0.shape != (data.num_baskets,):
-        raise ShapeError(f"theta0 must have {data.num_baskets} entries, got {len(t0)}")
-    if not np.all((t0 > 0.0) & (t0 < 1.0)):
-        raise DomainError(f"theta0 must lie in (0, 1), got {t0.tolist()}")
-    weights, top, top_prob = BatchPosterior(data.n, pset, prior).posterior(data.x)
+    engine = BatchPosterior(data.n, pset, prior)
+    params, (probs,) = engine._exceed(data.x, theta0)
+    (weights,), top, top_prob = engine.posterior(data.x)
     labels = pset.memberships
-    alpha, beta, ess = (v[0] for v in borrow([data.x], data.n, labels[top], top_prob, prior))
-    probs = 1.0 - reg_inc_beta(t0, alpha, beta)
-    weights = weights[0]
+    alpha, beta, ess = (v[0] for v in params)
     weights.setflags(write=False)
     # Pairwise co-membership probability: the summed weight of the partitions
     # placing two baskets in one block; the diagonal is 1 by convention.
@@ -197,6 +191,33 @@ def analyze(
     )
 
 
+# At most MAX_BASKETS layouts, under 16 MB with the enumerations (14.9 MB, 12.4 at B = 10).
+@functools.lru_cache(maxsize=MAX_BASKETS)
+def _layout(num_baskets: int) -> tuple[np.ndarray, ...]:
+    """A BatchPosterior's arrays that depend on B alone: block-count order,
+    its ranks, slot fill counts, block ids and basket-in-block matrix."""
+    # A stable sort by block count, most blocks first. Its order is also
+    # the preference among tied weights: most blocks (least borrowing),
+    # then the lexicographically smallest membership (enumeration order).
+    num_blocks = enumerate_partitions(num_baskets).max(axis=1)
+    order = np.argsort(-num_blocks, kind="stable")
+    # Slot s holds a block in the first filled[s] sorted partitions only.
+    filled = (num_blocks[:, None] > np.arange(num_baskets)).sum(axis=0)
+    # (J, B): block ids of each sorted partition in label order; unfilled slots
+    # hold the empty block 0, never read. Column-major: a slot's ids are contiguous.
+    labels = enumerate_partitions(num_baskets)[order]
+    block_index = np.empty(labels.shape, dtype=np.intp, order="F")
+    for slot in range(num_baskets):
+        block_index[:, slot] = (labels == slot + 1) @ (1 << np.arange(num_baskets))
+    # (B, 2**B): 0/1 basket-in-block matrix over every mask.
+    member = (np.arange(2**num_baskets) >> np.arange(num_baskets)[:, None]) & 1
+    # The index arrays np.take reads stay writeable: np.take copies a read-only
+    # index array on every call, which cost 10-15% of a B = 10 exceed_probs call.
+    for a in (filled, member):
+        a.setflags(write=False)
+    return order, np.argsort(order), filled, block_index, member
+
+
 class BatchPosterior:
     """Partition-posterior evaluation for a batch of count rows.
 
@@ -208,12 +229,12 @@ class BatchPosterior:
     calibration with whole batches, and its borrowing parameters come from
     :func:`borrow`.
 
-    A block's log Beta factor depends only on which baskets it holds, so a
-    row needs at most 2**B - 1 factors, and each partition sums at most B of
-    them. Blocks are identified by their basket bitmask. Partitions are
-    summed in block-count order, most blocks first, so block slot s is filled
-    in a leading run of partitions and each row adds only the factors of the
-    blocks its partitions hold, never an empty block's 0.
+    A block's log Beta factor depends only on which baskets it holds, so a row
+    needs at most 2**B - 1 factors, and each partition sums at most B of them.
+    A block's id is its basket bitmask. Partitions are summed in block-count
+    order, most blocks first, so slot s is filled in a leading run of
+    partitions and each row adds only the factors of the blocks its partitions
+    hold, never an empty block's 0. That layout is cached per B.
     """
 
     def __init__(self, n: Sequence[int], pset: PartitionSet, prior: BetaParams = DEFAULT_PRIOR):
@@ -225,30 +246,8 @@ class BatchPosterior:
         self.n = np.asarray(n, dtype=int)
         self.pset = pset
         self.prior = prior
-        num_baskets = pset.num_baskets
-
-        # A stable sort by block count, most blocks first. Its order is also
-        # the preference among tied weights: most blocks (least borrowing),
-        # then the lexicographically smallest membership (enumeration order).
-        num_blocks = pset.memberships.max(axis=1)
-        self._order = order = np.argsort(-num_blocks, kind="stable")
-        self._ranks = np.empty(len(pset), dtype=int)
-        self._ranks[order] = np.arange(len(pset))
-        # Slot s holds a block in the first _filled[s] sorted partitions only.
-        self._filled = (num_blocks[:, None] > np.arange(num_baskets)).sum(axis=0)
-
-        labels = pset.memberships[order]
-        bits = 1 << np.arange(num_baskets)
-        masks = np.stack(
-            [(labels == label) @ bits for label in range(1, num_baskets + 1)], axis=1
-        )
-        blocks, index = np.unique(masks, return_inverse=True)
-        # (J, B): block ids of each sorted partition in label order; unfilled
-        # slots hold the empty block and are never read. Column-major, so the
-        # ids of one slot are contiguous.
-        self._block_index = np.asfortranarray(index.reshape(masks.shape))
-        # (B, blocks): 0/1 basket-in-block matrix.
-        self._member = (blocks[None, :] >> np.arange(num_baskets)[:, None]) & 1
+        layout = _layout(pset.num_baskets)
+        self._order, self._ranks, self._filled, self._block_index, self._member = layout
 
         # Log Beta factors tabulated over (rank of the block size among the
         # distinct sizes, block responses); a size-0 block's row stays 0.
@@ -313,21 +312,28 @@ class BatchPosterior:
     def exceed_probs(self, x, theta0) -> np.ndarray:
         """Per-basket posterior exceedance probabilities, shape (T, B).
 
-        theta0 is a scalar, one value per basket (B,) or one per cell (T, B).
-        The counts are checked before any work. The partition weights are
-        then evaluated in row chunks of at most MAX_CELLS rows x partitions,
-        keeping only each row's top partition and its weight, and one
-        :func:`borrow` call and one incomplete beta call cover the whole
+        theta0 in (0, 1) is a scalar, one per basket (B,) or one per cell (T, B).
+        The counts and theta0 are checked before any work. The partition
+        weights are then evaluated in row chunks of at most MAX_CELLS rows x
+        partitions, keeping only each row's top partition and its weight, and
+        one :func:`borrow` call and one incomplete beta call cover the whole
         batch. Rows are independent of their batch, so the chunking never
         changes a result.
         """
+        return self._exceed(x, theta0)[1]
+
+    def _exceed(self, x, theta0):
+        """:meth:`exceed_probs` with the :func:`borrow` output: ((alpha, beta, ess), probs)."""
         mat = self._as_matrix(x)
-        t0 = np.broadcast_to(np.asarray(theta0, dtype=float), mat.shape)
+        t0 = np.asarray(theta0, dtype=float)
+        if t0.shape not in ((), mat.shape[1:], mat.shape):
+            raise ShapeError(f"theta0 has shape {t0.shape}; need (), {mat.shape[1:]} or {mat.shape}")
+        if not np.all((t0 > 0.0) & (t0 < 1.0)):
+            raise DomainError(f"theta0 must lie in (0, 1), got {t0.tolist()}")
         step = max(1, MAX_CELLS // len(self.pset))
-        top = np.empty(len(mat), dtype=int)
-        top_prob = np.empty(len(mat))
+        top, top_prob = np.empty(len(mat), dtype=int), np.empty(len(mat))
         for lo in range(0, len(mat), step):
             # Only the top pick is kept, so no chunk's weights outlive it.
             top[lo : lo + step], top_prob[lo : lo + step] = self.posterior(mat[lo : lo + step])[1:]
-        alpha, beta, _ = borrow(mat, self.n, self.pset.memberships[top], top_prob, self.prior)
-        return 1.0 - reg_inc_beta(t0, alpha, beta)
+        params = borrow(mat, self.n, self.pset.memberships[top], top_prob, self.prior)
+        return params, 1.0 - reg_inc_beta(t0, *params[:2])

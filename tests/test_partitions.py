@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,6 +143,8 @@ class TestPartitionSet:
         assert pset.prior.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_b10_build_under_8mb(self):
+        # The enumeration is cached per process; measure a fresh build.
+        enumerate_partitions.cache_clear()
         tracemalloc.start()
         try:
             pset = PartitionSet.build(10, 2.0)
@@ -150,6 +153,12 @@ class TestPartitionSet:
             tracemalloc.stop()
         assert len(pset) == 115975
         assert peak < 8 * 2**20
+
+    def test_memberships_are_the_cached_enumeration(self):
+        pset = PartitionSet.build(5, 1.0)
+        assert pset.memberships is enumerate_partitions(5)
+        with pytest.raises(TypeError):
+            replace(pset, memberships=np.ones((52, 5), dtype=np.int8))
 
 
 class TestPartitionType:

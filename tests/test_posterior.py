@@ -7,12 +7,14 @@ import pytest
 
 from localmem import posterior
 from localmem.errors import DomainError, ShapeError
-from localmem.partitions import PartitionSet, membership_strings
+from localmem.partitions import MAX_BASKETS, PartitionSet, enumerate_partitions, membership_strings
 from localmem.posterior import (
     AnalysisResult,
     BasketData,
     BatchPosterior,
     BetaParams,
+    JEFFREYS_PRIOR,
+    _layout,
     analyze,
     borrow,
     default_basket_ids,
@@ -400,6 +402,55 @@ class TestBatchPosterior:
             engine.posterior(np.array([[5, 0]]))
         with pytest.raises(ShapeError):
             engine.posterior(np.array([[1, 1, 1]]))
+
+    @pytest.mark.parametrize(
+        "theta0, error", [(0.0, DomainError), (1.0, DomainError), ([0.1, 0.2, 0.3], ShapeError)]
+    )
+    def test_rejects_bad_theta0(self, theta0, error):
+        # The same checks as analyze: a bound of (0, 1) would make every
+        # probability 1 or 0, and a wrong length is not broadcast.
+        engine = BatchPosterior([4, 4], PartitionSet.build(2))
+        with pytest.raises(error, match="theta0"):
+            engine.exceed_probs(np.array([[1, 2], [3, 0]]), theta0)
+
+
+class TestLayoutCache:
+    def test_engines_share_one_layout(self):
+        engines = [
+            BatchPosterior([5] * 6, PartitionSet.build(6, 0.0)),
+            BatchPosterior([3, 8, 0, 4, 4, 9], PartitionSet.build(6, 2.0), JEFFREYS_PRIOR),
+        ]
+        for name in ("_order", "_ranks", "_filled", "_block_index", "_member"):
+            assert getattr(engines[0], name) is getattr(engines[1], name)
+        assert engines[0].pset.memberships is engines[1].pset.memberships
+        assert engines[0]._block_index.dtype == np.intp
+
+    def test_block_id_is_the_bitmask(self):
+        labels = enumerate_partitions(5)
+        order, _, filled, block_index, member = _layout(5)
+        for slot in range(5):
+            ids = block_index[: filled[slot], slot]
+            held = labels[order[: filled[slot]]] == slot + 1
+            assert np.array_equal(member[:, ids].T, held)
+        assert member.shape == (5, 2**5)
+
+    def test_cached_arrays_are_read_only(self):
+        # The enumeration, the slot fill counts and the basket-in-block matrix;
+        # the order, ranks and block ids that np.take reads stay writeable,
+        # since np.take copies a read-only index array on every call.
+        for num_baskets in (1, 4):
+            _, _, filled, _, member = _layout(num_baskets)
+            for a in (filled, member, enumerate_partitions(num_baskets)):
+                with pytest.raises(ValueError):
+                    a[(0,) * a.ndim] = 0
+
+    def test_every_basket_count_under_16mb(self):
+        # 14.9 MB measured: 12.4 MB at B = 10 and 2.1 MB at B = 9.
+        total = sum(
+            enumerate_partitions(b).nbytes + sum(a.nbytes for a in _layout(b))
+            for b in range(1, MAX_BASKETS + 1)
+        )
+        assert total < 16e6
 
 
 class TestDefaultIds:

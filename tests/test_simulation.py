@@ -9,7 +9,9 @@ import pytest
 from localmem.design import Decision, DesignSpec, run_two_stage, run_single_stage
 from localmem.errors import CapacityError, DomainError, ShapeError
 from localmem.numerics import binom_sf, reg_inc_beta
-from localmem.posterior import BasketData
+from localmem.calibration import CalibrationProblem, calibrate
+from localmem.partitions import enumerate_partitions
+from localmem.posterior import BasketData, _layout
 from localmem import design, simulation
 from localmem.simulation import (
     OperatingCharacteristics,
@@ -284,6 +286,32 @@ class TestStageTwoEngines:
         stage2 = [n for n in built if n != spec.stage1_sizes()]
         assert len(survivor_sets) > spec.num_baskets
         assert len(stage2) <= spec.num_baskets
+
+
+class TestLayoutCache:
+    def test_built_once_per_basket_count(self, monkeypatch):
+        # A whole suite and a calibration build many engines, at every
+        # survivor count, but each basket count's layout and enumeration once.
+        counts = set()
+
+        class Counting(design.BatchPosterior):
+            def __init__(self, n, pset, prior):
+                counts.add(len(n))
+                super().__init__(n, pset, prior)
+
+        monkeypatch.setattr(design, "BatchPosterior", Counting)
+        _layout.cache_clear()
+        enumerate_partitions.cache_clear()
+        spec = paper_two_stage()
+        for scenario in scenario_suite(spec):
+            simulate(spec, scenario, 200, seed=5)
+        problem = CalibrationProblem(
+            spec_template=spec, lambda_grid=(0.95, 0.977), gamma_grid=(0.5, 1.0), n_sims=100, seed=2
+        )
+        calibrate(problem)
+        assert counts == {1, 2, 3, 4}
+        assert _layout.cache_info().misses == len(counts)
+        assert enumerate_partitions.cache_info().misses == len(counts)
 
 
 class TestMonteCarloAgainstExactBinomial:
