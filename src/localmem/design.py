@@ -14,7 +14,9 @@ design with another stage count, a stopped basket at the interim, no active
 basket at the final look, a basket off its planned size, a basket count other
 than the design's), then makes one
 :func:`~localmem.posterior.analyze` call over the active baskets and applies
-the stage's cutoff. Simulated batches go through :func:`survivor_exceedance`.
+the stage's cutoff. Simulated batches go through :func:`survivor_exceedance`,
+which analyzes each distinct (survivor set, survivor counts) row once: with
+few baskets and small cohorts most simulated trials repeat another's counts.
 Both reach the same engine, borrowing step and incomplete beta, so the two
 agree bit for bit.
 """
@@ -225,13 +227,25 @@ def survivor_exceedance(spec: DesignSpec, x, survivors, sizes: Sequence[int]) ->
     x holds count rows (T, B), survivors a boolean mask per row and sizes the
     sample size of every basket. Each row is analyzed on its survivors only,
     with partitions re-enumerated over them; baskets outside the set get
-    -inf. An engine depends only on its survivors' sample sizes, so the rows
-    of every survivor set with the same size tuple go through one engine and
-    one :meth:`~localmem.posterior.BatchPosterior.exceed_probs` call, with
-    theta0 given per row; an equal-size design needs at most B calls.
+    -inf. Rows are independent of their batch, so each distinct (survivor
+    set, survivor counts) row is analyzed once and copied to its duplicates,
+    matched exactly, never up to a permutation. An engine depends only on its
+    survivors' sample sizes, so the distinct rows of every survivor set with
+    the same size tuple go through one engine and one
+    :meth:`~localmem.posterior.BatchPosterior.exceed_probs` call, with theta0
+    given per row; an equal-size design needs at most B calls.
     """
-    x = np.asarray(x, dtype=int)
     survivors = np.asarray(survivors, dtype=bool)
+    # A row's key: its survivors' counts, -1 elsewhere. Only the first row of
+    # each run of equal sorted keys is analyzed; inverse maps rows to runs.
+    key = np.where(survivors, np.asarray(x, dtype=int), -1)
+    order = np.lexsort(key.T)
+    key, survivors = key[order], survivors[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = np.any(key[1:] != key[:-1], axis=1)
+    inverse = np.empty(len(key), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    x, survivors = key[first], survivors[first]
     sizes = np.asarray(sizes, dtype=int)
     theta0 = np.asarray(spec.theta0)
     out = np.full(x.shape, -np.inf)
@@ -250,7 +264,7 @@ def survivor_exceedance(spec: DesignSpec, x, survivors, sizes: Sequence[int]) ->
         cols = np.concatenate([np.broadcast_to(c, (len(r), len(c))) for r, c in sets])
         engine = BatchPosterior(key, PartitionSet.build(len(key), spec.delta), spec.prior)
         out[rows, cols] = engine.exceed_probs(x[rows, cols], theta0[cols])
-    return out
+    return out[inverse]
 
 
 def _step(state: TrialState, spec: DesignSpec, stage: int, stages: int) -> TrialState:

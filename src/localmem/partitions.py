@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DomainError, ShapeError
-from .numerics import log_sum_exp
+from .numerics import as_int, log_sum_exp
 
 MAX_BASKETS = 10
 
@@ -109,7 +109,12 @@ class PartitionSet:
 
     @classmethod
     def build(cls, num_baskets: int, delta: float = 0.0) -> "PartitionSet":
-        """Enumerate partitions and attach the delta-family prior."""
+        """Enumerate partitions and attach the delta-family prior.
+
+        num_baskets is stored as an int: the per-B caches would key a NumPy
+        integer apart from an int and build that B again.
+        """
+        num_baskets = as_int(num_baskets, "num_baskets")
         weights = partition_prior(enumerate_partitions(num_baskets), delta)
         weights.setflags(write=False)
         return cls(num_baskets=num_baskets, prior=weights)

@@ -384,6 +384,35 @@ class TestOneRowEqualsBatch:
         assert len(keys) == 45
         assert sorted(built) == keys and sorted(called) == keys
 
+    def test_duplicate_rows_are_analyzed_once(self, monkeypatch):
+        # The rows tiled three times and shuffled give the untiled output row
+        # for row, and the engines see each distinct (survivor set, survivor
+        # counts) row once.
+        seen = []
+
+        class Counting(design.BatchPosterior):
+            def exceed_probs(self, x, theta0):
+                seen.extend(map(tuple, np.asarray(x).tolist()))
+                return super().exceed_probs(x, theta0)
+
+        spec, x, survivors, sizes = unequal_six()
+        want = survivor_exceedance(spec, x, survivors, sizes)
+        monkeypatch.setattr(design, "BatchPosterior", Counting)
+        tiled = np.random.default_rng(55).permutation(np.tile(np.arange(len(x)), 3))
+        got = survivor_exceedance(spec, x[tiled], survivors[tiled], sizes)
+        assert got.tobytes() == want[tiled].tobytes()
+        distinct = {tuple(np.where(s, r, -1)) for r, s in zip(x, survivors) if s.any()}
+        assert len(seen) == len(distinct) < len(x)
+
+    @pytest.mark.parametrize("num_rows", [0, 7])
+    def test_no_rows_or_no_survivors(self, num_rows, monkeypatch):
+        # Nothing to analyze builds no engine; every cell is -inf.
+        monkeypatch.setattr(design, "BatchPosterior", None)
+        spec = paper_two_stage()
+        x = np.full((num_rows, 4), 3)
+        probs = survivor_exceedance(spec, x, np.zeros(x.shape, dtype=bool), spec.max_sizes)
+        assert probs.shape == (num_rows, 4) and np.all(probs == -np.inf)
+
     def test_steps_keep_their_analysis(self):
         spec = paper_two_stage()
         state = interim_step(TrialState.at_interim([0, 7, 6, 7], spec), spec)

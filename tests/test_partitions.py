@@ -12,6 +12,7 @@ from localmem.partitions import (
     membership_strings,
     partition_prior,
 )
+from localmem.posterior import BatchPosterior, _layout
 
 from oracles import bell_recurrence, membership_of, partitions_by_insertion
 
@@ -153,6 +154,17 @@ class TestPartitionSet:
             tracemalloc.stop()
         assert len(pset) == 115975
         assert peak < 8 * 2**20
+
+    def test_numpy_basket_count_hits_the_cache(self):
+        # lru_cache keys np.int64(5) apart from 5, so build stores an int.
+        enumerate_partitions.cache_clear()
+        _layout.cache_clear()
+        for num_baskets in (np.int64(5), 5, np.int64(5)):
+            pset = PartitionSet.build(num_baskets, 2.0)
+            BatchPosterior([3] * 5, pset)
+            assert type(pset.num_baskets) is int
+        assert enumerate_partitions.cache_info().misses == 1
+        assert _layout.cache_info().misses == 1
 
     def test_memberships_are_the_cached_enumeration(self):
         pset = PartitionSet.build(5, 1.0)

@@ -7,6 +7,7 @@ import pytest
 
 from localmem import posterior
 from localmem.errors import DomainError, ShapeError
+from localmem.numerics import log_beta
 from localmem.partitions import MAX_BASKETS, PartitionSet, enumerate_partitions, membership_strings
 from localmem.posterior import (
     AnalysisResult,
@@ -396,6 +397,20 @@ class TestBatchPosterior:
         engine = BatchPosterior([500] * 4, PartitionSet.build(4, 2.0))
         assert engine._factor_table.nbytes < 1e6
 
+    def test_factor_table_equals_one_log_beta_call_per_size(self):
+        # The table is filled by one masked log_beta call; the reference makes
+        # one call per distinct block size, over both large-argument branches.
+        for prior in (posterior.DEFAULT_PRIOR, JEFFREYS_PRIOR, BetaParams(0.3, 7.5)):
+            for n in ([0, 0, 0], [3, 0, 12], [40, 200, 7, 1]):
+                engine = BatchPosterior(n, PartitionSet.build(len(n)), prior)
+                sizes = np.unique(engine.n @ engine._member)
+                want = np.zeros(engine._factor_table.shape)
+                for rank, size in enumerate(sizes[1:], start=1):
+                    s = np.arange(size + 1, dtype=float)
+                    want[rank, : size + 1] = log_beta(prior.alpha + s, prior.beta + size - s)
+                    want[rank, : size + 1] -= log_beta(prior.alpha, prior.beta)
+                assert engine._factor_table.tobytes() == want.tobytes()
+
     def test_rejects_bad_counts(self):
         engine = BatchPosterior([4, 4], PartitionSet.build(2))
         with pytest.raises(DomainError):
@@ -443,6 +458,19 @@ class TestLayoutCache:
             for a in (filled, member, enumerate_partitions(num_baskets)):
                 with pytest.raises(ValueError):
                     a[(0,) * a.ndim] = 0
+
+    def test_first_b10_build_under_14mb(self):
+        # 13.1 MB measured, 11.2 MB of it kept; an int64 cast of each slot's
+        # 0/1 cells took the build to 22.8 MB.
+        enumerate_partitions(10)
+        _layout.cache_clear()
+        tracemalloc.start()
+        try:
+            _layout(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6
 
     def test_every_basket_count_under_16mb(self):
         # 14.9 MB measured: 12.4 MB at B = 10 and 2.1 MB at B = 9.

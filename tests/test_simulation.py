@@ -169,6 +169,17 @@ class TestAgainstDesignEngine:
                 assert continued[t, b] == (state.decisions[b] is not Decision.FUTILITY_STOPPED)
                 assert rejected[t, b] == (state.decisions[b] is Decision.EFFICACIOUS)
 
+    def test_paper_suite_decisions_are_pinned(self):
+        # (continued, rejected) over the paper's OC table, 5 scenarios x 5000
+        # trials; recorded when every row had its own analysis, so analyzing
+        # each distinct row once never moves a decision.
+        spec = paper_two_stage()
+        digest = hashlib.sha256()
+        for scenario in scenario_suite(spec):
+            for decided in decide_batch(spec, *generate_counts(spec, scenario, range(5000), 20211)):
+                digest.update(decided.tobytes())
+        assert digest.hexdigest() == "bd03769244b3110b9b59cd0480707d5c126d9c398889135a54741cfb5cc8240a"
+
     def test_single_stage_decisions_match(self):
         spec = DesignSpec.create(4, 19, 0.15, 0.45, lam=0.977, delta=2.0, stages=1)
         scenario = scenario_suite(spec)[3]
