@@ -50,7 +50,6 @@ from .numerics import (
 )
 from .partitions import (
     MAX_BASKETS,
-    PartitionSet,
     bell_number,
     enumerate_partitions,
     membership_strings,

@@ -43,7 +43,7 @@ from .errors import (
     LocalMemError,
 )
 from .numerics import as_int
-from .partitions import membership_strings
+from .partitions import enumerate_partitions, membership_strings
 from .posterior import DEFAULT_PRIOR, BasketData, BetaParams, analyze, default_basket_ids
 from .simon import DEFAULT_N_MAX, simon_oc, simon_search
 from .simulation import Scenario, scenario_suite, simulate
@@ -168,10 +168,10 @@ def cmd_analyze(args) -> int:
     result = analyze(data, delta=config["delta"], prior=_prior(config), theta0=config["theta0"])
 
     pp = result.partition_posterior
-    labels = result.pset.memberships
+    labels = enumerate_partitions(data.num_baskets)
     strings = membership_strings(labels)
     partition_rows = list(
-        zip(strings, labels.max(axis=1).tolist(), result.pset.prior.tolist(), pp.weights.tolist())
+        zip(strings, labels.max(axis=1).tolist(), result.partition_prior.tolist(), pp.weights.tolist())
     )
     payload = {
         "meta": _meta("analyze", config),
@@ -238,6 +238,7 @@ def cmd_monitor(args) -> int:
     boundary = spec.boundary()
     result = state.analysis  # the step's own: all baskets, then the survivors
     pp = result.partition_posterior
+    top = enumerate_partitions(result.data.num_baskets)[[pp.top_index]]
     analyzed = [b for b, keep in enumerate(active) if keep]
     looked = dict(zip(analyzed, zip(result.prob_exceeds, result.ess)))
     data = state.data
@@ -254,7 +255,7 @@ def cmd_monitor(args) -> int:
         "stage": stage,
         "boundary": {"q1": boundary.q1, "q2": boundary.q2, "applied": f"q{stage}"},
         "top_partition": {
-            "membership": membership_strings(result.pset.memberships[[pp.top_index]])[0],
+            "membership": membership_strings(top)[0],
             "weight": pp.top_prob,
             "basket_ids": list(result.data.basket_ids),
         },

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, ShapeError
 from .numerics import as_int
-from .partitions import MAX_BASKETS, PartitionSet
+from .partitions import MAX_BASKETS
 from .posterior import DEFAULT_PRIOR, AnalysisResult, BasketData, BatchPosterior, BetaParams, analyze
 
 STAGE_INTERIM = 1
@@ -133,10 +133,6 @@ class DesignSpec:
     def validate(self) -> None:
         if self.stages not in (1, 2):
             raise DomainError(f"stages must be 1 or 2, got {self.stages}")
-        if not (0.0 < self.lam < 1.0):
-            raise DomainError(f"lam must lie in (0, 1), got {self.lam}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise DomainError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not math.isfinite(self.delta):
             raise DomainError(f"delta must be finite, got {self.delta}")
         for b in range(self.num_baskets):
@@ -150,6 +146,8 @@ class DesignSpec:
                 )
         if self.interim_sizes is not None and self.interim_fraction is not None:
             raise DomainError("give interim_fraction or interim_sizes, not both")
+        if self.stages == 1 and (self.interim_sizes, self.interim_fraction) != (None, None):
+            raise DomainError("a single-stage design has no interim look")
         if self.stages == 2:
             if self.interim_sizes is None and self.interim_fraction is None:
                 raise DomainError("two-stage designs need interim_fraction or interim_sizes")
@@ -160,6 +158,8 @@ class DesignSpec:
                     raise DomainError(
                         f"basket {b}: interim size {n1} must satisfy 0 < n1 < {self.max_sizes[b]}"
                     )
+        # The (lam, gamma) checks live in stopping_boundary.
+        self.boundary()
 
     def stage1_sizes(self) -> tuple[int, ...]:
         """Interim sample sizes; derived as round(t * N) when only a fraction is given."""
@@ -262,7 +262,7 @@ def survivor_exceedance(spec: DesignSpec, x, survivors, sizes: Sequence[int]) ->
     for key, sets in batches.items():
         rows = np.concatenate([r for r, _ in sets])[:, None]
         cols = np.concatenate([np.broadcast_to(c, (len(r), len(c))) for r, c in sets])
-        engine = BatchPosterior(key, PartitionSet.build(len(key), spec.delta), spec.prior)
+        engine = BatchPosterior(key, spec.delta, spec.prior)
         out[rows, cols] = engine.exceed_probs(x[rows, cols], theta0[cols])
     return out[inverse]
 

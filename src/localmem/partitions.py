@@ -8,20 +8,21 @@ ordering are well defined.
 
 The partitions of B baskets are one read-only ``(Bell(B), B)`` int8 array of
 these strings in lexicographic order, built once per process; a row's block
-count is its maximum label. A partition set is a prior over its rows. Reports
-print a row as the labels joined by "|", as :func:`membership_strings` does.
+count is its maximum label. The prior over them is fixed by one number, delta
+(:func:`partition_prior`); a :class:`~localmem.posterior.BatchPosterior` holds
+its own prior over that array. Reports print a row as the labels joined by
+"|", as :func:`membership_strings` does.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, ShapeError
-from .numerics import as_int, log_sum_exp
+from .numerics import log_sum_exp
 
 MAX_BASKETS = 10
 
@@ -93,31 +94,3 @@ def partition_prior(memberships, delta: float) -> np.ndarray:
     log_k = np.log(labels.max(axis=1).astype(float))
     logits = delta * log_k
     return np.exp(logits - log_sum_exp(logits))
-
-
-@dataclass(frozen=True)
-class PartitionSet:
-    """The full hypothesis space for one analysis: a prior over the rows of
-    the cached :func:`enumerate_partitions` array that ``memberships`` is."""
-
-    num_baskets: int
-    prior: np.ndarray = field(repr=False)
-
-    @property
-    def memberships(self) -> np.ndarray:
-        return enumerate_partitions(self.num_baskets)
-
-    @classmethod
-    def build(cls, num_baskets: int, delta: float = 0.0) -> "PartitionSet":
-        """Enumerate partitions and attach the delta-family prior.
-
-        num_baskets is stored as an int: the per-B caches would key a NumPy
-        integer apart from an int and build that B again.
-        """
-        num_baskets = as_int(num_baskets, "num_baskets")
-        weights = partition_prior(enumerate_partitions(num_baskets), delta)
-        weights.setflags(write=False)
-        return cls(num_baskets=num_baskets, prior=weights)
-
-    def __len__(self) -> int:
-        return len(self.memberships)

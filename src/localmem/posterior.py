@@ -14,8 +14,8 @@ Two entry points give every posterior quantity: :func:`analyze` for one
 dataset (partition posterior, similarity, and each basket's borrowing
 posterior, effective sample size and exceedance probability) and
 :class:`BatchPosterior` for many count rows; they agree bit for bit. No other
-helper gives a one-dataset posterior: :func:`analyze` builds the partition
-set from ``delta`` and makes one-row calls of one engine.
+helper gives a one-dataset posterior: :func:`analyze` builds one engine from
+the data's sample sizes, ``delta`` and the prior, and makes one-row calls of it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .numerics import as_int, log_beta, reg_inc_beta
-from .partitions import MAX_BASKETS, PartitionSet, enumerate_partitions
+from .partitions import MAX_BASKETS, enumerate_partitions, partition_prior
 
 # Two partition weights closer than this are treated as tied when picking the
 # top partition.
@@ -113,7 +113,9 @@ class BasketData:
 
 @dataclass(frozen=True)
 class PartitionPosterior:
-    """Normalized weights over a PartitionSet plus the selected top partition.
+    """Normalized weights over the partitions of the analyzed baskets, in the
+    row order of :func:`~localmem.partitions.enumerate_partitions`, plus the
+    selected top partition.
 
     Among weights tied within TOP_TIE_TOL, the top partition is the one with
     the most blocks, then the lexicographically smallest membership.
@@ -151,7 +153,7 @@ class AnalysisResult:
     """Everything a one-shot analysis of observed data produces."""
 
     data: BasketData
-    pset: PartitionSet
+    partition_prior: np.ndarray
     partition_posterior: PartitionPosterior
     similarity: np.ndarray
     posteriors: tuple[BetaParams, ...]
@@ -168,11 +170,10 @@ def analyze(
     """Full posterior analysis: partition table, similarity, and per-basket
     borrowing posteriors, effective sample sizes and exceedance probabilities,
     all from the one-row call behind :meth:`BatchPosterior.exceed_probs`."""
-    pset = PartitionSet.build(data.num_baskets, delta)
-    engine = BatchPosterior(data.n, pset, prior)
+    engine = BatchPosterior(data.n, delta, prior)
     params, (probs,) = engine._exceed(data.x, theta0)
     (weights,), top, top_prob = engine.posterior(data.x)
-    labels = pset.memberships
+    labels = enumerate_partitions(data.num_baskets)
     alpha, beta, ess = (v[0] for v in params)
     weights.setflags(write=False)
     # Pairwise co-membership probability: the summed weight of the partitions
@@ -182,7 +183,7 @@ def analyze(
     similarity.setflags(write=False)
     return AnalysisResult(
         data=data,
-        pset=pset,
+        partition_prior=engine.partition_prior,
         partition_posterior=PartitionPosterior(weights, int(top[0]), float(top_prob[0])),
         similarity=similarity,
         posteriors=tuple(BetaParams(float(a), float(b)) for a, b in zip(alpha, beta)),
@@ -228,13 +229,16 @@ def _layout(num_baskets: int) -> tuple[np.ndarray, ...]:
 class BatchPosterior:
     """Partition-posterior evaluation for a batch of count rows.
 
-    Bound to a fixed sample-size vector, partition set and prior; the data
-    matrix varies across rows, and each row's result is independent of the
-    others. This is the only code that computes partition weights and the
-    public way to analyze many rows: :func:`analyze` (and through it every
-    look of a single trial) calls it with a single row, simulation and
-    calibration with whole batches, and its borrowing parameters come from
-    :func:`borrow`.
+    Bound to a fixed sample-size vector, the partition prior's delta and the
+    Beta prior, as :func:`analyze` is. The vector's length B fixes the
+    partitions: the rows of the cached
+    :func:`~localmem.partitions.enumerate_partitions` array, weighted a priori
+    by the read-only ``partition_prior``. The data matrix varies across rows,
+    and each row's result is independent of the others. This is the only code
+    that computes partition weights and the public way to analyze many rows:
+    :func:`analyze` (and through it every look of a single trial) calls it
+    with a single row, simulation and calibration with whole batches, and its
+    borrowing parameters come from :func:`borrow`.
 
     A block's log Beta factor depends only on which baskets it holds, so a row
     needs at most 2**B - 1 factors, and each partition sums at most B of them.
@@ -244,16 +248,18 @@ class BatchPosterior:
     hold, never an empty block's 0. That layout is cached per B.
     """
 
-    def __init__(self, n: Sequence[int], pset: PartitionSet, prior: BetaParams = DEFAULT_PRIOR):
+    def __init__(self, n: Sequence[int], delta: float = 0.0, prior: BetaParams = DEFAULT_PRIOR):
         n = tuple(as_int(v, "n") for v in n)
-        if len(n) != pset.num_baskets:
-            raise ShapeError("sample-size vector does not match the partition set")
         if any(v < 0 for v in n):
             raise DomainError("sample sizes must be non-negative")
+        # The enumeration refuses a basket count outside 1..MAX_BASKETS
+        # before any layout is built.
+        self._labels = enumerate_partitions(len(n))
+        self.partition_prior = partition_prior(self._labels, delta)
+        self.partition_prior.setflags(write=False)
         self.n = np.asarray(n, dtype=int)
-        self.pset = pset
         self.prior = prior
-        layout = _layout(pset.num_baskets)
+        layout = _layout(len(n))
         self._order, self._ranks, self._filled, self._block_index, self._member = layout
 
         # Log Beta factors tabulated over (rank of the block size among the
@@ -268,16 +274,14 @@ class BatchPosterior:
         self._factor_table[held] = log_beta(a, b) - log_beta(prior.alpha, prior.beta)
 
         with np.errstate(divide="ignore"):
-            self._log_prior = np.log(pset.prior)
+            self._log_prior = np.log(self.partition_prior)
 
     def _as_matrix(self, x) -> np.ndarray:
         mat = np.asarray(as_int(x, "x"), dtype=int)
         if mat.ndim == 1:
             mat = mat[None, :]
-        if mat.shape[1] != self.pset.num_baskets:
-            raise ShapeError(
-                f"data matrix has {mat.shape[1]} baskets, expected {self.pset.num_baskets}"
-            )
+        if mat.shape[1] != len(self.n):
+            raise ShapeError(f"data matrix has {mat.shape[1]} baskets, expected {len(self.n)}")
         if np.any(mat < 0) or np.any(mat > self.n[None, :]):
             raise DomainError("response counts must satisfy 0 <= x <= n per basket")
         return mat
@@ -295,7 +299,7 @@ class BatchPosterior:
         # write straight into `out`; the default mode buffers it.
         log_w = np.take(factors, self._block_index[:, 0], axis=1)
         scratch = np.empty(log_w.size)
-        for slot in range(1, self.pset.num_baskets):
+        for slot in range(1, len(self.n)):
             k = self._filled[slot]
             part = scratch[: len(mat) * k].reshape(len(mat), k)
             np.take(factors, self._block_index[:k, slot], axis=1, out=part, mode="clip")
@@ -334,10 +338,10 @@ class BatchPosterior:
             raise ShapeError(f"theta0 has shape {t0.shape}; need (), {mat.shape[1:]} or {mat.shape}")
         if not np.all((t0 > 0.0) & (t0 < 1.0)):
             raise DomainError(f"theta0 must lie in (0, 1), got {t0.tolist()}")
-        step = max(1, MAX_CELLS // len(self.pset))
+        step = max(1, MAX_CELLS // len(self.partition_prior))
         top, top_prob = np.empty(len(mat), dtype=int), np.empty(len(mat))
         for lo in range(0, len(mat), step):
             # Only the top pick is kept, so no chunk's weights outlive it.
             top[lo : lo + step], top_prob[lo : lo + step] = self.posterior(mat[lo : lo + step])[1:]
-        params = borrow(mat, self.n, self.pset.memberships[top], top_prob, self.prior)
+        params = borrow(mat, self.n, self._labels[top], top_prob, self.prior)
         return params, 1.0 - reg_inc_beta(t0, *params[:2])

@@ -8,7 +8,6 @@ import pytest
 from localmem import cli, schemas
 from localmem.cli import main
 from localmem.errors import ConvergenceError
-from localmem.partitions import PartitionSet
 from localmem.posterior import BatchPosterior
 
 TWO_STAGE_SPEC = {
@@ -166,25 +165,18 @@ class TestMonitor:
         ],
     )
     def test_one_analysis_per_look(self, tmp_path, monkeypatch, look):
-        # The decisions and the reported probabilities come from one engine
-        # over one partition set.
-        engines, psets = [], []
+        # The decisions and the reported probabilities come from one engine.
+        engines = []
         engine_init = BatchPosterior.__init__
-        pset_build = PartitionSet.build.__func__
 
         def counting_init(self, *args, **kwargs):
             engines.append(args)
             engine_init(self, *args, **kwargs)
 
-        def counting_build(cls, *args, **kwargs):
-            psets.append(args)
-            return pset_build(cls, *args, **kwargs)
-
         monkeypatch.setattr(BatchPosterior, "__init__", counting_init)
-        monkeypatch.setattr(PartitionSet, "build", classmethod(counting_build))
         cfg = write_config(tmp_path, "m.json", dict(look, spec=TWO_STAGE_SPEC))
         assert run(["monitor", "--config", cfg, "--out", tmp_path / "out"]) == 0
-        assert len(engines) == 1 and len(psets) == 1
+        assert len(engines) == 1
         report = json.loads((tmp_path / "out" / "monitor.json").read_text())
         analyzed = [b for b in report["baskets"] if "prob_exceeds" in b]
         assert [b["id"] for b in analyzed] == report["top_partition"]["basket_ids"]
@@ -667,6 +659,21 @@ class TestSimon:
             )
             == 2
         )
+
+
+class TestSingleStageSpec:
+    @pytest.mark.parametrize("interim", [{"interim_sizes": 10}, {"interim_fraction": 0.5}])
+    @pytest.mark.parametrize("command", ["simulate", "calibrate", "monitor"])
+    def test_interim_field_exits_2(self, tmp_path, command, interim):
+        spec = {k: v for k, v in TWO_STAGE_SPEC.items() if k != "interim_sizes"}
+        spec.update(stages=1, **interim)
+        if command == "monitor":
+            config = {"spec": spec, "stage": 2, "x": [0, 3, 1, 8], "n": [16] * 4}
+        else:
+            config = {"spec": spec, "n_sims": 20, "seed": 3}
+        cfg = write_config(tmp_path, "c.json", config)
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestSharedFlags:

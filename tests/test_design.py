@@ -134,6 +134,12 @@ class TestDesignSpec:
         with pytest.raises(ShapeError):
             DesignSpec.create(3, (16, 16), 0.15, 0.45, lam=0.9, stages=1)
 
+    @pytest.mark.parametrize("interim", [{"interim_sizes": 99}, {"interim_fraction": 0.5}])
+    def test_single_stage_has_no_interim_look(self, interim):
+        # Neither field would ever be read: stage1_sizes() is max_sizes.
+        with pytest.raises(DomainError, match="single-stage design has no interim look"):
+            DesignSpec.create(4, 16, 0.15, 0.45, lam=0.9, stages=1, **interim)
+
     @pytest.mark.parametrize("name", ["gamma", "delta"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_gamma_and_delta(self, name, value):

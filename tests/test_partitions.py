@@ -1,12 +1,10 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from localmem.errors import CapacityError, DomainError, ShapeError
 from localmem.partitions import (
-    PartitionSet,
     bell_number,
     enumerate_partitions,
     membership_strings,
@@ -45,15 +43,15 @@ class TestEnumeration:
         assert len(enumerate_partitions(6)) == 203
 
     def test_restricted_growth_validity(self):
-        pset = PartitionSet.build(5)
-        for j, row in enumerate(pset.memberships):
+        labels = enumerate_partitions(5)
+        for j, row in enumerate(labels):
             m = tuple(row)
             assert m[0] == 1
             running_max = 1
             for v in m[1:]:
                 assert 1 <= v <= running_max + 1
                 running_max = max(running_max, v)
-            assert pset.memberships[j].max() == max(m)
+            assert labels[j].max() == max(m)
 
     def test_lexicographic_order(self):
         memberships = [tuple(p) for p in enumerate_partitions(5)]
@@ -134,43 +132,45 @@ class TestPrior:
         with pytest.raises(DomainError, match="delta"):
             partition_prior(enumerate_partitions(3), delta)
         with pytest.raises(DomainError, match="delta"):
-            PartitionSet.build(3, delta)
+            BatchPosterior([1] * 3, delta)
 
 
 class TestPartitionSet:
+    """An engine's partition set: the cached enumeration of its B = len(n)
+    baskets, under the delta prior."""
+
     def test_build_with_delta(self):
-        pset = PartitionSet.build(4, 2.0)
-        assert len(pset) == 15
-        assert pset.prior.sum() == pytest.approx(1.0, abs=1e-12)
+        engine = BatchPosterior([0] * 4, 2.0)
+        assert len(engine.partition_prior) == 15
+        assert engine.partition_prior.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_b10_build_under_8mb(self):
         # The enumeration is cached per process; measure a fresh build.
         enumerate_partitions.cache_clear()
         tracemalloc.start()
         try:
-            pset = PartitionSet.build(10, 2.0)
+            prior = partition_prior(enumerate_partitions(10), 2.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(pset) == 115975
+        assert len(prior) == 115975
         assert peak < 8 * 2**20
 
     def test_numpy_basket_count_hits_the_cache(self):
-        # lru_cache keys np.int64(5) apart from 5, so build stores an int.
+        # B is len(n), an int however n is given, so NumPy sizes hit the
+        # cache entries that lru_cache keys by value and type.
         enumerate_partitions.cache_clear()
         _layout.cache_clear()
-        for num_baskets in (np.int64(5), 5, np.int64(5)):
-            pset = PartitionSet.build(num_baskets, 2.0)
-            BatchPosterior([3] * 5, pset)
-            assert type(pset.num_baskets) is int
+        for n in (np.full(5, 3, dtype=np.int64), [3] * 5, np.arange(5, dtype=np.int64)):
+            BatchPosterior(n, 2.0)
         assert enumerate_partitions.cache_info().misses == 1
         assert _layout.cache_info().misses == 1
 
     def test_memberships_are_the_cached_enumeration(self):
-        pset = PartitionSet.build(5, 1.0)
-        assert pset.memberships is enumerate_partitions(5)
-        with pytest.raises(TypeError):
-            replace(pset, memberships=np.ones((52, 5), dtype=np.int8))
+        # Engines of any sizes, delta and prior share the one array.
+        engines = [BatchPosterior([3] * 5, 1.0), BatchPosterior(np.arange(5), -1.0)]
+        for engine in engines:
+            assert engine._labels is enumerate_partitions(5)
 
 
 class TestPartitionType:

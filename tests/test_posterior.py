@@ -1,14 +1,13 @@
 import hashlib
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from localmem import posterior
-from localmem.errors import DomainError, ShapeError
+from localmem.errors import CapacityError, DomainError, ShapeError
 from localmem.numerics import log_beta
-from localmem.partitions import MAX_BASKETS, PartitionSet, enumerate_partitions, membership_strings
+from localmem.partitions import MAX_BASKETS, enumerate_partitions, membership_strings, partition_prior
 from localmem.posterior import (
     AnalysisResult,
     BasketData,
@@ -58,17 +57,21 @@ class TestPartitionPosteriorExamples:
         pp = result.partition_posterior
         assert pp.weights[0] == pytest.approx(3 / 13, abs=1e-12)
         assert pp.weights[1] == pytest.approx(10 / 13, abs=1e-12)
-        assert membership_strings(result.pset.memberships[[pp.top_index]]) == ["1|2"]
+        assert membership_strings(enumerate_partitions(2)[[pp.top_index]]) == ["1|2"]
 
     def test_no_data_returns_prior(self):
         result = analyze(BasketData.create([0, 0], [0, 0]), delta=1.0)
-        assert np.allclose(result.partition_posterior.weights, result.pset.prior, atol=1e-14)
+        assert np.allclose(result.partition_posterior.weights, result.partition_prior, atol=1e-14)
 
     def test_degenerate_prior(self):
-        pset = replace(PartitionSet.build(3), prior=np.array([0, 0, 0, 1.0, 0]))
-        _, top, top_prob = BatchPosterior([5, 5, 5], pset).posterior([3, 0, 2])
-        assert top[0] == 3
-        assert top_prob[0] == pytest.approx(1.0, abs=1e-14)
+        # delta = +2000 (-2000) puts a prior mass of exactly 0 on every
+        # partition but the singletons (the pooled partition), whatever the data.
+        for delta, index in ((2000.0, 4), (-2000.0, 0)):
+            engine = BatchPosterior([5, 5, 5], delta)
+            assert np.flatnonzero(engine.partition_prior).tolist() == [index]
+            _, top, top_prob = engine.posterior([3, 0, 2])
+            assert top[0] == index
+            assert top_prob[0] == 1.0
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(21)
@@ -78,10 +81,14 @@ class TestPartitionPosteriorExamples:
             pp = analyze(BasketData.create(x, n), delta=2.0).partition_posterior
             assert pp.weights.sum() == pytest.approx(1.0, abs=1e-10)
 
-    def test_shape_error(self):
-        # One basket's sample sizes against a two-basket partition set.
-        with pytest.raises(ShapeError):
-            BatchPosterior([2], PartitionSet.build(2))
+    def test_basket_count_outside_the_cap(self):
+        # The enumeration refuses B = 0 and B = 11 before any layout is built.
+        misses = _layout.cache_info().misses
+        with pytest.raises(DomainError):
+            BatchPosterior([])
+        with pytest.raises(CapacityError):
+            BatchPosterior([1] * (MAX_BASKETS + 1))
+        assert _layout.cache_info().misses == misses
 
 
 class TestSimilarity:
@@ -98,7 +105,7 @@ class TestSimilarity:
         cases = ((200.0, (1, 2, 3), np.eye(3)), (-200.0, (1, 1, 1), np.ones((3, 3))))
         for delta, top, expect in cases:
             result = analyze(BasketData.create([0, 0, 0], [0, 0, 0]), delta=delta)
-            assert tuple(result.pset.memberships[result.partition_posterior.top_index]) == top
+            assert tuple(enumerate_partitions(3)[result.partition_posterior.top_index]) == top
             assert np.allclose(result.similarity, expect)
 
     def test_bounds_symmetry_random(self):
@@ -212,7 +219,6 @@ class TestRationalOracleEquivalence:
 
     def test_random_cases_jeffreys_prior(self):
         rng = np.random.default_rng(31)
-        pset = PartitionSet.build(3, 0.0)
         prior = BetaParams(0.5, 0.5)
         for _ in range(120):
             n = rng.integers(0, 5, size=3)
@@ -220,7 +226,7 @@ class TestRationalOracleEquivalence:
             oracle = RationalAnalysis(x, n, 0, alpha2=1, beta2=1)
             result = analyze(BasketData.create(x, n), delta=0.0, prior=prior)
             pp = result.partition_posterior
-            for j in range(len(pset)):
+            for j in range(len(oracle.weights)):
                 assert abs(pp.weights[j] - float(oracle.weights[j])) < 1e-9
             for b in range(3):
                 post = result.posteriors[b]
@@ -254,13 +260,13 @@ class TestInvariants:
         # The borrowing posterior mean sits between the basket-alone mean and
         # the fully pooled mean of the basket's block under the top partition.
         rng = np.random.default_rng(34)
-        pset = PartitionSet.build(4, 2.0)
+        labels = enumerate_partitions(4)
         prior = BetaParams(1, 1)
         for _ in range(60):
             n = rng.integers(1, 16, size=4)
             x = rng.integers(0, n + 1)
             result = analyze(BasketData.create(x, n), delta=2.0, prior=prior)
-            top = tuple(pset.memberships[result.partition_posterior.top_index])
+            top = tuple(labels[result.partition_posterior.top_index])
             for b in range(4):
                 post = result.posteriors[b]
                 alone = BetaParams(prior.alpha + x[b], prior.beta + n[b] - x[b])
@@ -276,11 +282,10 @@ class TestBatchPosterior:
     def test_matches_scalar_ops(self):
         rng = np.random.default_rng(35)
         n = [7, 9, 5, 8]
-        pset = PartitionSet.build(4, 2.0)
-        engine = BatchPosterior(n, pset)
+        engine = BatchPosterior(n, 2.0)
         xs = np.stack([rng.integers(0, np.asarray(n) + 1) for _ in range(80)])
         weights, top, top_prob = engine.posterior(xs)
-        alpha, beta, _ = borrow(xs, n, pset.memberships[top], top_prob)
+        alpha, beta, _ = borrow(xs, n, enumerate_partitions(4)[top], top_prob)
         probs = engine.exceed_probs(xs, 0.15)
         for t in range(len(xs)):
             result = analyze(BasketData.create(xs[t], n), delta=2.0, theta0=0.15)
@@ -296,8 +301,7 @@ class TestBatchPosterior:
 
     def test_heterogeneous_theta0(self):
         n = [6, 6]
-        pset = PartitionSet.build(2, 1.0)
-        engine = BatchPosterior(n, pset)
+        engine = BatchPosterior(n, 1.0)
         xs = np.array([[2, 5], [0, 3]])
         probs = engine.exceed_probs(xs, np.array([0.25, 0.15]))
         for t in range(2):
@@ -310,7 +314,7 @@ class TestBatchPosterior:
         # sums cover only a leading part of each row.
         rng = np.random.default_rng(36)
         for num_baskets in (5, 9):
-            engine = BatchPosterior([6] * num_baskets, PartitionSet.build(num_baskets, 1.0))
+            engine = BatchPosterior([6] * num_baskets, 1.0)
             xs = rng.integers(0, 7, size=(60, num_baskets))
             xs[::5] = xs[1::5]  # repeated rows
             xs[2::5] = 3  # all baskets equal
@@ -331,7 +335,7 @@ class TestBatchPosterior:
         xs = rng.integers(0, n + 1, size=(8, num_baskets))
         xs[0] = 0
         xs[1] = n
-        engine = BatchPosterior(n, PartitionSet.build(num_baskets, delta))
+        engine = BatchPosterior(n, delta)
         weights, top, top_prob = engine.posterior(xs)
         digest = hashlib.sha256()
         for a in (weights, top.astype(np.int64), top_prob):
@@ -344,7 +348,7 @@ class TestBatchPosterior:
         # temporary per slot, a second copy of the weights or an int64 array
         # for the top pick exceeds 17.
         rng = np.random.default_rng(39)
-        engine = BatchPosterior([12] * 9, PartitionSet.build(9, 2.0))
+        engine = BatchPosterior([12] * 9, 2.0)
         xs = rng.integers(0, 13, size=(300, 9))
         tracemalloc.start()
         try:
@@ -352,12 +356,12 @@ class TestBatchPosterior:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 17 * 300 * len(engine.pset)
+        assert peak <= 17 * 300 * len(engine.partition_prior)
 
     def test_chunked_rows_equal_one_chunk(self, monkeypatch):
         rng = np.random.default_rng(37)
         n = [6, 9, 4, 7]
-        engine = BatchPosterior(n, PartitionSet.build(4, 1.0))
+        engine = BatchPosterior(n, 1.0)
         xs = rng.integers(0, np.asarray(n) + 1, size=(60, 4))
         # theta0 per basket, and per row and basket as survivor_exceedance
         # passes it when survivor sets of equal sizes share one call.
@@ -375,7 +379,7 @@ class TestBatchPosterior:
         # time, at about 17 bytes per cell: near 4.5 MB. The rest, a top
         # index, a top weight and the borrowing arrays per row, is small.
         rng = np.random.default_rng(38)
-        engine = BatchPosterior([12] * 10, PartitionSet.build(10, 2.0))
+        engine = BatchPosterior([12] * 10, 2.0)
         xs = rng.integers(0, 13, size=(300, 10))
         tracemalloc.start()
         try:
@@ -387,14 +391,14 @@ class TestBatchPosterior:
         assert peak < 17 * posterior.MAX_CELLS + 1e6
 
     def test_b10_index_arrays_under_50mb(self):
-        engine = BatchPosterior([1] * 10, PartitionSet.build(10, 0.0))
+        engine = BatchPosterior([1] * 10, 0.0)
         arrays = (engine._block_index, engine._member, engine._ranks, engine._filled, engine._order)
         assert engine._block_index.shape == (115975, 10)
         assert sum(a.nbytes for a in arrays) < 50e6
 
     def test_factor_table_sized_by_data(self):
         # Only the distinct block sizes are tabulated, not every total up to sum(n).
-        engine = BatchPosterior([500] * 4, PartitionSet.build(4, 2.0))
+        engine = BatchPosterior([500] * 4, 2.0)
         assert engine._factor_table.nbytes < 1e6
 
     def test_factor_table_equals_one_log_beta_call_per_size(self):
@@ -402,7 +406,7 @@ class TestBatchPosterior:
         # one call per distinct block size, over both large-argument branches.
         for prior in (posterior.DEFAULT_PRIOR, JEFFREYS_PRIOR, BetaParams(0.3, 7.5)):
             for n in ([0, 0, 0], [3, 0, 12], [40, 200, 7, 1]):
-                engine = BatchPosterior(n, PartitionSet.build(len(n)), prior)
+                engine = BatchPosterior(n, prior=prior)
                 sizes = np.unique(engine.n @ engine._member)
                 want = np.zeros(engine._factor_table.shape)
                 for rank, size in enumerate(sizes[1:], start=1):
@@ -412,7 +416,7 @@ class TestBatchPosterior:
                 assert engine._factor_table.tobytes() == want.tobytes()
 
     def test_rejects_bad_counts(self):
-        engine = BatchPosterior([4, 4], PartitionSet.build(2))
+        engine = BatchPosterior([4, 4])
         with pytest.raises(DomainError):
             engine.posterior(np.array([[5, 0]]))
         with pytest.raises(ShapeError):
@@ -424,20 +428,41 @@ class TestBatchPosterior:
     def test_rejects_bad_theta0(self, theta0, error):
         # The same checks as analyze: a bound of (0, 1) would make every
         # probability 1 or 0, and a wrong length is not broadcast.
-        engine = BatchPosterior([4, 4], PartitionSet.build(2))
+        engine = BatchPosterior([4, 4])
         with pytest.raises(error, match="theta0"):
             engine.exceed_probs(np.array([[1, 2], [3, 0]]), theta0)
+
+
+    @pytest.mark.parametrize("num_baskets, delta", [(1, 0.0), (4, -1.0), (7, 2.0), (10, 0.5)])
+    def test_partition_prior_is_the_delta_prior(self, monkeypatch, num_baskets, delta):
+        # An engine's prior is partition_prior over the cached enumeration and
+        # refuses writes; analyze reports its one engine's array.
+        engines = []
+
+        class Recording(BatchPosterior):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self)
+
+        monkeypatch.setattr(posterior, "BatchPosterior", Recording)
+        result = analyze(BasketData.create([1] * num_baskets, [3] * num_baskets), delta=delta)
+        (engine,) = engines
+        want = partition_prior(enumerate_partitions(num_baskets), delta)
+        assert engine.partition_prior.tobytes() == want.tobytes()
+        assert result.partition_prior is engine.partition_prior
+        with pytest.raises(ValueError):
+            engine.partition_prior[0] = 0.5
 
 
 class TestLayoutCache:
     def test_engines_share_one_layout(self):
         engines = [
-            BatchPosterior([5] * 6, PartitionSet.build(6, 0.0)),
-            BatchPosterior([3, 8, 0, 4, 4, 9], PartitionSet.build(6, 2.0), JEFFREYS_PRIOR),
+            BatchPosterior([5] * 6, 0.0),
+            BatchPosterior([3, 8, 0, 4, 4, 9], 2.0, JEFFREYS_PRIOR),
         ]
         for name in ("_order", "_ranks", "_filled", "_block_index", "_member"):
             assert getattr(engines[0], name) is getattr(engines[1], name)
-        assert engines[0].pset.memberships is engines[1].pset.memberships
+        assert engines[0]._labels is engines[1]._labels
         assert engines[0]._block_index.dtype == np.intp
 
     def test_block_id_is_the_bitmask(self):
@@ -494,7 +519,7 @@ class TestAnalyze:
         data = BasketData.create([0, 2], [2, 2])
         result = analyze(data, delta=0.0, theta0=0.15)
         assert isinstance(result, AnalysisResult)
-        top = result.pset.memberships[[result.partition_posterior.top_index]]
+        top = enumerate_partitions(2)[[result.partition_posterior.top_index]]
         assert membership_strings(top) == ["1|2"]
         assert result.prob_exceeds[1] == pytest.approx(
             beta_tail_quadrature(3.0, 1.0, 0.15), abs=1e-8
@@ -512,4 +537,4 @@ class TestAnalyze:
         # the smallest membership among those.
         data = BasketData.create([0, 0], [0, 0])
         result = analyze(data, delta=0.0)  # uniform prior, no data: exact tie
-        assert tuple(result.pset.memberships[result.partition_posterior.top_index]) == (1, 2)
+        assert tuple(enumerate_partitions(2)[result.partition_posterior.top_index]) == (1, 2)

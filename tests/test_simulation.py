@@ -282,9 +282,9 @@ class TestStageTwoEngines:
         built = []
 
         class Counting(design.BatchPosterior):
-            def __init__(self, n, pset, prior):
+            def __init__(self, n, delta, prior):
                 built.append(tuple(n))
-                super().__init__(n, pset, prior)
+                super().__init__(n, delta, prior)
 
         monkeypatch.setattr(design, "BatchPosterior", Counting)
         spec = DesignSpec.create(
@@ -306,9 +306,9 @@ class TestLayoutCache:
         counts = set()
 
         class Counting(design.BatchPosterior):
-            def __init__(self, n, pset, prior):
+            def __init__(self, n, delta, prior):
                 counts.add(len(n))
-                super().__init__(n, pset, prior)
+                super().__init__(n, delta, prior)
 
         monkeypatch.setattr(design, "BatchPosterior", Counting)
         _layout.cache_clear()
