@@ -12,14 +12,15 @@ SeedSequence's pool mixing (O'Neill's seed_seq) in uint32 arithmetic over
 all keys, turns each row's seed words into its PCG64 (state, inc) held as
 uint64 hi/lo limbs, and steps the 128-bit state with products built from
 32-bit halves. Rows in numpy's inversion branch are then drawn together by
-a masked copy of numpy's inversion sampler; the few rows numpy draws by BTPE
-go through one Generator set to their state. The draws therefore equal those
-of a fresh generator per stream as long as numpy keeps SeedSequence, PCG64
-and its binomial samplers stream-compatible, which its NEP 19 policy
-promises and tests check, at random keys and at crafted states on the
-sampler's thresholds. Each key must be below 2^32: SeedSequence hashes a
-larger key as two words, which the fixed-width hash here does not
-reproduce, so such a key raises CapacityError.
+one threshold lookup that gives numpy's inversion draw exactly (_inversion);
+the few rows numpy draws by BTPE go through one Generator set to their
+state. The draws therefore equal those of a fresh generator per stream as
+long as numpy keeps SeedSequence, PCG64 and its binomial samplers
+stream-compatible, which its NEP 19 policy promises and tests check, at
+random keys and at crafted states on the sampler's thresholds. Each key
+must be below 2^32: SeedSequence hashes a larger key as two words, which
+the fixed-width hash here does not reproduce, so such a key raises
+CapacityError.
 """
 
 from __future__ import annotations
@@ -327,6 +328,10 @@ _SHIFT32 = np.uint64(32)
 _ONE = np.uint64(1)
 # numpy draws a binomial by inversion when min(p, 1 - p) * n is at most this.
 _INVERSION_MAX_MEAN = 30.0
+# An inversion row whose double lies within this many units of 2^-53 of a
+# cut of the lookup runs numpy's chain instead; the chain's own cuts lie
+# within 2 * 85 + 2 units of the lookup's.
+_LOOKUP_MARGIN = 2**13
 
 
 class _Hasher:
@@ -357,24 +362,23 @@ def _seed_words(seed: int, keys: np.ndarray) -> np.ndarray:
     for every row of keys, as an (N, 4) uint64 array.
 
     The entropy is the seed's uint32 words, low word first, zero-padded to
-    the pool size, then one word per key column (every key is < 2^32).
+    the pool size, then one word per key column (every key is < 2^32). The
+    seed words are the same in every row, so they are mixed once, on
+    one-element arrays, and the key words broadcast the pool to N rows.
     """
-    rows = len(keys)
-    entropy = [
-        np.full(rows, (seed >> 32 * i) & _MASK32, dtype=np.uint32) for i in range(_POOL_SIZE)
-    ]
-    entropy += list(keys.astype(np.uint32).T)
     hashmix = _Hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    pool = [
+        hashmix(np.array([(seed >> 32 * i) & _MASK32], dtype=np.uint32)) for i in range(_POOL_SIZE)
+    ]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
+    for word in keys.astype(np.uint32).T:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(word))
     output = _Hasher(_INIT_B, _MULT_B)
-    words = np.empty((rows, _POOL_SIZE), dtype=np.uint64)
+    words = np.empty((len(keys), _POOL_SIZE), dtype=np.uint64)
     for k in range(_POOL_SIZE):
         low = output(pool[2 * k % _POOL_SIZE]).astype(np.uint64)
         high = output(pool[(2 * k + 1) % _POOL_SIZE]).astype(np.uint64)
@@ -413,55 +417,89 @@ def _pcg64_limbs(words: np.ndarray) -> tuple[np.ndarray, ...]:
     return (*_pcg64_step(*_add128(inc_hi, inc_lo, w0, w1), inc_hi, inc_lo), inc_hi, inc_lo)
 
 
-def _next_double(s_hi, s_lo, i_hi, i_lo) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One PCG64 step and its XSL-RR output as a double in [0, 1): (state_hi, state_lo, u)."""
+def _next_double_index(s_hi, s_lo, i_hi, i_lo) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One PCG64 step and its XSL-RR output shifted right by 11, the int64 m
+    whose m * 2^-53 is numpy's next double: (state_hi, state_lo, m)."""
     s_hi, s_lo = _pcg64_step(s_hi, s_lo, i_hi, i_lo)
     rot = s_hi >> np.uint64(58)
     x = s_hi ^ s_lo
     out = x >> rot | x << (-rot & np.uint64(63))
-    return s_hi, s_lo, (out >> np.uint64(11)).astype(float) * 2.0**-53
+    return s_hi, s_lo, (out >> np.uint64(11)).astype(np.int64)
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(values, return_inverse=True) from a sort and a search, which
+    cost less than its argsort when there are few distinct values."""
+    v = np.sort(values)
+    v = v[np.concatenate(([True], v[1:] != v[:-1]))]
+    return v, np.searchsorted(v, values)
+
+
+def _inversion_px(n: int, p: float) -> list[float]:
+    """numpy's px sequence of the inversion sampler for one (n, p), from
+    px[0] = qn = exp(n * log1p(-p)) to its search bound
+    int(min(n, np + 10 sqrt(np q + 1))), in the operation order of its C code."""
+    q, mean = 1.0 - p, n * p
+    px = [math.exp(n * math.log1p(-p))]
+    for x in range(1, int(min(n, mean + 10.0 * math.sqrt(mean * q + 1))) + 1):
+        px.append((n - x + 1) * p * px[-1] / (x * q))
+    return px
+
+
+def _chain(u: float, px: list[float]) -> int:
+    """numpy's sequential search on the double u: the first x with u <= px[x],
+    u losing px[0], px[1], ... in turn, or len(px) when u runs past the bound."""
+    for x, px_x in enumerate(px):
+        if u <= px_x:
+            return x
+        u -= px_x
+    return len(px)
 
 
 def _inversion(limbs: tuple[np.ndarray, ...], n: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """numpy's inversion sampler (BINV) for 0 < p <= 0.5 and n * p <= 30, run
-    as one masked loop over the rows still searching.
+    """numpy's inversion sampler (BINV) for 0 < p <= 0.5 and n * p <= 30,
+    by one threshold lookup per double.
 
-    Its constants are computed once per distinct (n, p) with Python's math,
-    in the operation order of numpy's C code: qn = exp(n * log1p(-p)) and
-    the search bound int(min(n, np + 10 sqrt(np q + 1))), past which a row
-    restarts on a fresh double.
+    numpy's chain returns the first x with U <= px[x], subtracting px[0],
+    px[1], ... from its double U in turn. A rounded subtraction is monotone,
+    so that x grows with U: it counts the cuts U lies above, and each cut of
+    the chain lies within (2 * bound + 2) * 2^-53 of floor(cumsum(px) * 2^53)
+    * 2^-53, with bound <= 85 on this branch. So each distinct (n, p) gets
+    its px sequence (_inversion_px) and those integer cuts once, and a row
+    whose double is m * 2^-53 takes as x the number of its pair's cuts below
+    m, from one searchsorted over every pair. Only a row whose m lies within
+    _LOOKUP_MARGIN of a cut runs the chain itself (_chain); a row past the
+    bound restarts on a fresh double, as in numpy.
     """
-    n_vals, n_idx = np.unique(n, return_inverse=True)
-    p_vals, p_idx = np.unique(p, return_inverse=True)
-    pairs, pair_idx = np.unique(n_idx * len(p_vals) + p_idx, return_inverse=True)
-    qn_of, bound_of = np.empty(len(pairs)), np.empty(len(pairs), dtype=np.int64)
+    n_vals, n_idx = _distinct(n)
+    p_vals, p_idx = _distinct(p)
+    pairs, pair = _distinct(n_idx * len(p_vals) + p_idx)
     pair_n, pair_p = n_vals[pairs // len(p_vals)], p_vals[pairs % len(p_vals)]
-    for j, (nj, pj) in enumerate(zip(pair_n.tolist(), pair_p.tolist())):
-        mean = nj * pj
-        qn_of[j] = math.exp(nj * math.log1p(-pj))
-        bound_of[j] = int(min(nj, mean + 10.0 * math.sqrt(mean * (1.0 - pj) + 1)))
-    qn, bound, q = qn_of[pair_idx], bound_of[pair_idx], 1.0 - p
-    i_hi, i_lo = limbs[2:]
-    s_hi, s_lo, u = _next_double(*limbs)
+    px_of = [_inversion_px(nj, pj) for nj, pj in zip(pair_n.tolist(), pair_p.tolist())]
+    # Each pair's cuts between two sentinels, keyed pair + 1j * cut: complex
+    # values sort by real part, then imaginary part, so the search stays
+    # within each row's pair, exactly, for any number of pairs.
+    length = np.array([len(px) for px in px_of])
+    cuts = np.concatenate(
+        [np.concatenate(([-(2.0**62)], np.floor(np.cumsum(px) * 2.0**53), [2.0**62])) for px in px_of]
+    )
+    keys = np.repeat(np.arange(len(px_of)), length + 2) + 1j * cuts
+    cuts = cuts.astype(np.int64)
+    first = np.cumsum(length + 2) - length - 1
+    s_hi, s_lo, i_hi, i_lo = limbs
     rows = np.arange(len(n))
-    x = np.zeros(len(n), dtype=np.int64)
-    px = qn
     out = np.empty(len(n), dtype=np.int64)
-    while True:
-        search = u > px
-        out[rows[~search]] = x[~search]
-        if not search.any():
-            return out
-        rows, x, px, u, n, p, q, bound = (a[search] for a in (rows, x, px, u, n, p, q, bound))
-        x += 1
-        u = u - px
-        px = ((n - x + 1) * p * px) / (x * q)
-        restart = np.flatnonzero(x > bound)
-        if restart.size:
-            r = rows[restart]
-            x[restart] = 0
-            px[restart] = qn[r]
-            s_hi[r], s_lo[r], u[restart] = _next_double(s_hi[r], s_lo[r], i_hi[r], i_lo[r])
+    while rows.size:
+        s_hi, s_lo, m = _next_double_index(s_hi, s_lo, i_hi, i_lo)
+        at = np.searchsorted(keys, pair + 1j * m)
+        x = at - first[pair]
+        near = (cuts[at] - m <= _LOOKUP_MARGIN) | (m - cuts[at - 1] <= _LOOKUP_MARGIN)
+        for i in np.flatnonzero(near).tolist():
+            x[i] = _chain(int(m[i]) * 2.0**-53, px_of[pair[i]])
+        out[rows] = x
+        again = x == length[pair]
+        rows, s_hi, s_lo, i_hi, i_lo, pair = (a[again] for a in (rows, s_hi, s_lo, i_hi, i_lo, pair))
+    return out
 
 
 def _binomial_from_limbs(limbs: tuple[np.ndarray, ...], n: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -469,7 +507,7 @@ def _binomial_from_limbs(limbs: tuple[np.ndarray, ...], n: np.ndarray, p: np.nda
     (state_hi, state_lo, inc_hi, inc_lo) limbs, for n > 0 and 0 < p < 1.
 
     Like numpy, p > 0.5 is drawn as n - Binomial(n, 1 - p). Rows with
-    min(p, 1 - p) * n <= 30 take the vectorised inversion sampler; the rest
+    min(p, 1 - p) * n <= 30 take the inversion lookup (_inversion); the rest
     (numpy's BTPE branch) are drawn one by one through a Generator set to
     their state.
     """
@@ -477,9 +515,10 @@ def _binomial_from_limbs(limbs: tuple[np.ndarray, ...], n: np.ndarray, p: np.nda
     small = np.where(flip, 1.0 - p, p)
     inv = small * n <= _INVERSION_MAX_MEAN
     out = np.empty(len(n), dtype=np.int64)
-    rows = np.flatnonzero(inv)
-    x = _inversion(tuple(a[rows] for a in limbs), n[rows], small[rows])
-    out[rows] = np.where(flip[rows], n[rows] - x, x)
+    rows = slice(None) if inv.all() else np.flatnonzero(inv)
+    if inv.any():
+        x = _inversion(tuple(a[rows] for a in limbs), n[rows], small[rows])
+        out[rows] = np.where(flip[rows], n[rows] - x, x)
     rows = np.flatnonzero(~inv)
     if rows.size:
         bitgen = np.random.PCG64(0)
@@ -507,10 +546,11 @@ def binomial_draws(seed: int, keys, n, p) -> np.ndarray:
 
     Seed words and PCG64 states are derived in numpy, each 128-bit state as
     two uint64 limbs. Rows in numpy's inversion branch (min(p, 1 - p) * n
-    <= 30, every cohort of the paper's designs) are drawn together by a
-    vectorised copy of numpy's inversion sampler. Its starting probability
-    must be exp(n * log1p(-p)), as in numpy: exp(n * log(1 - p)) can differ
-    in the last bit and move a draw. Larger rows go through numpy's BTPE
+    <= 30, every cohort of the paper's designs) are drawn together by one
+    threshold lookup that gives numpy's draw exactly (_inversion). Its
+    starting probability must be exp(n * log1p(-p)), as in numpy:
+    exp(n * log(1 - p)) can differ in the last bit and move a draw. Larger
+    rows go through numpy's BTPE
     sampler, one Generator call per row.
     """
     seed = as_int(seed, "seed")
@@ -523,20 +563,22 @@ def binomial_draws(seed: int, keys, n, p) -> np.ndarray:
         raise ShapeError(
             f"need (N, k) keys and length-N n and p, got {keys.shape}, {n.shape}, {p.shape}"
         )
-    if (keys < 0).any():
+    if keys.min(initial=0) < 0:
         raise DomainError("stream keys must be non-negative")
-    if (keys >= 2**32).any():
+    if keys.max(initial=0) >= 2**32:
         raise CapacityError(
             "stream keys must be below 2^32; SeedSequence splits a larger key into two words"
         )
-    if (n < 0).any():
+    if n.min(initial=0) < 0:
         raise DomainError(f"binomial_draws requires n >= 0, got {n.min()}")
-    if not ((p >= 0.0) & (p <= 1.0)).all():
+    # a NaN p makes both reductions NaN, so it fails the check
+    if not (p.min(initial=0.0) >= 0.0 and p.max(initial=1.0) <= 1.0):
         raise DomainError("binomial_draws requires p in [0, 1]")
 
     out = np.where(p == 1.0, n, 0).astype(np.int64)
-    todo = np.flatnonzero((n > 0) & (p > 0.0) & (p < 1.0))
-    if todo.size:
+    live = (n > 0) & (p > 0.0) & (p < 1.0)
+    todo = slice(None) if live.all() else np.flatnonzero(live)
+    if live.any():
         limbs = _pcg64_limbs(_seed_words(seed, keys[todo]))
         out[todo] = _binomial_from_limbs(limbs, n[todo].astype(np.int64), p[todo])
     return out

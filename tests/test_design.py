@@ -23,7 +23,7 @@ from localmem.errors import CapacityError, DomainError, ShapeError
 from localmem.numerics import reg_inc_beta
 from localmem.posterior import JEFFREYS_PRIOR, BasketData, analyze
 
-from oracles import RationalAnalysis, beta_tail_quadrature
+from oracles import RationalAnalysis
 
 
 def paper_two_stage(delta=2.0):

@@ -10,7 +10,10 @@ from localmem.calibration import CalibrationProblem
 from localmem.design import DesignSpec, TrialState
 from localmem.errors import CapacityError, ConvergenceError, DomainError
 from localmem.numerics import (
+    _LOOKUP_MARGIN,
     _binomial_from_limbs,
+    _chain,
+    _inversion_px,
     _pcg64_limbs,
     _seed_words,
     as_int,
@@ -233,6 +236,16 @@ class TestRngStream:
         with pytest.raises(DomainError):
             draw(1, (), 3, 1.5)
 
+    def test_nan_p_is_refused(self):
+        with pytest.raises(DomainError):
+            draw(1, (0,), 10, math.nan)
+        with pytest.raises(DomainError):
+            binomial_draws(1, [[0], [1], [2]], [10, 10, 10], [0.3, math.nan, 0.6])
+
+    def test_zero_rows(self):
+        draws = binomial_draws(1, np.zeros((0, 3), dtype=np.int64), [], [])
+        assert draws.dtype == np.int64 and draws.shape == (0,)
+
     def test_key_of_two_words_is_refused(self):
         # SeedSequence hashes a key >= 2^32 as two words; refuse it rather
         # than return a different stream, before any row is drawn.
@@ -277,6 +290,28 @@ class TestStreamsMatchNumpy:
                 assert got == ni
             else:
                 assert got == fresh_stream(12345, row).binomial(ni, pi)
+
+
+    def test_mixed_batch_equals_row_by_row_draws(self):
+        # trivial rows, BTPE rows and reflected p > 0.5 rows between
+        # inversion rows, in one call and one row at a time
+        n = [0, 10, 16, 120, 16, 10, 6, 61, 200, 1000, 6, 16, 0, 10]
+        p = [0.45, 0.0, 1.0, 0.45, 0.85, 0.15, 0.45, 0.5, 0.9, 0.01, 1.0, 0.45, 0.0, 0.55]
+        keys = [(t, 3, t % 2) for t in range(len(n))]
+        draws = binomial_draws(2024, keys, n, p)
+        assert draws.tolist() == [draw(2024, *row) for row in zip(keys, n, p)]
+
+    def test_thousands_of_distinct_inversion_pairs(self):
+        rng = np.random.default_rng(11)
+        n = rng.integers(1, 400, size=2500)
+        p = rng.uniform(0.0, 1.0, size=2500) * np.minimum(0.5, 30.0 / n)
+        p[::2] = 1.0 - p[::2]
+        assert len(set(zip(n.tolist(), p.tolist()))) > 2000
+        assert (np.minimum(p, 1.0 - p) * n <= 30.0).all()
+        keys = rng.integers(0, 2**32, size=(2500, 2), dtype=np.int64)
+        draws = binomial_draws(77, keys, n, p)
+        for row, got, ni, pi in zip(keys.tolist(), draws.tolist(), n.tolist(), p.tolist()):
+            assert got == fresh_stream(77, row).binomial(ni, pi)
 
 
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -329,6 +364,7 @@ class TestInversionAtCraftedStates:
     INC = (0x9E3779B97F4A7C15F39CC0605CEDC835 << 1 | 1) % 2**128
 
     def assert_matches_numpy(self, ks, n, p, inc=INC):
+        """Check the draws at the doubles k * 2^-53 against numpy's and return numpy's."""
         states = [state_for_first_double(k, inc) for k in ks]
         limbs = tuple(
             np.array(values, dtype=np.uint64)
@@ -342,6 +378,7 @@ class TestInversionAtCraftedStates:
         got = _binomial_from_limbs(limbs, np.full(len(ks), n), np.full(len(ks), p))
         want = [int(generator_at(s, inc).binomial(n, p)) for s in states]
         assert got.tolist() == want
+        return want
 
     def test_crafted_state_gives_the_chosen_double(self):
         for k in (0, 1, 2**52 + 12345, 2**53 - 1):
@@ -354,6 +391,24 @@ class TestInversionAtCraftedStates:
             {double_index(cut, d) for cut in inversion_thresholds(n, p) for d in range(-3, 4)}
         )
         self.assert_matches_numpy(ks, n, p)
+
+    # The cohorts the benchmark draws, and a long chain. Doubles at each
+    # cumulative sum run numpy's chain; doubles just outside the lookup's
+    # margin take the lookup; those near 1 restart past the bound of 43.
+    @pytest.mark.parametrize(
+        "n, p, bound", [(10, 0.15, 10), (6, 0.15, 6), (6, 0.45, 6), (16, 0.45, 16), (1000, 0.01, 43)]
+    )
+    def test_lookup_and_chain_at_every_cut_and_margin(self, n, p, bound):
+        px = _inversion_px(n, p)
+        assert len(px) == bound + 1
+        shifts = [*range(-3, 4)] + [s * (_LOOKUP_MARGIN + d) for s in (-1, 1) for d in (-1, 0, 1)]
+        cuts = inversion_thresholds(n, p)[: bound + 1]
+        ks = sorted({double_index(cut, d) for cut in cuts for d in shifts})
+        ks += [2**53 - 1 - j for j in range(4)]
+        want = self.assert_matches_numpy(ks, n, p)
+        chain = [_chain(k * 2.0**-53, px) for k in ks]
+        assert [c for c in chain if c <= bound] == [w for c, w in zip(chain, want) if c <= bound]
+        assert bound == n or bound + 1 in chain
 
     @pytest.mark.parametrize("n, p", [(2, 0.15), (16, 0.15), (16, 0.85)])
     def test_largest_doubles(self, n, p):

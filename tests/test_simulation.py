@@ -14,7 +14,6 @@ from localmem.partitions import enumerate_partitions
 from localmem.posterior import BasketData, _layout
 from localmem import design, simulation
 from localmem.simulation import (
-    OperatingCharacteristics,
     Scenario,
     decide_batch,
     generate_counts,
