@@ -5,6 +5,9 @@ JSON documents validated against the schemas in :mod:`localmem.schemas`;
 results are written as JSON reports and plot-ready CSV tables. Every output
 embeds the seed, simulation count, a content hash of the configuration and
 the package version, so a table can always be traced back to its inputs.
+Each analyze and monitor table is built once, as one (header, rows): the CSV
+file writes its rows, and the JSON report's list of objects is derived from
+them, one {column: cell} per row without its absent (None) cells.
 
 Exit codes: 0 success, 1 infeasible calibration, 2 input error, 3 internal
 numeric failure.
@@ -58,8 +61,6 @@ def _fmt(value) -> str:
     """CSV cell: 6 significant digits, '-' for absent values."""
     if value is None:
         return "-"
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".6g")
     return str(value)
@@ -126,6 +127,11 @@ def _build_spec(doc: dict, lam_default: float | None = None) -> DesignSpec:
     )
 
 
+def _objects(header: list[str], rows) -> list[dict]:
+    """A table's JSON objects: one {column: cell} per row, without its None cells."""
+    return [{k: v for k, v in zip(header, row) if v is not None} for row in rows]
+
+
 def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
     path = out_dir / name
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -170,51 +176,32 @@ def cmd_analyze(args) -> int:
     pp = result.partition_posterior
     labels = enumerate_partitions(data.num_baskets)
     strings = membership_strings(labels)
-    partition_rows = list(
-        zip(strings, labels.max(axis=1).tolist(), result.partition_prior.tolist(), pp.weights.tolist())
+    baskets = (
+        ["id", "x", "n", "alpha", "beta", "mean", "ess", "prob_exceeds"],
+        [
+            [data.basket_ids[b], data.x[b], data.n[b], post.alpha, post.beta, post.mean,
+             result.ess[b], result.prob_exceeds[b]]
+            for b, post in enumerate(result.posteriors)
+        ],
+    )
+    partitions = (
+        ["membership", "num_blocks", "prior", "weight"],
+        list(
+            zip(strings, labels.max(axis=1).tolist(), result.partition_prior.tolist(), pp.weights.tolist())
+        ),
     )
     payload = {
         "meta": _meta("analyze", config),
-        "baskets": [
-            {
-                "id": data.basket_ids[b],
-                "x": data.x[b],
-                "n": data.n[b],
-                "alpha": result.posteriors[b].alpha,
-                "beta": result.posteriors[b].beta,
-                "mean": result.posteriors[b].mean,
-                "ess": result.ess[b],
-                "prob_exceeds": result.prob_exceeds[b],
-            }
-            for b in range(data.num_baskets)
-        ],
-        "partitions": [
-            {"membership": m, "num_blocks": k, "prior": p, "weight": w}
-            for m, k, p, w in partition_rows
-        ],
+        "baskets": _objects(*baskets),
+        "partitions": _objects(*partitions),
         "similarity": result.similarity.tolist(),
         "top_partition": {"membership": strings[pp.top_index], "weight": pp.top_prob},
     }
-    basket_rows = [
-        [r["id"], r["x"], r["n"], r["alpha"], r["beta"], r["mean"], r["ess"], r["prob_exceeds"]]
-        for r in payload["baskets"]
-    ]
     _emit(
         args,
         "analysis.json",
         payload,
-        [
-            (
-                "analysis_baskets.csv",
-                ["id", "x", "n", "alpha", "beta", "mean", "ess", "prob_exceeds"],
-                basket_rows,
-            ),
-            (
-                "analysis_partitions.csv",
-                ["membership", "num_blocks", "prior", "weight"],
-                partition_rows,
-            ),
-        ],
+        [("analysis_baskets.csv", *baskets), ("analysis_partitions.csv", *partitions)],
     )
     return EXIT_OK
 
@@ -242,14 +229,13 @@ def cmd_monitor(args) -> int:
     analyzed = [b for b, keep in enumerate(active) if keep]
     looked = dict(zip(analyzed, zip(result.prob_exceeds, result.ess)))
     data = state.data
-    baskets = []
-    for b, d in enumerate(state.decisions):
+    header = ["id", "x", "n", "prob_exceeds", "ess", "decision"]
+    rows = [
         # Every basket still PENDING after the interim look continues.
-        decision = Decision.CONTINUE if d is Decision.PENDING else d
-        entry = {"id": data.basket_ids[b], "x": data.x[b], "n": data.n[b], "decision": decision.value}
-        if b in looked:
-            entry["prob_exceeds"], entry["ess"] = looked[b]
-        baskets.append(entry)
+        [data.basket_ids[b], data.x[b], data.n[b], *looked.get(b, (None, None)),
+         (Decision.CONTINUE if d is Decision.PENDING else d).value]
+        for b, d in enumerate(state.decisions)
+    ]
     payload = {
         "meta": _meta("monitor", config),
         "stage": stage,
@@ -259,18 +245,9 @@ def cmd_monitor(args) -> int:
             "weight": pp.top_prob,
             "basket_ids": list(result.data.basket_ids),
         },
-        "baskets": baskets,
+        "baskets": _objects(header, rows),
     }
-    rows = [
-        [e["id"], e["x"], e["n"], e.get("prob_exceeds"), e.get("ess"), e["decision"]]
-        for e in baskets
-    ]
-    _emit(
-        args,
-        "monitor.json",
-        payload,
-        [("monitor.csv", ["id", "x", "n", "prob_exceeds", "ess", "decision"], rows)],
-    )
+    _emit(args, "monitor.json", payload, [("monitor.csv", header, rows)])
     return EXIT_OK
 
 

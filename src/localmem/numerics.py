@@ -7,9 +7,9 @@ arrays; scalar inputs yield scalar outputs.
 Random draws come from one stream per key, such as (trial, basket, stage):
 the stream of key k under a master seed is numpy's
 Generator(PCG64(SeedSequence(seed, spawn_key=k))). binomial_draws makes the
-first binomial draw of many streams in one numpy pass. It redoes
-SeedSequence's pool mixing (O'Neill's seed_seq) in uint32 arithmetic over
-all keys, turns each row's seed words into its PCG64 (state, inc) held as
+first binomial draw of many streams in one numpy pass. It mixes the key
+words into SeedSequence(seed).pool (O'Neill's seed_seq) in uint32 arithmetic
+over all keys, turns each row's seed words into its PCG64 (state, inc) held as
 uint64 hi/lo limbs, and steps the 128-bit state with products built from
 32-bit halves. Rows in numpy's inversion branch are then drawn together by
 one threshold lookup that gives numpy's inversion draw exactly (_inversion);
@@ -363,17 +363,13 @@ def _seed_words(seed: int, keys: np.ndarray) -> np.ndarray:
 
     The entropy is the seed's uint32 words, low word first, zero-padded to
     the pool size, then one word per key column (every key is < 2^32). The
-    seed words are the same in every row, so they are mixed once, on
-    one-element arrays, and the key words broadcast the pool to N rows.
+    seed words are the same in every row, and SeedSequence(seed).pool is
+    numpy's mixing of them alone: 4 + 12 hash calls, one per pool word, then
+    one per ordered pair of distinct words. The key words continue the hash
+    from there, on one-element arrays that broadcast to N rows.
     """
-    hashmix = _Hasher(_INIT_A, _MULT_A)
-    pool = [
-        hashmix(np.array([(seed >> 32 * i) & _MASK32], dtype=np.uint32)) for i in range(_POOL_SIZE)
-    ]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    pool = list(np.random.SeedSequence(seed).pool.reshape(_POOL_SIZE, 1))
+    hashmix = _Hasher(_INIT_A * pow(_MULT_A, 4 + 12, 2**32) & _MASK32, _MULT_A)
     for word in keys.astype(np.uint32).T:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(word))

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import re
@@ -420,6 +421,47 @@ class TestMonitorReportBytes:
         out = tmp_path / "out"
         assert run(["monitor", "--config", cfg, "--out", out, "--format", "both"]) == 0
         assert _digests(out) == MONITOR_REPORT_DIGESTS[name]
+
+
+class TestJsonTablesMatchCsv:
+    # Each analyze and monitor table is written twice, as a JSON list of
+    # objects and as a CSV file; the two must say the same thing.
+    @pytest.mark.parametrize(
+        "command, config, json_name, tables",
+        [
+            (
+                "analyze",
+                {"x": [3], "n": [9], "basket_ids": ["lung"], "delta": 0.5, "theta0": 0.2},
+                "analysis.json",
+                {"analysis_baskets.csv": "baskets", "analysis_partitions.csv": "partitions"},
+            ),
+            (
+                "analyze",
+                {"x": [0, 2, 5, 1, 7], "n": [8, 10, 10, 6, 12], "delta": 1.0, "theta0": 0.15},
+                "analysis.json",
+                {"analysis_baskets.csv": "baskets", "analysis_partitions.csv": "partitions"},
+            ),
+            ("monitor", PINNED_MONITOR_CONFIGS["b7-stage2"], "monitor.json", {"monitor.csv": "baskets"}),
+        ],
+        ids=["analyze-b1-ids", "analyze-b5-default", "monitor-b7-final"],
+    )
+    def test_every_cell_agrees(self, tmp_path, command, config, json_name, tables):
+        cfg = write_config(tmp_path, "c.json", config)
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", out, "--format", "both"]) == 0
+        report = json.loads((out / json_name).read_text())
+        for csv_name, key in tables.items():
+            lines = (out / csv_name).read_text().splitlines()
+            assert lines[0].startswith("# ")
+            header, *rows = csv.reader(lines[1:])
+            objects = report[key]
+            assert len(rows) == len(objects) > 0
+            for row, obj in zip(rows, objects):
+                assert set(obj) <= set(header)
+                for column, cell in zip(header, row, strict=True):
+                    assert (cell == "-") == (column not in obj)
+                    if column in obj:
+                        assert cell == cli._fmt(obj[column])
 
 
 class TestSimulate:
