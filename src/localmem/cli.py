@@ -5,9 +5,12 @@ JSON documents validated against the schemas in :mod:`localmem.schemas`;
 results are written as JSON reports and plot-ready CSV tables. Every output
 embeds the seed, simulation count, a content hash of the configuration and
 the package version, so a table can always be traced back to its inputs.
-Each analyze and monitor table is built once, as one (header, rows): the CSV
-file writes its rows, and the JSON report's list of objects is derived from
-them, one {column: cell} per row without its absent (None) cells.
+``main`` alone loads and validates a config (against the schema its
+subcommand is registered with; simon takes flags), calls ``cmd_*(args,
+config)`` and writes the (json_name, payload, tables) it returns. A table is
+(csv_name, json_key, header, rows): the CSV writes its rows, and a keyed
+table's JSON objects, one {column: cell} per row without its None cells,
+are built only when the JSON report is written.
 
 Exit codes: 0 success, 1 infeasible calibration, 2 input error, 3 internal
 numeric failure.
@@ -151,14 +154,18 @@ def _write_csv(out_dir: Path, name: str, meta: dict, header: list[str], rows: li
 
 
 def _emit(args, json_name, payload, tables) -> None:
-    """tables: list of (csv_name, header, rows)."""
+    """tables: list of (csv_name, json_key, header, rows); a keyed table's
+    objects join the payload only when the JSON report is written."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     if args.format in ("json", "both"):
+        for _, key, header, rows in tables:
+            if key is not None:
+                payload[key] = _objects(header, rows)
         written.append(_write_json(out_dir, json_name, payload))
     if args.format in ("csv", "both"):
-        for name, header, rows in tables:
+        for name, _, header, rows in tables:
             written.append(_write_csv(out_dir, name, payload["meta"], header, rows))
     for path in written:
         print(f"wrote {path}")
@@ -167,9 +174,7 @@ def _emit(args, json_name, payload, tables) -> None:
 # ---------------------------------------------------------------- analyze --
 
 
-def cmd_analyze(args) -> int:
-    config = _load_config(args.config)
-    _validate(config, schemas.ANALYZE_CONFIG)
+def cmd_analyze(args, config):
     data = BasketData.create(config["x"], config["n"], config.get("basket_ids"))
     result = analyze(data, delta=config["delta"], prior=_prior(config), theta0=config["theta0"])
 
@@ -177,6 +182,8 @@ def cmd_analyze(args) -> int:
     labels = enumerate_partitions(data.num_baskets)
     strings = membership_strings(labels)
     baskets = (
+        "analysis_baskets.csv",
+        "baskets",
         ["id", "x", "n", "alpha", "beta", "mean", "ess", "prob_exceeds"],
         [
             [data.basket_ids[b], data.x[b], data.n[b], post.alpha, post.beta, post.mean,
@@ -185,6 +192,8 @@ def cmd_analyze(args) -> int:
         ],
     )
     partitions = (
+        "analysis_partitions.csv",
+        "partitions",
         ["membership", "num_blocks", "prior", "weight"],
         list(
             zip(strings, labels.max(axis=1).tolist(), result.partition_prior.tolist(), pp.weights.tolist())
@@ -192,26 +201,16 @@ def cmd_analyze(args) -> int:
     )
     payload = {
         "meta": _meta("analyze", config),
-        "baskets": _objects(*baskets),
-        "partitions": _objects(*partitions),
         "similarity": result.similarity.tolist(),
         "top_partition": {"membership": strings[pp.top_index], "weight": pp.top_prob},
     }
-    _emit(
-        args,
-        "analysis.json",
-        payload,
-        [("analysis_baskets.csv", *baskets), ("analysis_partitions.csv", *partitions)],
-    )
-    return EXIT_OK
+    return "analysis.json", payload, [baskets, partitions]
 
 
 # ---------------------------------------------------------------- monitor --
 
 
-def cmd_monitor(args) -> int:
-    config = _load_config(args.config)
-    _validate(config, schemas.MONITOR_CONFIG)
+def cmd_monitor(args, config):
     spec = _build_spec(config["spec"])
     stage = as_int(config["stage"], "stage")
     active = tuple(config.get("active", [True] * spec.num_baskets))
@@ -245,10 +244,8 @@ def cmd_monitor(args) -> int:
             "weight": pp.top_prob,
             "basket_ids": list(result.data.basket_ids),
         },
-        "baskets": _objects(header, rows),
     }
-    _emit(args, "monitor.json", payload, [("monitor.csv", header, rows)])
-    return EXIT_OK
+    return "monitor.json", payload, [("monitor.csv", "baskets", header, rows)]
 
 
 # --------------------------------------------------------------- simulate --
@@ -279,9 +276,7 @@ def _oc_tables(basket_ids, scenario_rows):
     return header, rows
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    _validate(config, schemas.SIMULATE_CONFIG)
+def cmd_simulate(args, config):
     spec = _build_spec(config["spec"])
     seed = _seed(args, config)
     n_sims = as_int(config.get("n_sims", 5000), "n_sims")
@@ -302,17 +297,13 @@ def cmd_simulate(args) -> int:
         "basket_ids": ids,
         "scenarios": rows,
     }
-    header, csv_rows = _oc_tables(ids, rows)
-    _emit(args, "simulation.json", payload, [("simulation.csv", header, csv_rows)])
-    return EXIT_OK
+    return "simulation.json", payload, [("simulation.csv", None, *_oc_tables(ids, rows))]
 
 
 # --------------------------------------------------------------- calibrate --
 
 
-def cmd_calibrate(args) -> int:
-    config = _load_config(args.config)
-    _validate(config, schemas.CALIBRATE_CONFIG)
+def cmd_calibrate(args, config):
     spec = _build_spec(config["spec"], lam_default=0.5)
     seed = _seed(args, config)
     n_sims = as_int(config.get("n_sims", 5000), "n_sims")
@@ -349,19 +340,14 @@ def cmd_calibrate(args) -> int:
         },
     }
     frontier_rows = [[p.lam, p.gamma, p.fwer, p.power] for p in result.frontier]
-    _emit(
-        args,
-        "calibration.json",
-        payload,
-        [("calibration_frontier.csv", ["lambda", "gamma", "fwer", "power"], frontier_rows)],
-    )
-    return EXIT_OK
+    header = ["lambda", "gamma", "fwer", "power"]
+    return "calibration.json", payload, [("calibration_frontier.csv", None, header, frontier_rows)]
 
 
 # ------------------------------------------------------------------ simon --
 
 
-def cmd_simon(args) -> int:
+def cmd_simon(args, config):
     flags = {
         "p0": args.p0,
         "p1": args.p1,
@@ -407,13 +393,11 @@ def cmd_simon(args) -> int:
         "optimal": design_doc(result.optimal),
         "scenarios": rows,
     }
-    header, csv_rows = _oc_tables(ids, rows)
-    _emit(args, "simon.json", payload, [("simon.csv", header, csv_rows)])
     print(
         f"minimax: r1={design.r1} n1={design.n1} r={design.r} n={design.n} "
         f"alpha={design.alpha_actual:.4f} power={design.power_actual:.4f} en0={design.en_null:.2f}"
     )
-    return EXIT_OK
+    return "simon.json", payload, [("simon.csv", None, *_oc_tables(ids, rows))]
 
 
 # ------------------------------------------------------------------- main --
@@ -442,15 +426,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    for name, fn, needs_config in (
-        ("analyze", cmd_analyze, True),
-        ("monitor", cmd_monitor, True),
-        ("simulate", cmd_simulate, True),
-        ("calibrate", cmd_calibrate, True),
+    for name, fn, schema in (
+        ("analyze", cmd_analyze, schemas.ANALYZE_CONFIG),
+        ("monitor", cmd_monitor, schemas.MONITOR_CONFIG),
+        ("simulate", cmd_simulate, schemas.SIMULATE_CONFIG),
+        ("calibrate", cmd_calibrate, schemas.CALIBRATE_CONFIG),
     ):
         sp = sub.add_parser(name, parents=[common])
-        sp.add_argument("--config", required=needs_config, help="JSON configuration file")
-        sp.set_defaults(func=fn)
+        sp.add_argument("--config", required=True, help="JSON configuration file")
+        sp.set_defaults(func=fn, schema=schema)
 
     sp = sub.add_parser("simon", parents=[common])
     sp.add_argument("--p0", type=float, required=True, help="null response rate")
@@ -459,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=float, required=True, help="per-basket type II error")
     sp.add_argument("--nmax", type=int, default=DEFAULT_N_MAX, help="largest total size searched")
     sp.add_argument("--baskets", type=int, default=4, help="basket count for the exact OC table")
-    sp.set_defaults(func=cmd_simon)
+    sp.set_defaults(func=cmd_simon, schema=None)
     return parser
 
 
@@ -471,7 +455,12 @@ def main(argv=None) -> int:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         if args.seed is not None and not 0 <= args.seed < 2**64:
             raise ConfigError(f"--seed must lie in [0, 2**64 - 1], got {args.seed}")
-        return args.func(args)
+        config = None
+        if args.schema is not None:
+            config = _load_config(args.config)
+            _validate(config, args.schema)
+        _emit(args, *args.func(args, config))
+        return EXIT_OK
     except json.JSONDecodeError as err:
         print(f"input error: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}", file=sys.stderr)
         return EXIT_INPUT

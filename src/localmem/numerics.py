@@ -7,14 +7,15 @@ arrays; scalar inputs yield scalar outputs.
 Random draws come from one stream per key, such as (trial, basket, stage):
 the stream of key k under a master seed is numpy's
 Generator(PCG64(SeedSequence(seed, spawn_key=k))). binomial_draws makes the
-first binomial draw of many streams in one numpy pass. It mixes the key
-words into SeedSequence(seed).pool (O'Neill's seed_seq) in uint32 arithmetic
-over all keys, turns each row's seed words into its PCG64 (state, inc) held as
-uint64 hi/lo limbs, and steps the 128-bit state with products built from
-32-bit halves. Rows in numpy's inversion branch are then drawn together by
-one threshold lookup that gives numpy's inversion draw exactly (_inversion);
-the few rows numpy draws by BTPE go through one Generator set to their
-state. The draws therefore equal those of a fresh generator per stream as
+first binomial draw of many streams in one numpy pass. It hashes the seed's
+words into SeedSequence(seed).pool (O'Neill's seed_seq) on Python ints, mixes
+the key words into that pool in uint32 arithmetic over all keys, turns each
+row's seed words into its PCG64 (state, inc) held as uint64 hi/lo limbs, and
+steps the 128-bit state with products built from 32-bit halves. Rows in
+numpy's inversion branch are then drawn together by one threshold lookup
+that gives numpy's inversion draw exactly (_inversion); the few rows numpy
+draws by BTPE go through one Generator set to their state, the only use of
+numpy.random here. The draws therefore equal those of a fresh generator per stream as
 long as numpy keeps SeedSequence, PCG64 and its binomial samplers
 stream-compatible, which its NEP 19 policy promises and tests check, at
 random keys and at crafted states on the sampler's thresholds. Each key
@@ -221,8 +222,7 @@ def reg_inc_beta(x, a, b):
     if np.any(aa <= 0.0) or np.any(bb <= 0.0):
         raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a!r}, b={b!r}")
     shape = np.broadcast_shapes(np.shape(xx), np.shape(aa), np.shape(bb))
-    xx, aa, bb = (np.broadcast_to(v, shape).astype(float) for v in (xx, aa, bb))
-    xx, aa, bb = np.atleast_1d(xx.copy()), np.atleast_1d(aa.copy()), np.atleast_1d(bb.copy())
+    xx, aa, bb = (np.atleast_1d(np.broadcast_to(v, shape).astype(float)) for v in (xx, aa, bb))
 
     swap = xx > (aa + 1.0) / (aa + bb + 2.0)
     ax = np.where(swap, bb, aa)
@@ -235,6 +235,8 @@ def reg_inc_beta(x, a, b):
         ai, bi, ti = ax[interior], bx[interior], tx[interior]
         log_front = ai * np.log(ti) + bi * np.log1p(-ti) - log_beta(ai, bi)
         val[interior] = np.exp(log_front) * _betacf(ai, bi, ti) / ai
+    # Not only x = 1 (which swaps to tx = 0): a swapped x below 2^-54 rounds
+    # 1 - x to 1, which reaches here when b exceeds about 2^54 (a + 1).
     val[tx >= 1.0] = 1.0
     out = np.where(swap, 1.0 - val, val)
     out = np.clip(out, 0.0, 1.0)
@@ -317,9 +319,8 @@ _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
 _MASK32 = 0xFFFFFFFF
 _PCG64_MULT_HI = np.uint64(0x2360ED051FC65DA4)
 _PCG64_MULT_LO = np.uint64(0x4385DF649FCCF645)
@@ -339,22 +340,24 @@ class _Hasher:
 
     The multiplier sequence depends only on how many words were hashed
     before, never on their values, so one hasher serves every row at once.
+    A word is a Python int or a uint32 array: the constants are plain ints
+    below 2^32, and the mask keeps an int product to 32 bits.
     """
 
     def __init__(self, init: int, mult: int):
         self.const = init
         self.mult = mult
 
-    def __call__(self, value: np.ndarray) -> np.ndarray:
-        value = value ^ np.uint32(self.const)
+    def __call__(self, value):
+        value = value ^ self.const
         self.const = self.const * self.mult & _MASK32
-        value = value * np.uint32(self.const)
-        return value ^ (value >> _XSHIFT)
+        value = value * self.const & _MASK32
+        return value ^ value >> 16
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ (result >> _XSHIFT)
+def _mix(x, y):
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y & _MASK32
+    return result ^ result >> 16
 
 
 def _seed_words(seed: int, keys: np.ndarray) -> np.ndarray:
@@ -363,13 +366,18 @@ def _seed_words(seed: int, keys: np.ndarray) -> np.ndarray:
 
     The entropy is the seed's uint32 words, low word first, zero-padded to
     the pool size, then one word per key column (every key is < 2^32). The
-    seed words are the same in every row, and SeedSequence(seed).pool is
-    numpy's mixing of them alone: 4 + 12 hash calls, one per pool word, then
-    one per ordered pair of distinct words. The key words continue the hash
-    from there, on one-element arrays that broadcast to N rows.
+    seed words are the same in every row, so their pool (SeedSequence(seed)
+    .pool) is hashed once on Python ints: one hash per pool word, then a mix
+    for each ordered pair of distinct words. The key words continue the hash from
+    there, on one-element uint32 arrays that broadcast to N rows.
     """
-    pool = list(np.random.SeedSequence(seed).pool.reshape(_POOL_SIZE, 1))
-    hashmix = _Hasher(_INIT_A * pow(_MULT_A, 4 + 12, 2**32) & _MASK32, _MULT_A)
+    hashmix = _Hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(seed >> 32 * i & _MASK32) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    pool = [np.array([word], dtype=np.uint32) for word in pool]
     for word in keys.astype(np.uint32).T:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(word))

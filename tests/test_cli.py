@@ -423,6 +423,50 @@ class TestMonitorReportBytes:
         assert _digests(out) == MONITOR_REPORT_DIGESTS[name]
 
 
+# Small simulate, calibrate and simon runs whose reports are pinned byte for
+# byte: a 200-trial paper suite, a 3 x 2 (lambda, gamma) grid, and the
+# paper's Simon flags with the default nmax and basket count.
+CALIBRATE_SPEC = {k: v for k, v in TWO_STAGE_SPEC.items() if k not in ("lambda", "gamma")}
+PINNED_RUNS = {
+    "simulate": {"spec": TWO_STAGE_SPEC, "scenarios": "suite", "n_sims": 200, "seed": 31},
+    "calibrate": {
+        "spec": CALIBRATE_SPEC,
+        "lambda_grid": [0.97, 0.977, 0.985],
+        "gamma_grid": [0.5, 0.7],
+        "n_sims": 200,
+        "seed": 7,
+    },
+    "simon": ["--p0", 0.15, "--p1", 0.45, "--alpha", 0.025, "--beta", 0.2],
+}
+
+# sha256 of each file with its config hash blanked, recorded before every
+# command's report went through one load-validate-emit pipeline in main.
+RUN_REPORT_DIGESTS = {
+    "simulate": {
+        "simulation.csv": "56132ac1e18a94407f227bd447f1e609f13dc04c6ed5e5f688ff39657f0ab2a2",
+        "simulation.json": "68e57eabb76881578133a9a2711c02e35a60b02ac22ee362f76f248c086f12e2",
+    },
+    "calibrate": {
+        "calibration.json": "769bba0af168f043eaf3c98270c7d727968e98fdea9a0065e7ffa4407748bbb5",
+        "calibration_frontier.csv": "d6e418b2d78a4c6f65ed2bed49c73ba609b8cfc8a67d4de185f59093e1661625",
+    },
+    "simon": {
+        "simon.csv": "ebb783fcd793a129fbb40823fdfab7eade54af6aeca66d26eeefc1acac8ef61e",
+        "simon.json": "4f49c27f69db1f71bbf1fd0dc2b91004243b8eb1861ae24e3be010a5431a37cf",
+    },
+}
+
+
+class TestRunReportBytes:
+    @pytest.mark.parametrize("command", sorted(PINNED_RUNS))
+    def test_files_are_pinned(self, tmp_path, command):
+        setup = PINNED_RUNS[command]
+        flags = setup if command == "simon" else ["--config", write_config(tmp_path, "c.json", setup)]
+        out = tmp_path / "out"
+        assert run([command, *flags, "--out", out, "--format", "both"]) == 0
+        assert _digests(out) == RUN_REPORT_DIGESTS[command]
+
+
 class TestJsonTablesMatchCsv:
     # Each analyze and monitor table is written twice, as a JSON list of
     # objects and as a CSV file; the two must say the same thing.
@@ -773,3 +817,15 @@ class TestFormatFlag:
         assert run(["analyze", "--config", cfg, "--out", out, "--format", "csv"]) == 0
         assert not (out / "analysis.json").exists()
         assert (out / "analysis_baskets.csv").exists()
+
+    def test_csv_only_builds_no_json_objects(self, tmp_path, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a CSV-only run built the JSON report's objects")
+
+        monkeypatch.setattr(cli, "_objects", unreachable)
+        cfg = write_config(
+            tmp_path, "a.json", {"x": [0, 2, 5, 1, 7], "n": [8, 10, 10, 6, 12], "delta": 1.0, "theta0": 0.15}
+        )
+        out = tmp_path / "out"
+        assert run(["analyze", "--config", cfg, "--out", out, "--format", "csv"]) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["analysis_baskets.csv", "analysis_partitions.csv"]

@@ -1,6 +1,11 @@
 import argparse
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +15,14 @@ from localmem.calibration import CalibrationProblem
 from localmem.design import DesignSpec, TrialState
 from localmem.errors import CapacityError, ConvergenceError, DomainError
 from localmem.numerics import (
+    _INIT_A,
     _LOOKUP_MARGIN,
+    _MULT_A,
+    _Hasher,
     _binomial_from_limbs,
     _chain,
     _inversion_px,
+    _mix,
     _pcg64_limbs,
     _seed_words,
     as_int,
@@ -312,6 +321,53 @@ class TestStreamsMatchNumpy:
         draws = binomial_draws(77, keys, n, p)
         for row, got, ni, pi in zip(keys.tolist(), draws.tolist(), n.tolist(), p.tolist()):
             assert got == fresh_stream(77, row).binomial(ni, pi)
+
+
+class TestSeedPool:
+    # The seed's pool is hashed on Python ints and the key words on uint32
+    # arrays, by the same _Hasher and _mix, without numpy.random.
+    @pytest.mark.parametrize("seed", [0, 1, 7, 20211, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
+    def test_pool_equals_numpy(self, seed):
+        # With no key words the seed words are the pool's whole output.
+        words = _seed_words(seed, np.zeros((1, 0), dtype=np.int64))
+        assert words.tolist() == [np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()]
+
+    def test_int_and_uint32_array_hash_alike(self):
+        # numpy 1.x casts a Python int operand by its value, numpy 2 by the
+        # array's dtype; either way the uint32 words must match int arithmetic.
+        values = [0, 1, 0xCA01F9DD, 0x4973F715, 2**31, 2**32 - 1]
+        for x in values:
+            as_int, as_array = _Hasher(_INIT_A, _MULT_A), _Hasher(_INIT_A, _MULT_A)
+            for _ in range(3):
+                got = as_array(np.array([x], dtype=np.uint32))
+                assert got.dtype == np.uint32 and got.tolist() == [as_int(x)]
+            for y in values:
+                got = _mix(np.array([x], dtype=np.uint32), np.array([y], dtype=np.uint32))
+                assert got.dtype == np.uint32 and got.tolist() == [_mix(x, y)]
+
+    def test_paper_simulate_never_imports_numpy_random(self, tmp_path):
+        config = {
+            "spec": {
+                "baskets": 4, "max_sizes": 16, "theta0": 0.15, "theta1": 0.45, "delta": 2.0,
+                "lambda": 0.977, "gamma": 0.70033, "stages": 2, "interim_sizes": 10,
+            },
+            "n_sims": 100,
+            "seed": 20211,
+        }
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps(config))
+        script = (
+            "import sys\n"
+            "from localmem.cli import main\n"
+            f"status = main(['simulate', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+            "print(status, 'numpy.random' in sys.modules)\n"
+        )
+        # The pytest pythonpath setting does not reach a subprocess.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
