@@ -36,10 +36,11 @@ import numpy as np
 from .design import DesignSpec, survivor_exceedance
 from .errors import DomainError, InfeasibleCalibrationError
 from .numerics import as_int
-from .simulation import Scenario, _collect, generate_counts
+from .simulation import DEFAULT_N_SIMS, Scenario, _collect, generate_counts
 
 DEFAULT_LAMBDA_GRID = tuple(np.round(np.arange(0.900, 0.9995, 0.001), 3))
 DEFAULT_GAMMA_GRID = tuple(np.round(np.arange(0.0, 3.0001, 0.05), 2))
+DEFAULT_FWER_TARGET = 0.10
 
 
 @dataclass(frozen=True)
@@ -47,10 +48,10 @@ class CalibrationProblem:
     """Search space and budget. The template's lam and gamma are ignored."""
 
     spec_template: DesignSpec
-    fwer_target: float = 0.10
+    fwer_target: float = DEFAULT_FWER_TARGET
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     gamma_grid: tuple[float, ...] = DEFAULT_GAMMA_GRID
-    n_sims: int = 5000
+    n_sims: int = DEFAULT_N_SIMS
     seed: int = 0
 
     def __post_init__(self):

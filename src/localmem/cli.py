@@ -29,6 +29,7 @@ import jsonschema
 
 from . import __version__, schemas
 from .calibration import (
+    DEFAULT_FWER_TARGET,
     DEFAULT_GAMMA_GRID,
     DEFAULT_LAMBDA_GRID,
     CalibrationProblem,
@@ -52,7 +53,7 @@ from .numerics import as_int
 from .partitions import enumerate_partitions, membership_strings
 from .posterior import DEFAULT_PRIOR, BasketData, BetaParams, analyze, default_basket_ids
 from .simon import DEFAULT_N_MAX, simon_oc, simon_search
-from .simulation import Scenario, scenario_suite, simulate
+from .simulation import DEFAULT_N_SIMS, Scenario, scenario_suite, simulate
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -279,7 +280,7 @@ def _oc_tables(basket_ids, scenario_rows):
 def cmd_simulate(args, config):
     spec = _build_spec(config["spec"])
     seed = _seed(args, config)
-    n_sims = as_int(config.get("n_sims", 5000), "n_sims")
+    n_sims = as_int(config.get("n_sims", DEFAULT_N_SIMS), "n_sims")
     scenarios_doc = config.get("scenarios", "suite")
     if scenarios_doc == "suite":
         scenarios = scenario_suite(spec)
@@ -306,10 +307,10 @@ def cmd_simulate(args, config):
 def cmd_calibrate(args, config):
     spec = _build_spec(config["spec"], lam_default=0.5)
     seed = _seed(args, config)
-    n_sims = as_int(config.get("n_sims", 5000), "n_sims")
+    n_sims = as_int(config.get("n_sims", DEFAULT_N_SIMS), "n_sims")
     problem = CalibrationProblem(
         spec_template=spec,
-        fwer_target=config.get("fwer_target", 0.10),
+        fwer_target=config.get("fwer_target", DEFAULT_FWER_TARGET),
         lambda_grid=tuple(config.get("lambda_grid", DEFAULT_LAMBDA_GRID)),
         gamma_grid=tuple(config.get("gamma_grid", DEFAULT_GAMMA_GRID)),
         n_sims=n_sims,

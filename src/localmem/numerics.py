@@ -212,6 +212,8 @@ def reg_inc_beta(x, a, b):
 
     Continued-fraction evaluation; switches to 1 - I_{1-x}(b, a) when
     x > (a + 1)/(a + b + 2) where the direct fraction converges slowly.
+    Raises ConvergenceError where a swapped x is too small for 1 - x to
+    differ from 1.
     """
     scalar = np.isscalar(x) and np.isscalar(a) and np.isscalar(b)
     xx = _as_float_array(x, "x")
@@ -228,6 +230,15 @@ def reg_inc_beta(x, a, b):
     ax = np.where(swap, bb, aa)
     bx = np.where(swap, aa, bb)
     tx = np.where(swap, 1.0 - xx, xx)
+    # A swapped x below about 2^-54 (reached once b exceeds about 2^54 (a + 1))
+    # rounds 1 - x to 1, and neither fraction can then resolve I.
+    lost = tx >= 1.0
+    if np.any(lost):
+        i = np.flatnonzero(lost)[0]
+        raise ConvergenceError(
+            f"reg_inc_beta cannot resolve 1 - x at x={float(xx[i])!r}, "
+            f"a={float(aa[i])!r}, b={float(bb[i])!r}"
+        )
 
     interior = (tx > 0.0) & (tx < 1.0)
     val = np.zeros_like(tx)
@@ -235,9 +246,6 @@ def reg_inc_beta(x, a, b):
         ai, bi, ti = ax[interior], bx[interior], tx[interior]
         log_front = ai * np.log(ti) + bi * np.log1p(-ti) - log_beta(ai, bi)
         val[interior] = np.exp(log_front) * _betacf(ai, bi, ti) / ai
-    # Not only x = 1 (which swaps to tx = 0): a swapped x below 2^-54 rounds
-    # 1 - x to 1, which reaches here when b exceeds about 2^54 (a + 1).
-    val[tx >= 1.0] = 1.0
     out = np.where(swap, 1.0 - val, val)
     out = np.clip(out, 0.0, 1.0)
     return _maybe_scalar(out[0] if scalar else out.reshape(shape), scalar)

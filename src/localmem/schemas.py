@@ -1,26 +1,46 @@
 """JSON schemas for run configurations and emitted reports.
 
-Configurations are validated before execution; unknown keys are rejected so a
-typo cannot silently change a run. Reports are validated by the test suite to
-keep the output contract stable.
+Configurations are validated before execution; reports are validated by the
+test suite to keep the output contract stable. Every object, at any depth, is
+closed: it takes only its listed properties, so a typo cannot silently change
+a run, and it requires each of them. A field is made optional by naming it in
+``_object``'s ``optional`` argument.
 """
 
 from __future__ import annotations
+
+
+def _object(properties: dict, optional=()) -> dict:
+    """A closed object schema requiring every property not named optional."""
+    unknown = [name for name in optional if name not in properties]
+    if unknown:
+        raise ValueError(f"optional names {unknown} are not properties")
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "required": [name for name in properties if name not in optional],
+        "properties": properties,
+    }
+
+
+def _document(properties: dict, optional=()) -> dict:
+    """A top-level ``_object`` schema, with ``$schema`` as its first keyword."""
+    return {"$schema": "https://json-schema.org/draft/2020-12/schema", **_object(properties, optional)}
+
 
 _POSITIVE_INT = {"type": "integer", "minimum": 1}
 _COUNT = {"type": "integer", "minimum": 0}
 _UNIT = {"type": "number", "exclusiveMinimum": 0.0, "exclusiveMaximum": 1.0}
 _SEED = {"type": "integer", "minimum": 0, "maximum": 2**64 - 1}
+_NULLABLE_INT = {"oneOf": [{"type": "integer"}, {"type": "null"}]}
+_NULLABLE_NUMBER = {"oneOf": [{"type": "number"}, {"type": "null"}]}
 
-_PRIOR = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["alpha", "beta"],
-    "properties": {
+_PRIOR = _object(
+    {
         "alpha": {"type": "number", "exclusiveMinimum": 0.0},
         "beta": {"type": "number", "exclusiveMinimum": 0.0},
-    },
-}
+    }
+)
 
 _SCALAR_OR_VECTOR_NUMBER = {
     "oneOf": [{"type": "number"}, {"type": "array", "items": {"type": "number"}, "minItems": 1}]
@@ -32,11 +52,8 @@ _SCALAR_OR_VECTOR_INT = {
     ]
 }
 
-DESIGN_SPEC = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["baskets", "max_sizes", "theta0", "theta1", "delta", "stages"],
-    "properties": {
+DESIGN_SPEC = _object(
+    {
         "baskets": _POSITIVE_INT,
         "max_sizes": _SCALAR_OR_VECTOR_INT,
         "theta0": _SCALAR_OR_VECTOR_NUMBER,
@@ -49,14 +66,11 @@ DESIGN_SPEC = {
         "interim_fraction": _UNIT,
         "interim_sizes": _SCALAR_OR_VECTOR_INT,
     },
-}
+    optional=("prior", "lambda", "gamma", "interim_fraction", "interim_sizes"),
+)
 
-ANALYZE_CONFIG = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["x", "n", "delta", "theta0"],
-    "properties": {
+ANALYZE_CONFIG = _document(
+    {
         "x": {"type": "array", "items": _COUNT, "minItems": 1},
         "n": {"type": "array", "items": _COUNT, "minItems": 1},
         "basket_ids": {"type": "array", "items": {"type": "string"}, "minItems": 1},
@@ -64,38 +78,29 @@ ANALYZE_CONFIG = {
         "prior": _PRIOR,
         "theta0": _SCALAR_OR_VECTOR_NUMBER,
     },
-}
+    optional=("basket_ids", "prior"),
+)
 
-MONITOR_CONFIG = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["spec", "stage", "x", "n"],
-    "properties": {
+MONITOR_CONFIG = _document(
+    {
         "spec": DESIGN_SPEC,
         "stage": {"enum": [1, 2]},
         "x": {"type": "array", "items": _COUNT, "minItems": 1},
         "n": {"type": "array", "items": _COUNT, "minItems": 1},
         "active": {"type": "array", "items": {"type": "boolean"}, "minItems": 1},
     },
-}
+    optional=("active",),
+)
 
-SCENARIO_CONFIG = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["label", "true_rates"],
-    "properties": {
+SCENARIO_CONFIG = _object(
+    {
         "label": {"type": "string"},
         "true_rates": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-    },
-}
+    }
+)
 
-SIMULATE_CONFIG = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["spec", "seed"],
-    "properties": {
+SIMULATE_CONFIG = _document(
+    {
         "spec": DESIGN_SPEC,
         "scenarios": {
             "oneOf": [
@@ -106,14 +111,11 @@ SIMULATE_CONFIG = {
         "n_sims": _POSITIVE_INT,
         "seed": _SEED,
     },
-}
+    optional=("scenarios", "n_sims"),
+)
 
-CALIBRATE_CONFIG = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["spec", "seed"],
-    "properties": {
+CALIBRATE_CONFIG = _document(
+    {
         "spec": DESIGN_SPEC,
         "fwer_target": {"type": "number", "minimum": 0.0, "exclusiveMaximum": 1.0},
         "lambda_grid": {"type": "array", "items": _UNIT, "minItems": 1},
@@ -121,104 +123,71 @@ CALIBRATE_CONFIG = {
         "n_sims": _POSITIVE_INT,
         "seed": _SEED,
     },
-}
+    optional=("fwer_target", "lambda_grid", "gamma_grid", "n_sims"),
+)
 
-_META = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["command", "version", "config_hash", "seed", "n_sims"],
-    "properties": {
+_META = _object(
+    {
         "command": {"type": "string"},
         "version": {"type": "string"},
         "config_hash": {"type": "string"},
-        "seed": {"oneOf": [{"type": "integer"}, {"type": "null"}]},
-        "n_sims": {"oneOf": [{"type": "integer"}, {"type": "null"}]},
-    },
-}
+        "seed": _NULLABLE_INT,
+        "n_sims": _NULLABLE_INT,
+    }
+)
 
-_BASKET_SUMMARY = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["id", "x", "n", "alpha", "beta", "mean", "ess", "prob_exceeds"],
-    "properties": {
-        "id": {"type": "string"},
-        "x": _COUNT,
-        "n": _COUNT,
-        "alpha": {"type": "number"},
-        "beta": {"type": "number"},
-        "mean": {"type": "number"},
-        "ess": {"type": "number"},
-        "prob_exceeds": {"type": "number"},
-    },
-}
-
-ANALYSIS_REPORT = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["meta", "baskets", "partitions", "similarity", "top_partition"],
-    "properties": {
+ANALYSIS_REPORT = _document(
+    {
         "meta": _META,
-        "baskets": {"type": "array", "items": _BASKET_SUMMARY},
+        "baskets": {
+            "type": "array",
+            "items": _object(
+                {
+                    "id": {"type": "string"},
+                    "x": _COUNT,
+                    "n": _COUNT,
+                    "alpha": {"type": "number"},
+                    "beta": {"type": "number"},
+                    "mean": {"type": "number"},
+                    "ess": {"type": "number"},
+                    "prob_exceeds": {"type": "number"},
+                }
+            ),
+        },
         "partitions": {
             "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["membership", "num_blocks", "prior", "weight"],
-                "properties": {
+            "items": _object(
+                {
                     "membership": {"type": "string"},
                     "num_blocks": _POSITIVE_INT,
                     "prior": {"type": "number"},
                     "weight": {"type": "number"},
-                },
-            },
+                }
+            ),
         },
         "similarity": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
-        "top_partition": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["membership", "weight"],
-            "properties": {"membership": {"type": "string"}, "weight": {"type": "number"}},
-        },
-    },
-}
+        "top_partition": _object({"membership": {"type": "string"}, "weight": {"type": "number"}}),
+    }
+)
 
-MONITOR_REPORT = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["meta", "stage", "boundary", "top_partition", "baskets"],
-    "properties": {
+MONITOR_REPORT = _document(
+    {
         "meta": _META,
         "stage": {"enum": [1, 2]},
-        "boundary": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["q1", "q2", "applied"],
-            "properties": {
-                "q1": {"type": "number"},
-                "q2": {"type": "number"},
-                "applied": {"type": "string"},
-            },
-        },
-        "top_partition": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["membership", "weight", "basket_ids"],
-            "properties": {
+        "boundary": _object(
+            {"q1": {"type": "number"}, "q2": {"type": "number"}, "applied": {"type": "string"}}
+        ),
+        "top_partition": _object(
+            {
                 "membership": {"type": "string"},
                 "weight": {"type": "number"},
                 "basket_ids": {"type": "array", "items": {"type": "string"}},
-            },
-        },
+            }
+        ),
         "baskets": {
             "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["id", "x", "n", "decision"],
-                "properties": {
+            "items": _object(
+                {
                     "id": {"type": "string"},
                     "x": _COUNT,
                     "n": _COUNT,
@@ -228,93 +197,67 @@ MONITOR_REPORT = {
                         "enum": ["pending", "futility-stopped", "efficacious", "not-promising", "continue"]
                     },
                 },
-            },
+                optional=("prob_exceeds", "ess"),
+            ),
         },
-    },
-}
+    }
+)
 
-_OC_ROW = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["label", "true_rates", "reject_rate", "fwer", "trialwise_power", "expected_n"],
-    "properties": {
+_OC_ROW = _object(
+    {
         "label": {"type": "string"},
         "true_rates": {"type": "array", "items": {"type": "number"}},
         "reject_rate": {"type": "array", "items": {"type": "number"}},
-        "fwer": {"oneOf": [{"type": "number"}, {"type": "null"}]},
-        "trialwise_power": {"oneOf": [{"type": "number"}, {"type": "null"}]},
+        "fwer": _NULLABLE_NUMBER,
+        "trialwise_power": _NULLABLE_NUMBER,
         "expected_n": {"type": "array", "items": {"type": "number"}},
-    },
-}
+    }
+)
 
-SIMULATION_REPORT = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["meta", "basket_ids", "scenarios"],
-    "properties": {
+SIMULATION_REPORT = _document(
+    {
         "meta": _META,
         "basket_ids": {"type": "array", "items": {"type": "string"}},
         "scenarios": {"type": "array", "items": _OC_ROW},
-    },
-}
+    }
+)
 
-CALIBRATION_REPORT = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["meta", "lambda", "gamma", "boundary", "achieved_fwer", "achieved_power", "evaluation"],
-    "properties": {
+CALIBRATION_REPORT = _document(
+    {
         "meta": _META,
         "lambda": {"type": "number"},
         "gamma": {"type": "number"},
-        "boundary": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["q1", "q2"],
-            "properties": {"q1": {"type": "number"}, "q2": {"type": "number"}},
-        },
+        "boundary": _object({"q1": {"type": "number"}, "q2": {"type": "number"}}),
         "achieved_fwer": {"type": "number"},
         "achieved_power": {"type": "number"},
-        "evaluation": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["seed", "fwer", "trialwise_power"],
-            "properties": {
+        "evaluation": _object(
+            {
                 "seed": {"type": "integer"},
                 "fwer": {"type": "number"},
                 "trialwise_power": {"type": "number"},
-            },
-        },
-    },
-}
+            }
+        ),
+    }
+)
 
-SIMON_REPORT = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["meta", "minimax", "optimal", "scenarios"],
-    "properties": {
+_SIMON_DESIGN = _object(
+    {
+        "r1": _COUNT,
+        "n1": _POSITIVE_INT,
+        "r": _COUNT,
+        "n": _POSITIVE_INT,
+        "alpha": {"type": "number"},
+        "power": {"type": "number"},
+        "en_null": {"type": "number"},
+        "pet_null": {"type": "number"},
+    }
+)
+
+SIMON_REPORT = _document(
+    {
         "meta": _META,
-        "minimax": {"$ref": "#/$defs/design"},
-        "optimal": {"$ref": "#/$defs/design"},
+        "minimax": _SIMON_DESIGN,
+        "optimal": _SIMON_DESIGN,
         "scenarios": {"type": "array", "items": _OC_ROW},
-    },
-    "$defs": {
-        "design": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["r1", "n1", "r", "n", "alpha", "power", "en_null", "pet_null"],
-            "properties": {
-                "r1": _COUNT,
-                "n1": _POSITIVE_INT,
-                "r": _COUNT,
-                "n": _POSITIVE_INT,
-                "alpha": {"type": "number"},
-                "power": {"type": "number"},
-                "en_null": {"type": "number"},
-                "pet_null": {"type": "number"},
-            },
-        }
-    },
-}
+    }
+)

@@ -22,6 +22,7 @@ from .errors import DomainError, ShapeError
 from .numerics import as_int, binomial_draws
 
 TRIAL_BLOCK = 512
+DEFAULT_N_SIMS = 5000
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,7 @@ def _collect(fn, spec, scenario, n_sims, seed, workers) -> list:
 def simulate(
     spec: DesignSpec,
     scenario: Scenario,
-    n_sims: int = 5000,
+    n_sims: int = DEFAULT_N_SIMS,
     seed: int = 0,
     workers: int = 1,
 ) -> OperatingCharacteristics:

@@ -30,6 +30,7 @@ from localmem.numerics import (
     binom_sf,
     binomial_draws,
     log_beta,
+    log_choose,
     log_gamma,
     log_sum_exp,
     reg_inc_beta,
@@ -150,6 +151,16 @@ class TestRegIncBeta:
         with pytest.raises(ConvergenceError):
             reg_inc_beta(np.array([0.3, 0.5]), np.array([2.0, 1e6]), np.array([3.0, 1.0001e6]))
 
+    def test_x_lost_in_one_minus_x_raises(self):
+        # b above about 2^54 (a + 1) swaps a tiny x, and 1 - x rounds to 1;
+        # SciPy's betainc gives 0.993 for the first call.
+        with pytest.raises(ConvergenceError, match=r"x=5e-17, a=1.0, b=1e\+17"):
+            reg_inc_beta(5e-17, 1.0, 1e17)
+        with pytest.raises(ConvergenceError, match=r"x=5e-17, a=1.0, b=1e\+17"):
+            reg_inc_beta(np.array([0.3, 5e-17, 0.0]), 1.0, 1e17)
+        assert reg_inc_beta(0.0, 1.0, 1e17) == 0.0
+        assert reg_inc_beta(1.0, 1.0, 1e17) == 1.0
+
     def test_vector_matches_scalar(self):
         rng = np.random.default_rng(7)
         xs = rng.uniform(0, 1, 200)
@@ -187,6 +198,10 @@ class TestBinomial:
         for k in range(11):
             cdf = math.fsum(binom_pmf(j, 10, 0.3) for j in range(k + 1))
             assert binom_sf(k, 10, 0.3) + cdf == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("n, k", [(1001, 500), (1500, 700), (4000, 1700), (20000, 3)])
+    def test_log_choose_lgamma_form_above_1000(self, n, k):
+        assert log_choose(n, k) == pytest.approx(math.log(math.comb(n, k)), rel=0, abs=1e-10)
 
     def test_domain(self):
         with pytest.raises(DomainError):
