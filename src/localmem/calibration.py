@@ -10,7 +10,9 @@ broken by lower error rate, then lower lam, then lower gamma.
 The heavy per-trial quantities are computed once: stage-1 exceedance
 probabilities, plus stage-2 exceedance probabilities for every survivor set a
 trial can produce as q1 sweeps through its range (survivor sets are nested in
-q1, so there are at most B + 1 of them per trial).
+q1, so there are at most B + 1 of them per trial). The global null and the
+global alternative share their streams, so each trial chunk draws both at
+once and analyzes their trials in one survivor_exceedance call per stage.
 
 The sweep works on thresholds, not grid points. On the sorted lam grid,
 basket b survives the interim look (p1 > q1 = lam * t^gamma) exactly at the
@@ -36,7 +38,7 @@ import numpy as np
 from .design import DesignSpec, survivor_exceedance
 from .errors import DomainError, InfeasibleCalibrationError
 from .numerics import as_int
-from .simulation import DEFAULT_N_SIMS, Scenario, _collect, generate_counts
+from .simulation import DEFAULT_N_SIMS, Scenario, _collect, generate_counts_batch
 
 DEFAULT_LAMBDA_GRID = tuple(np.round(np.arange(0.900, 0.9995, 0.001), 3))
 DEFAULT_GAMMA_GRID = tuple(np.round(np.arange(0.0, 3.0001, 0.05), 2))
@@ -94,19 +96,24 @@ class CalibrationResult:
 
 
 def _two_stage_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    """Stage-1 probabilities (T, B) and stage-2 probabilities (T, B + 1, B),
-    where p2[t, r] is the stage-2 analysis when the r baskets with the highest
-    stage-1 probabilities survive (-inf outside them).
+    """Stage-1 probabilities (S, T, B) and stage-2 probabilities
+    (S, T, B + 1, B) of every scenario, where p2[s, t, r] is the stage-2
+    analysis when the r baskets with the highest stage-1 probabilities
+    survive (-inf outside them). The trials of every scenario go through one
+    survivor_exceedance call per stage.
 
     A single-stage design has no interim look: its p1 is +inf, so no basket
-    stops, the only reachable cut is r = B and only p2[:, B], the analysis of
-    all baskets at their maximum sizes, is filled."""
-    spec, scenario, seed, lo, hi = args
+    stops, the only reachable cut is r = B and only p2[..., B, :], the
+    analysis of all baskets at their maximum sizes, is filled."""
+    spec, scenarios, seed, lo, hi = args
     num_baskets = spec.num_baskets
-    x1, xt = generate_counts(spec, scenario, range(lo, hi), seed)
+    x1, xt = generate_counts_batch(spec, scenarios, range(lo, hi), seed)
+    shape = xt.shape
+    xt = xt.reshape(-1, num_baskets)
     if spec.stages == 1:
         p1 = np.full(xt.shape, np.inf)
     else:
+        x1 = x1.reshape(-1, num_baskets)
         p1 = survivor_exceedance(spec, x1, np.ones(x1.shape, dtype=bool), spec.stage1_sizes())
 
     order = np.argsort(-p1, axis=1, kind="stable")
@@ -120,7 +127,7 @@ def _two_stage_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     p2[trial, cut + 1] = survivor_exceedance(
         spec, xt[trial], rank[trial] <= cut[:, None], spec.max_sizes
     )
-    return p1, p2
+    return p1.reshape(shape), p2.reshape(*shape[:2], num_baskets + 1, num_baskets)
 
 
 def _sweep_counts(p1, p2, weights, lam_grid, t_frac, gamma_grid) -> np.ndarray:
@@ -171,14 +178,10 @@ def calibrate(problem: CalibrationProblem, workers: int = 1) -> CalibrationResul
     t_frac = spec.information_fraction()
     gamma_grid = problem.gamma_grid if spec.stages == 2 else (0.0,)
 
-    null_parts = _collect(_two_stage_chunk, spec, problem.null_scenario(), n_sims, problem.seed, workers)
-    alt_parts = _collect(
-        _two_stage_chunk, spec, problem.alternative_scenario(), n_sims, problem.seed, workers
-    )
-    p1_null = np.concatenate([p[0] for p in null_parts])
-    p2_null = np.concatenate([p[1] for p in null_parts])
-    p1_alt = np.concatenate([p[0] for p in alt_parts])
-    p2_alt = np.concatenate([p[1] for p in alt_parts])
+    scenarios = (problem.null_scenario(), problem.alternative_scenario())
+    parts = _collect(_two_stage_chunk, spec, scenarios, n_sims, problem.seed, workers)
+    p1_null, p1_alt = np.concatenate([p[0] for p in parts], axis=1)
+    p2_null, p2_alt = np.concatenate([p[1] for p in parts], axis=1)
     lam_grid = np.asarray(problem.lambda_grid, dtype=float)
     fwer_counts = _sweep_counts(
         p1_null, p2_null.max(axis=2, keepdims=True), np.ones(1, dtype=np.int64),

@@ -53,7 +53,7 @@ from .numerics import as_int
 from .partitions import enumerate_partitions, membership_strings
 from .posterior import DEFAULT_PRIOR, BasketData, BetaParams, analyze, default_basket_ids
 from .simon import DEFAULT_N_MAX, simon_oc, simon_search
-from .simulation import DEFAULT_N_SIMS, Scenario, scenario_suite, simulate
+from .simulation import DEFAULT_N_SIMS, Scenario, scenario_suite, simulate_batch
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -288,10 +288,8 @@ def cmd_simulate(args, config):
         scenarios = [
             Scenario.from_rates(spec, doc["true_rates"], doc["label"]) for doc in scenarios_doc
         ]
-    rows = []
-    for scenario in scenarios:
-        oc = simulate(spec, scenario, n_sims=n_sims, seed=seed, workers=args.workers)
-        rows.append(_oc_row(scenario.label, scenario.true_rates, oc))
+    ocs = simulate_batch(spec, scenarios, n_sims=n_sims, seed=seed, workers=args.workers)
+    rows = [_oc_row(sc.label, sc.true_rates, oc) for sc, oc in zip(scenarios, ocs)]
     ids = default_basket_ids(spec.num_baskets)
     payload = {
         "meta": _meta("simulate", config, seed=seed, n_sims=n_sims),
@@ -322,9 +320,12 @@ def cmd_calibrate(args, config):
     # Guard against threshold overfitting: re-estimate the constrained and
     # maximized quantities on an independent stream.
     eval_seed = (seed + 1) % 2**64
-    oc_null = simulate(chosen, problem.null_scenario(), n_sims=n_sims, seed=eval_seed, workers=args.workers)
-    oc_alt = simulate(
-        chosen, problem.alternative_scenario(), n_sims=n_sims, seed=eval_seed, workers=args.workers
+    oc_null, oc_alt = simulate_batch(
+        chosen,
+        (problem.null_scenario(), problem.alternative_scenario()),
+        n_sims=n_sims,
+        seed=eval_seed,
+        workers=args.workers,
     )
     boundary = chosen.boundary()
     payload = {

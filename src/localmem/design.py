@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, DomainError, ShapeError
-from .numerics import as_int
+from .numerics import _distinct_rows, as_int
 from .partitions import MAX_BASKETS
 from .posterior import DEFAULT_PRIOR, AnalysisResult, BasketData, BatchPosterior, BetaParams, analyze
 
@@ -236,16 +236,12 @@ def survivor_exceedance(spec: DesignSpec, x, survivors, sizes: Sequence[int]) ->
     given per row; an equal-size design needs at most B calls.
     """
     survivors = np.asarray(survivors, dtype=bool)
-    # A row's key: its survivors' counts, -1 elsewhere. Only the first row of
-    # each run of equal sorted keys is analyzed; inverse maps rows to runs.
+    # A row's key: its survivors' counts, -1 elsewhere. Only the first row
+    # with each key is analyzed; inverse maps every row to it.
     key = np.where(survivors, np.asarray(x, dtype=int), -1)
-    order = np.lexsort(key.T)
-    key, survivors = key[order], survivors[order]
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = np.any(key[1:] != key[:-1], axis=1)
-    inverse = np.empty(len(key), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    x, survivors = key[first], survivors[first]
+    pick, inverse = _distinct_rows(key)
+    x, survivors = key[pick], survivors[pick]
+    del key, pick
     sizes = np.asarray(sizes, dtype=int)
     theta0 = np.asarray(spec.theta0)
     out = np.full(x.shape, -np.inf)

@@ -4,12 +4,18 @@ Everything here is evaluated on the natural-log scale where underflow is a
 risk. All functions are pure and accept either Python scalars or numpy
 arrays; scalar inputs yield scalar outputs.
 
+The incomplete beta's continued fraction (_betacf) iterates in place on a
+few reused buffers and freezes each element as it converges, so an element's
+value never depends on what else shares the call.
+
 Random draws come from one stream per key, such as (trial, basket, stage):
 the stream of key k under a master seed is numpy's
 Generator(PCG64(SeedSequence(seed, spawn_key=k))). binomial_draws makes the
-first binomial draw of many streams in one numpy pass. It hashes the seed's
-words into SeedSequence(seed).pool (O'Neill's seed_seq) on Python ints, mixes
-the key words into that pool in uint32 arithmetic over all keys, turns each
+first binomial draw of many streams in one numpy pass, for one row of
+probabilities or for several that share the streams (one per scenario), and
+derives each stream's state once for all of them. It hashes the seed's words
+into SeedSequence(seed).pool (O'Neill's seed_seq) on Python ints, mixes the
+key words into that pool in uint32 arithmetic over all keys, turns each
 row's seed words into its PCG64 (state, inc) held as uint64 hi/lo limbs, and
 steps the 128-bit state with products built from 32-bit halves. Rows in
 numpy's inversion branch are then drawn together by one threshold lookup
@@ -169,7 +175,10 @@ def _betacf(a, b, x):
     Element-wise on arrays; each element's value is frozen the moment it
     converges, so results do not depend on what else shares the batch.
     Raises ConvergenceError if any element is still moving after
-    _BETACF_MAX_ITER iterations.
+    _BETACF_MAX_ITER iterations. Each iteration is two half-steps that work
+    in place on a few reused buffers, making the IEEE operations of
+    Numerical Recipes' betacf in its order, so every value is the one that
+    recurrence gives on whole-array temporaries.
     """
     qab = a + b
     qap = a + 1.0
@@ -179,27 +188,47 @@ def _betacf(a, b, x):
     d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
     d = 1.0 / d
     h = d.copy()
+    aa, den, term = (np.empty_like(x) for _ in range(3))
+    tiny = np.empty(x.shape, dtype=bool)
     converged = np.zeros(x.shape, dtype=bool)
+    moving = np.ones(x.shape, dtype=bool)
     for m in range(1, _BETACF_MAX_ITER + 1):
         m2 = 2.0 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
-        d = 1.0 / d
-        h = np.where(converged, h, h * d * c)
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
-        d = 1.0 / d
-        delt = d * c
-        h = np.where(converged, h, h * delt)
-        converged |= np.abs(delt - 1.0) < _BETACF_TOL
+        for odd in (False, True):
+            if odd:
+                # aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+                np.negative(np.add(a, m, out=aa), out=aa)
+                aa *= np.add(qab, m, out=term)
+                aa *= x
+                np.add(a, m2, out=den)
+                den *= np.add(qap, m2, out=term)
+            else:
+                # aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+                np.multiply(np.subtract(b, m, out=aa), m, out=aa)
+                aa *= x
+                np.add(qam, m2, out=den)
+                den *= np.add(a, m2, out=term)
+            aa /= den
+            # d = 1 / (1 + aa * d) and c = 1 + aa / c, each raised to
+            # _FPMIN where smaller in magnitude before d is inverted
+            np.add(np.multiply(aa, d, out=d), 1.0, out=d)
+            np.copyto(d, _FPMIN, where=np.less(np.abs(d, out=term), _FPMIN, out=tiny))
+            np.add(np.divide(aa, c, out=c), 1.0, out=c)
+            np.copyto(c, _FPMIN, where=np.less(np.abs(c, out=term), _FPMIN, out=tiny))
+            np.divide(1.0, d, out=d)
+            # h *= d * c where still moving, as (h * d) * c in the first
+            # half-step and h * (d * c) in the second
+            if odd:
+                delt = np.multiply(d, c, out=den)
+                np.multiply(h, delt, out=term)
+            else:
+                np.multiply(np.multiply(h, d, out=term), c, out=term)
+            np.copyto(h, term, where=moving)
+        np.abs(np.subtract(delt, 1.0, out=delt), out=delt)
+        converged |= np.less(delt, _BETACF_TOL, out=tiny)
         if converged.all():
             return h
+        np.logical_not(converged, out=moving)
     bad = np.flatnonzero(~converged)[0]
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge in {_BETACF_MAX_ITER} "
@@ -447,6 +476,22 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, np.searchsorted(v, values)
 
 
+def _distinct_rows(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D array, matched exactly: pick, the index of
+    each one's first occurrence, in np.lexsort order, and inverse, every
+    row's position in pick, so that key[pick][inverse] equals key."""
+    order = np.lexsort(key.T)
+    first = np.zeros(len(key), dtype=bool)
+    first[:1] = True
+    # One sorted column at a time, so no sorted copy of the whole array is held.
+    for column in key.T:
+        column = column[order]
+        first[1:] |= column[1:] != column[:-1]
+    inverse = np.empty(len(key), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return order[first], inverse
+
+
 def _inversion_px(n: int, p: float) -> list[float]:
     """numpy's px sequence of the inversion sampler for one (n, p), from
     px[0] = qn = exp(n * log1p(-p)) to its search bound
@@ -548,22 +593,25 @@ def _binomial_from_limbs(limbs: tuple[np.ndarray, ...], n: np.ndarray, p: np.nda
 
 
 def binomial_draws(seed: int, keys, n, p) -> np.ndarray:
-    """One Binomial(n[i], p[i]) draw per row of keys, as an int64 array.
+    """One Binomial(n[i], p[..., i]) draw per row of keys, as an int64 array
+    of p's shape.
 
     Draw i is the first binomial of
     Generator(PCG64(SeedSequence(seed, spawn_key=keys[i]))), so it is a pure
-    function of (seed, keys[i], n[i], p[i]) and independent of the other
-    rows. n == 0 or p == 0 gives 0 and p == 1 gives n, without drawing.
-    Every argument is checked before anything is drawn.
+    function of (seed, keys[i], n[i], p[..., i]) and independent of the other
+    rows. p is (N,), or (S, N) for S probability rows on the same streams
+    (one per scenario, say): row s of the result equals the call with p[s].
+    n == 0 or p == 0 gives 0 and p == 1 gives n, without drawing. Every
+    argument, every row of p included, is checked before anything is drawn.
 
     Seed words and PCG64 states are derived in numpy, each 128-bit state as
-    two uint64 limbs. Rows in numpy's inversion branch (min(p, 1 - p) * n
-    <= 30, every cohort of the paper's designs) are drawn together by one
-    threshold lookup that gives numpy's draw exactly (_inversion). Its
-    starting probability must be exp(n * log1p(-p)), as in numpy:
-    exp(n * log(1 - p)) can differ in the last bit and move a draw. Larger
-    rows go through numpy's BTPE
-    sampler, one Generator call per row.
+    two uint64 limbs, once per key row for all S rows of p. Draws in numpy's
+    inversion branch (min(p, 1 - p) * n <= 30, every cohort of the paper's
+    designs) are made together by one threshold lookup that gives numpy's
+    draw exactly (_inversion). Its starting probability must be
+    exp(n * log1p(-p)), as in numpy: exp(n * log(1 - p)) can differ in the
+    last bit and move a draw. Larger draws go through numpy's BTPE sampler,
+    one Generator call each.
     """
     seed = as_int(seed, "seed")
     if not (0 <= seed < 2**64):
@@ -571,9 +619,10 @@ def binomial_draws(seed: int, keys, n, p) -> np.ndarray:
     keys = np.asarray(as_int(keys, "stream keys"))
     n = np.asarray(as_int(n, "n"))
     p = np.asarray(p, dtype=float)
-    if keys.ndim != 2 or n.shape != (len(keys),) or p.shape != (len(keys),):
+    if keys.ndim != 2 or n.shape != (len(keys),) or p.ndim not in (1, 2) or p.shape[-1:] != n.shape:
         raise ShapeError(
-            f"need (N, k) keys and length-N n and p, got {keys.shape}, {n.shape}, {p.shape}"
+            f"need (N, k) keys, length-N n and (N,) or (S, N) p, "
+            f"got {keys.shape}, {n.shape}, {p.shape}"
         )
     if keys.min(initial=0) < 0:
         raise DomainError("stream keys must be non-negative")
@@ -587,10 +636,15 @@ def binomial_draws(seed: int, keys, n, p) -> np.ndarray:
     if not (p.min(initial=0.0) >= 0.0 and p.max(initial=1.0) <= 1.0):
         raise DomainError("binomial_draws requires p in [0, 1]")
 
-    out = np.where(p == 1.0, n, 0).astype(np.int64)
-    live = (n > 0) & (p > 0.0) & (p < 1.0)
-    todo = slice(None) if live.all() else np.flatnonzero(live)
+    rows = np.atleast_2d(p)
+    out = np.where(rows == 1.0, n, 0).astype(np.int64)
+    live = (n > 0) & (rows > 0.0) & (rows < 1.0)
     if live.any():
-        limbs = _pcg64_limbs(_seed_words(seed, keys[todo]))
-        out[todo] = _binomial_from_limbs(limbs, n[todo].astype(np.int64), p[todo])
-    return out
+        # Each stream's limbs are derived once and read by every row of p.
+        limbs = _pcg64_limbs(_seed_words(seed, keys))
+        for r, on in enumerate(live):
+            col = slice(None) if on.all() else np.flatnonzero(on)
+            out[r, col] = _binomial_from_limbs(
+                tuple(a[col] for a in limbs), n[col].astype(np.int64), rows[r, col]
+            )
+    return out.reshape(p.shape)

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .numerics import as_int, log_beta, reg_inc_beta
+from .numerics import _distinct_rows, as_int, log_beta, reg_inc_beta
 from .partitions import MAX_BASKETS, enumerate_partitions, partition_prior
 
 # Two partition weights closer than this are treated as tied when picking the
@@ -323,10 +323,11 @@ class BatchPosterior:
         theta0 in (0, 1) is a scalar, one per basket (B,) or one per cell (T, B).
         The counts and theta0 are checked before any work. The partition
         weights are then evaluated in row chunks of at most MAX_CELLS rows x
-        partitions, keeping only each row's top partition and its weight, and
-        one :func:`borrow` call and one incomplete beta call cover the whole
-        batch. Rows are independent of their batch, so the chunking never
-        changes a result.
+        partitions, keeping only each row's top partition and its weight. One
+        :func:`borrow` call covers the whole batch, and one incomplete beta
+        call its distinct (theta0, alpha, beta) triples. Rows are independent
+        of their batch, so neither the chunking nor the sharing changes a
+        result.
         """
         return self._exceed(x, theta0)[1]
 
@@ -344,4 +345,10 @@ class BatchPosterior:
             # Only the top pick is kept, so no chunk's weights outlive it.
             top[lo : lo + step], top_prob[lo : lo + step] = self.posterior(mat[lo : lo + step])[1:]
         params = borrow(mat, self.n, self._labels[top], top_prob, self.prior)
-        return params, 1.0 - reg_inc_beta(t0, *params[:2])
+        # One incomplete beta per distinct exact (theta0, alpha, beta) triple,
+        # copied to the cells that repeat it: an element's value does not
+        # depend on what else shares the call, so this never changes a bit.
+        cells = np.stack([np.broadcast_to(t0, mat.shape), *params[:2]], axis=-1).reshape(-1, 3)
+        pick, inverse = _distinct_rows(cells)
+        probs = 1.0 - reg_inc_beta(*cells[pick].T)
+        return params, probs[inverse].reshape(mat.shape)

@@ -2,10 +2,13 @@
 
 Each simulated trial draws its stage cohorts from a dedicated random stream
 keyed on (seed, trial, basket, stage), so results are bit-identical no matter
-how trials are split across workers. Draws are made in blocks of 512 trials
-(TRIAL_BLOCK), one numpy binomial_draws pass per block that seeds and draws
-every stream of the block, so memory stays bounded at any trial count.
-Aggregation uses integer counters only.
+how trials are split across workers. A run simulates all of its scenarios
+together, since they share these streams: draws are made in blocks of 512
+trials (TRIAL_BLOCK), one binomial_draws pass per block that seeds every
+stream of the block once and draws it for every scenario, so memory stays
+bounded at any trial count. Each trial chunk then decides the trials of
+every scenario in one decide_batch call, which analyzes a count row that
+several scenarios share once. Aggregation uses integer counters only.
 """
 
 from __future__ import annotations
@@ -74,16 +77,21 @@ class OperatingCharacteristics:
     seed: int | None = None
 
 
-def generate_counts(
-    spec: DesignSpec, scenario: Scenario, trials: range, seed: int
+def generate_counts_batch(
+    spec: DesignSpec, scenarios: Sequence[Scenario], trials: range, seed: int
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Binomial draws for a range of trial indices: (x_interim, x_total), each (T, B).
+    """Binomial draws of every scenario for a range of trial indices:
+    (x_interim, x_total), each (S, T, B) for S scenarios.
 
     Stage 1 draws spec.stage1_sizes() patients per basket on stream
-    (t, b, 0) and stage 2 the remaining patients on (t, b, 1). A
-    single-stage design draws only stage 1, at its maximum sizes, and returns
+    (t, b, 0) and stage 2 the remaining patients on (t, b, 1); the scenarios
+    share these streams and differ only in their rates. A single-stage
+    design draws only stage 1, at its maximum sizes, and returns
     (None, x_total). The trials are drawn in blocks of TRIAL_BLOCK, one
-    binomial_draws call per block, which keeps every temporary bounded.
+    binomial_draws pass per block for every scenario at once, which derives
+    each stream's state once and keeps every temporary bounded. The counts
+    are written straight into the two arrays, whose dtype is the smallest
+    unsigned integer type that holds the largest basket size.
     """
     n1 = spec.stage1_sizes()
     sizes = [n1]
@@ -91,17 +99,37 @@ def generate_counts(
         sizes.append(tuple(n - m for n, m in zip(spec.max_sizes, n1)))
     sizes = np.array(sizes)
     stage, basket = np.indices(sizes.shape)
-    rates = np.broadcast_to(scenario.true_rates, sizes.shape)
-    x = np.empty((len(sizes), len(trials), spec.num_baskets), dtype=int)
+    rates = np.array([sc.true_rates for sc in scenarios], dtype=float)
+    rates = rates.reshape(-1, 1, 1, spec.num_baskets)  # (S, stage, trial, B)
+    dtype = np.min_scalar_type(max(spec.max_sizes))
+    x_total = np.empty((len(rates), len(trials), spec.num_baskets), dtype=dtype)
+    x_interim = np.empty_like(x_total) if spec.stages == 2 else None
     for lo in range(0, len(trials), TRIAL_BLOCK):
         block = np.asarray(trials[lo : lo + TRIAL_BLOCK])
-        t, s, b, n, p = np.broadcast_arrays(
-            block[None, :, None], *(a[:, None, :] for a in (stage, basket, sizes, rates))
+        t, s, b, n = np.broadcast_arrays(
+            block[None, :, None], *(a[:, None, :] for a in (stage, basket, sizes))
         )
         keys = np.stack([t, b, s], axis=-1).reshape(-1, 3)
-        draws = binomial_draws(seed, keys, n.ravel(), p.ravel())
-        x[:, lo : lo + len(block)] = draws.reshape(t.shape)
-    return (x[0] if spec.stages == 2 else None), x.sum(axis=0)
+        p = np.broadcast_to(rates, (len(rates), *t.shape)).reshape(len(rates), -1)
+        # (S, stages, trials of the block, B)
+        draws = binomial_draws(seed, keys, n.ravel(), p).reshape(len(rates), *t.shape)
+        hi = lo + len(block)
+        if x_interim is None:
+            x_total[:, lo:hi] = draws[:, 0]
+        else:
+            x_interim[:, lo:hi] = draws[:, 0]
+            x_total[:, lo:hi] = draws[:, 0] + draws[:, 1]
+    return x_interim, x_total
+
+
+def generate_counts(
+    spec: DesignSpec, scenario: Scenario, trials: range, seed: int
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Binomial draws of one scenario, as int arrays: (x_interim, x_total),
+    each (T, B), or (None, x_total) for a single-stage design. The
+    one-scenario call of :func:`generate_counts_batch`."""
+    x_interim, x_total = generate_counts_batch(spec, [scenario], trials, seed)
+    return (None if x_interim is None else x_interim[0].astype(int)), x_total[0].astype(int)
 
 
 def decide_batch(
@@ -122,13 +150,17 @@ def decide_batch(
     return continued, rejected
 
 
-def _chunk_counts(args) -> tuple[np.ndarray, int, np.ndarray]:
-    spec, scenario, seed, start, stop = args
-    x1, xt = generate_counts(spec, scenario, range(start, stop), seed)
-    continued, rejected = decide_batch(spec, x1, xt)
-    null_mask = ~np.asarray(scenario.promising)
-    any_null_reject = int(rejected[:, null_mask].any(axis=1).sum()) if null_mask.any() else 0
-    return rejected.sum(axis=0), any_null_reject, continued.sum(axis=0)
+def _chunk_counts(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rejection counts (S, B), trials with a null basket rejected (S,) and
+    continuation counts (S, B) of one trial chunk, from one decide_batch
+    call over the (S * T, B) rows of every scenario."""
+    spec, scenarios, seed, start, stop = args
+    counts = generate_counts_batch(spec, scenarios, range(start, stop), seed)
+    shape = counts[1].shape
+    rows = (None if x is None else x.reshape(-1, shape[-1]) for x in counts)
+    continued, rejected = (d.reshape(shape) for d in decide_batch(spec, *rows))
+    null = ~np.array([sc.promising for sc in scenarios], dtype=bool).reshape(-1, 1, shape[-1])
+    return rejected.sum(axis=1), (rejected & null).any(axis=2).sum(axis=1), continued.sum(axis=1)
 
 
 def _chunk_ranges(n_sims: int, workers: int) -> list[tuple[int, int]]:
@@ -136,8 +168,9 @@ def _chunk_ranges(n_sims: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, n_sims)) for lo in range(0, n_sims, chunk)]
 
 
-def _collect(fn, spec, scenario, n_sims, seed, workers) -> list:
-    """fn applied to every trial chunk of n_sims, in trial order.
+def _collect(fn, spec, scenarios, n_sims, seed, workers) -> list:
+    """fn applied to every trial chunk of n_sims, in trial order; each chunk
+    covers every scenario.
 
     workers sets the number of chunks only. The chunks run in a process pool
     of at most os.cpu_count() processes: under the fork start method the pool
@@ -145,7 +178,7 @@ def _collect(fn, spec, scenario, n_sims, seed, workers) -> list:
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    jobs = [(spec, scenario, seed, lo, hi) for lo, hi in _chunk_ranges(n_sims, workers)]
+    jobs = [(spec, tuple(scenarios), seed, lo, hi) for lo, hi in _chunk_ranges(n_sims, workers)]
     processes = min(len(jobs), os.cpu_count() or 1)
     if processes == 1:
         return [fn(job) for job in jobs]
@@ -153,28 +186,8 @@ def _collect(fn, spec, scenario, n_sims, seed, workers) -> list:
         return list(pool.map(fn, jobs))
 
 
-def simulate(
-    spec: DesignSpec,
-    scenario: Scenario,
-    n_sims: int = DEFAULT_N_SIMS,
-    seed: int = 0,
-    workers: int = 1,
-) -> OperatingCharacteristics:
-    """Estimate operating characteristics from n_sims simulated trials.
-
-    The worker count only splits the trial range; per-trial streams plus
-    integer-count aggregation make the result identical for any split.
-    """
-    n_sims = as_int(n_sims, "n_sims")
-    if n_sims < 1:
-        raise DomainError(f"n_sims must be >= 1, got {n_sims}")
-    if len(scenario.true_rates) != spec.num_baskets:
-        raise ShapeError("scenario does not match the design's basket count")
-    parts = _collect(_chunk_counts, spec, scenario, n_sims, seed, workers)
-    reject_counts = np.sum([p[0] for p in parts], axis=0)
-    any_null = sum(p[1] for p in parts)
-    continue_counts = np.sum([p[2] for p in parts], axis=0)
-
+def _summary(spec, scenario, n_sims, seed, reject_counts, any_null, continue_counts):
+    """One scenario's OperatingCharacteristics from its integer counts."""
     rates = tuple(float(c) / n_sims for c in reject_counts)
     null_mask = [not p for p in scenario.promising]
     fwer = float(any_null) / n_sims if any(null_mask) else None
@@ -199,3 +212,42 @@ def simulate(
         n_sims=n_sims,
         seed=seed,
     )
+
+
+def simulate_batch(
+    spec: DesignSpec,
+    scenarios: Sequence[Scenario],
+    n_sims: int = DEFAULT_N_SIMS,
+    seed: int = 0,
+    workers: int = 1,
+) -> list[OperatingCharacteristics]:
+    """Operating characteristics of every scenario, each from n_sims
+    simulated trials on the same streams.
+
+    Each trial chunk draws every scenario at once and decides all of their
+    trials in one decide_batch call, so a count row that several scenarios
+    produce is analyzed once. Trials are independent of their batch, so each
+    result equals :func:`simulate` of its scenario alone. The worker count
+    only splits the trial range; per-trial streams plus integer-count
+    aggregation make the result identical for any split.
+    """
+    n_sims = as_int(n_sims, "n_sims")
+    if n_sims < 1:
+        raise DomainError(f"n_sims must be >= 1, got {n_sims}")
+    if any(len(sc.true_rates) != spec.num_baskets for sc in scenarios):
+        raise ShapeError("scenario does not match the design's basket count")
+    parts = _collect(_chunk_counts, spec, scenarios, n_sims, seed, workers)
+    totals = (np.sum([p[i] for p in parts], axis=0) for i in range(3))
+    return [_summary(spec, sc, n_sims, seed, *counts) for sc, *counts in zip(scenarios, *totals)]
+
+
+def simulate(
+    spec: DesignSpec,
+    scenario: Scenario,
+    n_sims: int = DEFAULT_N_SIMS,
+    seed: int = 0,
+    workers: int = 1,
+) -> OperatingCharacteristics:
+    """Estimate operating characteristics from n_sims simulated trials: the
+    one-scenario call of :func:`simulate_batch`."""
+    return simulate_batch(spec, [scenario], n_sims, seed, workers)[0]

@@ -215,12 +215,13 @@ def per_point_calibrate(problem):
     trial_weight = int(weights.sum())
     t_frac = spec.information_fraction()
     gamma_grid = problem.gamma_grid if spec.stages == 2 else (0.0,)
-    null_parts = _collect(_two_stage_chunk, spec, problem.null_scenario(), n_sims, problem.seed, 1)
-    alt_parts = _collect(_two_stage_chunk, spec, problem.alternative_scenario(), n_sims, problem.seed, 1)
-    p1_null = np.concatenate([p[0] for p in null_parts])
-    p2_null = np.concatenate([p[1] for p in null_parts])
-    p1_alt = np.concatenate([p[0] for p in alt_parts])
-    p2_alt = np.concatenate([p[1] for p in alt_parts])
+    # Each scenario collected on its own, a one-scenario batch.
+    null_parts = _collect(_two_stage_chunk, spec, (problem.null_scenario(),), n_sims, problem.seed, 1)
+    alt_parts = _collect(_two_stage_chunk, spec, (problem.alternative_scenario(),), n_sims, problem.seed, 1)
+    p1_null = np.concatenate([p[0][0] for p in null_parts])
+    p2_null = np.concatenate([p[1][0] for p in null_parts])
+    p1_alt = np.concatenate([p[0][0] for p in alt_parts])
+    p2_alt = np.concatenate([p[1][0] for p in alt_parts])
     rows = np.arange(n_sims)
     candidates = []
     for gamma in gamma_grid:
@@ -297,6 +298,20 @@ class TestVectorisedSweep:
         reference = per_point_calibrate(problem)
         assert result == reference
         assert result.frontier == reference.frontier
+
+    @pytest.mark.parametrize("template", [two_stage_template(), fixed_template(num_baskets=3)])
+    def test_scenario_batch_equals_one_scenario_at_a_time(self, template):
+        # calibrate draws and analyzes the null and the alternative together;
+        # each scenario's probabilities equal those of a chunk of its own.
+        problem = CalibrationProblem(spec_template=template, n_sims=10, seed=3)
+        scenarios = (problem.null_scenario(), problem.alternative_scenario())
+        p1, p2 = _two_stage_chunk((template, scenarios, 3, 100, 900))
+        assert p1.shape == (2, 800, template.num_baskets)
+        assert p2.shape == (2, 800, template.num_baskets + 1, template.num_baskets)
+        for s, scenario in enumerate(scenarios):
+            one = _two_stage_chunk((template, (scenario,), 3, 100, 900))
+            assert p1[s].tobytes() == one[0][0].tobytes()
+            assert p2[s].tobytes() == one[1][0].tobytes()
 
     def test_memory_is_bounded_by_the_trial_block(self):
         problem = CalibrationProblem(spec_template=two_stage_template(), n_sims=2000, seed=13)

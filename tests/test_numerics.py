@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -13,7 +14,8 @@ import pytest
 from localmem import cli
 from localmem.calibration import CalibrationProblem
 from localmem.design import DesignSpec, TrialState
-from localmem.errors import CapacityError, ConvergenceError, DomainError
+from localmem import numerics
+from localmem.errors import CapacityError, ConvergenceError, DomainError, ShapeError
 from localmem.numerics import (
     _INIT_A,
     _LOOKUP_MARGIN,
@@ -161,6 +163,30 @@ class TestRegIncBeta:
         assert reg_inc_beta(0.0, 1.0, 1e17) == 0.0
         assert reg_inc_beta(1.0, 1.0, 1e17) == 1.0
 
+    def test_grid_is_pinned(self):
+        # Every value over a fixed (x, a, b) grid, edges and swapped x
+        # included, recorded before _betacf was rewritten to work in place:
+        # any change to an operation or its order moves this digest.
+        xs = np.concatenate(([0.0, 1e-12, 1e-3], np.linspace(0.01, 0.99, 33), [0.999, 1.0]))
+        shapes = np.array([0.05, 0.5, 1.0, 1.5, 3.0, 7.25, 16.0, 40.5, 150.0])
+        x, a, b = (v.ravel() for v in np.meshgrid(xs, shapes, shapes, indexing="ij"))
+        digest = hashlib.sha256(reg_inc_beta(x, a, b).tobytes()).hexdigest()
+        assert digest == "256fadd8494b362959f3c38cdf634b4058708841b757d78dfe978ddc7d80c36a"
+
+    def test_element_alone_equals_it_in_a_batch(self):
+        # BatchPosterior evaluates each distinct (x, a, b) once and copies
+        # it to the repeats. That holds only if an element's value does not
+        # depend on its batch: not on duplicates, nor on neighbours that
+        # need many more continued-fraction iterations.
+        rng = np.random.default_rng(8)
+        x = np.concatenate(([0.15, 0.15, 0.15], rng.uniform(0, 1, 40), [0.5, 0.49, 0.15]))
+        a = np.concatenate(([3.5, 3.5, 2.25], 10 ** rng.uniform(-1, 2, 40), [4e4, 9e3, 3.5]))
+        b = np.concatenate(([14.0, 14.0, 9.75], 10 ** rng.uniform(-1, 2, 40), [4e4, 9.5e3, 14.0]))
+        batch = reg_inc_beta(x, a, b)
+        for i in range(len(x)):
+            assert batch[i] == reg_inc_beta(float(x[i]), float(a[i]), float(b[i]))
+            assert batch[i : i + 1].tobytes() == reg_inc_beta(x[i : i + 1], a[i : i + 1], b[i : i + 1]).tobytes()
+
     def test_vector_matches_scalar(self):
         rng = np.random.default_rng(7)
         xs = rng.uniform(0, 1, 200)
@@ -277,6 +303,54 @@ class TestRngStream:
             binomial_draws(1, [[0, 0, 0], [2**32, 0, 0]], [10, 10], [0.5, 0.5])
         with pytest.raises(DomainError):
             binomial_draws(1, [[0, -1, 0]], [10], [0.5])
+
+
+class TestProbabilityRows:
+    # binomial_draws with (S, N) p: S rows of probabilities on the same streams.
+    KEYS = [(t, b, s) for t in range(40) for b in range(3) for s in range(2)]
+
+    def rows(self):
+        n = np.tile([10, 6, 16, 0, 80, 120], 40)
+        p = np.array([
+            np.full(len(n), 0.15),
+            np.tile([0.0, 1.0, 0.45, 0.3, 0.5, 0.6], 40),  # trivial and BTPE draws
+            np.tile([0.85, 0.5, 0.55, 0.9, 0.35, 0.45], 40),
+            np.zeros(len(n)),
+        ])
+        return n, p
+
+    def test_equal_to_one_call_per_row(self):
+        n, p = self.rows()
+        draws = binomial_draws(77, self.KEYS, n, p)
+        assert draws.dtype == np.int64 and draws.shape == p.shape
+        for row, got in zip(p, draws):
+            assert got.tolist() == binomial_draws(77, self.KEYS, n, row).tolist()
+
+    def test_equal_to_fresh_generators(self):
+        n, p = self.rows()
+        draws = binomial_draws(5, self.KEYS, n, p[1:3])
+        for key, ni, pi, got in zip(self.KEYS, n.tolist(), p[1:3].T.tolist(), draws.T.tolist()):
+            for pj, x in zip(pi, got):
+                want = ni if pj == 1.0 else 0 if ni == 0 or pj == 0.0 else None
+                assert x == (fresh_stream(5, key).binomial(ni, pj) if want is None else want)
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.5, -0.1])
+    def test_bad_p_in_any_row_is_refused_before_drawing(self, monkeypatch, bad):
+        def no_seeding(*args):
+            raise AssertionError("a stream was seeded")
+
+        monkeypatch.setattr(numerics, "_seed_words", no_seeding)
+        n, p = self.rows()
+        p[2, -1] = bad
+        with pytest.raises(DomainError):
+            binomial_draws(1, self.KEYS, n, p)
+
+    def test_shapes(self):
+        n, p = self.rows()
+        assert binomial_draws(1, self.KEYS, n, p[:0]).shape == (0, len(n))
+        for bad in (p[:, :-1], p[None], 0.5):
+            with pytest.raises(ShapeError):
+                binomial_draws(1, self.KEYS, n, bad)
 
 
 class TestStreamsMatchNumpy:

@@ -6,7 +6,7 @@ import pytest
 
 from localmem import posterior
 from localmem.errors import CapacityError, DomainError, ShapeError
-from localmem.numerics import log_beta
+from localmem.numerics import log_beta, reg_inc_beta
 from localmem.partitions import MAX_BASKETS, enumerate_partitions, membership_strings, partition_prior
 from localmem.posterior import (
     AnalysisResult,
@@ -323,6 +323,28 @@ class TestBatchPosterior:
                 w1, top1, prob1 = engine.posterior(xs[t])
                 assert np.array_equal(w1[0], weights[t])
                 assert top1[0] == top[t] and prob1[0] == top_prob[t]
+
+    def test_repeated_cells_share_one_incomplete_beta(self, monkeypatch):
+        # exceed_probs evaluates each distinct (theta0, alpha, beta) triple
+        # once; every row still equals its own one-row call bit for bit.
+        elements = []
+
+        def counting(x, a, b):
+            elements.append(np.size(x))
+            return reg_inc_beta(x, a, b)
+
+        monkeypatch.setattr(posterior, "reg_inc_beta", counting)
+        rng = np.random.default_rng(37)
+        engine = BatchPosterior([10, 10, 10, 10], 2.0)
+        xs = rng.integers(0, 11, size=(90, 4))
+        xs[::3] = xs[1::3]  # repeated rows
+        xs[2::9] = 4  # all baskets equal: one triple per row
+        theta0 = np.tile([0.15, 0.15, 0.2, 0.15], (90, 1))
+        theta0[::7] = 0.3
+        probs = engine.exceed_probs(xs, theta0)
+        assert elements[0] < xs.size / 2
+        for t in range(len(xs)):
+            assert probs[t].tobytes() == engine.exceed_probs(xs[t], theta0[t]).tobytes()
 
     @pytest.mark.parametrize("delta", [0.0, 2.0])
     @pytest.mark.parametrize("num_baskets", range(1, 11))
