@@ -34,16 +34,17 @@ from .partitions import MAX_BASKETS, enumerate_partitions, partition_prior
 # top partition.
 TOP_TIE_TOL = 1e-12
 
-# Cache budget of BatchPosterior.exceed_probs: the most rows x partitions
-# whose weights are evaluated at once. 2**18 cells is 2 MiB per float64 array,
-# the size of a per-core L2 cache on common x86 servers, so the summing passes
-# over a chunk stay near the core instead of streaming from main memory.
-# BatchPosterior.posterior peaks at about 16.2 bytes per cell (the weights and
-# a scratch buffer of the same size; the top pick later needs 2 bytes per
-# cell), so the weights of a call peak near 4.3 MB however many rows are asked
-# for; the borrowing step and the incomplete beta add a few KB per row.
-# tracemalloc measured 3.7 MB for a whole 300-row call at B = 10 (two rows per
-# chunk) and 4.2 MB for a 600-row call at B = 9 (12 rows per chunk).
+# Chunk budget of BatchPosterior.exceed_probs: the most rows x partitions
+# whose weights are evaluated at once. A call allocates one weights + scratch
+# pair for its largest chunk and runs every chunk in it, the top pick's two
+# 1-byte flag tables going into the spent scratch: about 16 bytes per cell,
+# so the weights of a call peak near 4.3 MB however many rows are asked for,
+# and its pages are faulted in once, not once per chunk. The borrowing step
+# and the incomplete beta add a few KB per row. tracemalloc measured 3.8 MB
+# for a whole 300-row call at B = 10 (two rows per chunk) and 4.2 MB for a
+# 600-row call at B = 9 (12 rows per chunk). The budget bounds memory only:
+# 2**16, 2**17 and 2**18 cells time the same on a B = 9 simulate.
+# BatchPosterior.posterior allocates the same pair for its whole batch.
 MAX_CELLS = 2**18
 
 _DEFAULT_IDS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -289,45 +290,59 @@ class BatchPosterior:
     def posterior(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Weights (T, J), top partition index (T,), top weight (T,)."""
         mat = self._as_matrix(x)
-        # (T, blocks): log Beta factor of every block for every row.
         factors = self._factor_table[self._size_rank, mat @ self._member]
+        cells = len(mat) * len(self.partition_prior)
+        return self._weights(factors, np.empty(cells), np.empty(cells))
+
+    def _weights(self, factors, buffer, scratch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`posterior` from the rows' block factors (T, 2**B), in two
+        flat float buffers of at least T x J cells each.
+
+        The weights are a view of `buffer`. `scratch` is spent: the sorted sums
+        pass through it, then the top pick's two 1-byte flag tables.
+        """
+        rows, parts = len(factors), len(self.partition_prior)
+        cells = rows * parts
+        weights = buffer[:cells].reshape(rows, parts)
         # (T, J) log weights of the sorted partitions, row-major (np.take, not
         # fancy indexing, which would return column-major), so a row's sums
         # and its normalisation do not depend on the batch size. Each slot's
-        # factors go through one reused buffer and are added to the leading
+        # factors go through the weights buffer and are added to the leading
         # partitions that hold a block in that slot. mode="clip" lets np.take
         # write straight into `out`; the default mode buffers it.
-        log_w = np.take(factors, self._block_index[:, 0], axis=1)
-        scratch = np.empty(log_w.size)
+        log_w = scratch[:cells].reshape(weights.shape)
+        np.take(factors, self._block_index[:, 0], axis=1, out=log_w, mode="clip")
         for slot in range(1, len(self.n)):
             k = self._filled[slot]
-            part = scratch[: len(mat) * k].reshape(len(mat), k)
+            part = buffer[: rows * k].reshape(rows, k)
             np.take(factors, self._block_index[:k, slot], axis=1, out=part, mode="clip")
             log_w[:, :k] += part
-        # Back to enumeration order, into the buffer; the sorted sums are freed.
-        unsorted = scratch.reshape(log_w.shape)
-        log_w = np.take(log_w, self._ranks, axis=1, out=unsorted, mode="clip")
+        # Back to enumeration order, into the weights; the sorted sums are spent.
+        log_w = np.take(log_w, self._ranks, axis=1, out=weights, mode="clip")
         log_w += self._log_prior
         log_w -= log_w.max(axis=1, keepdims=True)
-        weights = np.exp(log_w, out=log_w)
+        np.exp(log_w, out=weights)
         weights /= weights.sum(axis=1, keepdims=True)
-        candidates = weights >= weights.max(axis=1, keepdims=True) - TOP_TIE_TOL
+        flags = scratch.view(bool)[: 2 * cells].reshape(2, *weights.shape)
+        candidates = np.greater_equal(weights, weights.max(axis=1, keepdims=True) - TOP_TIE_TOL, out=flags[0])
         # The first candidate in tie-break order.
-        top = self._order[np.take(candidates, self._order, axis=1).argmax(axis=1)]
-        top_prob = weights[np.arange(len(mat)), top]
-        return weights, top, top_prob
+        ordered = np.take(candidates, self._order, axis=1, out=flags[1], mode="clip")
+        top = self._order[ordered.argmax(axis=1)]
+        return weights, top, weights[np.arange(rows), top]
 
     def exceed_probs(self, x, theta0) -> np.ndarray:
         """Per-basket posterior exceedance probabilities, shape (T, B).
 
         theta0 in (0, 1) is a scalar, one per basket (B,) or one per cell (T, B).
-        The counts and theta0 are checked before any work. The partition
+        The counts and theta0 are checked once, before any work. The partition
         weights are then evaluated in row chunks of at most MAX_CELLS rows x
-        partitions, keeping only each row's top partition and its weight. One
-        :func:`borrow` call covers the whole batch, and one incomplete beta
-        call its distinct (theta0, alpha, beta) triples. Rows are independent
-        of their batch, so neither the chunking nor the sharing changes a
-        result.
+        partitions, keeping only each row's top partition and its weight.
+        Every chunk runs in one weights + scratch pair, allocated once per
+        call for the largest chunk (about 16 bytes per cell), so a call of any
+        length touches fresh pages only once. One :func:`borrow` call covers
+        the whole batch, and one incomplete beta call its distinct (theta0,
+        alpha, beta) triples. Rows are independent of their batch, so neither
+        the chunking nor the sharing changes a result.
         """
         return self._exceed(x, theta0)[1]
 
@@ -339,11 +354,20 @@ class BatchPosterior:
             raise ShapeError(f"theta0 has shape {t0.shape}; need (), {mat.shape[1:]} or {mat.shape}")
         if not np.all((t0 > 0.0) & (t0 < 1.0)):
             raise DomainError(f"theta0 must lie in (0, 1), got {t0.tolist()}")
-        step = max(1, MAX_CELLS // len(self.partition_prior))
+        parts = len(self.partition_prior)
+        step = max(1, MAX_CELLS // parts)
         top, top_prob = np.empty(len(mat), dtype=int), np.empty(len(mat))
+        pair = None
         for lo in range(0, len(mat), step):
-            # Only the top pick is kept, so no chunk's weights outlive it.
-            top[lo : lo + step], top_prob[lo : lo + step] = self.posterior(mat[lo : lo + step])[1:]
+            chunk = mat[lo : lo + step]
+            factors = self._factor_table[self._size_rank, chunk @ self._member]
+            if pair is None:
+                # Sized by the first, largest chunk, and allocated after its
+                # factors so the int64 block sums are freed first.
+                pair = np.empty(len(chunk) * parts), np.empty(len(chunk) * parts)
+            top[lo : lo + step], top_prob[lo : lo + step] = self._weights(factors, *pair)[1:]
+            factors = None  # freed before the next chunk's block sums
+        pair = None  # freed before the borrowing arrays
         params = borrow(mat, self.n, self._labels[top], top_prob, self.prior)
         # One incomplete beta per distinct exact (theta0, alpha, beta) triple,
         # copied to the cells that repeat it: an element's value does not

@@ -1,5 +1,11 @@
 import hashlib
+import sys
 import tracemalloc
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 import numpy as np
 import pytest
@@ -411,6 +417,60 @@ class TestBatchPosterior:
             tracemalloc.stop()
         assert probs.shape == (300, 10)
         assert peak < 17 * posterior.MAX_CELLS + 1e6
+
+    def test_counts_checked_once_per_call(self, monkeypatch):
+        # The chunks run on the counts the call has already checked.
+        checked, check = [], BatchPosterior._as_matrix
+
+        def counting(self, x):
+            checked.append(len(np.atleast_2d(x)))
+            return check(self, x)
+
+        monkeypatch.setattr(BatchPosterior, "_as_matrix", counting)
+        monkeypatch.setattr(posterior, "MAX_CELLS", 15 * 7)
+        engine = BatchPosterior([6, 9, 4, 7], 1.0)
+        xs = np.random.default_rng(41).integers(0, 5, size=(60, 4))
+        engine.exceed_probs(xs, 0.2)
+        assert checked == [60]
+
+    def test_empty_batch(self):
+        engine = BatchPosterior([3, 3], 1.0)
+        empty = np.zeros((0, 2), dtype=int)
+        assert engine.exceed_probs(empty, 0.2).shape == (0, 2)
+        assert engine.posterior(empty)[0].shape == (0, 2)
+
+    @pytest.mark.skipif(resource is None or not sys.platform.startswith("linux"), reason="Linux only")
+    def test_chunks_reuse_one_buffer_pair(self):
+        # 120 rows at B = 9 are 10 chunks of 12 rows. They run in one weights
+        # + scratch pair, so the call faults in the pages of under two pairs
+        # (2 x 2 x 12 x 21,147 floats); fresh buffers per chunk fault in about
+        # ten times as many.
+        rng = np.random.default_rng(42)
+        engine = BatchPosterior([12] * 9, 2.0)
+        xs = rng.integers(0, 13, size=(120, 9))
+        assert posterior.MAX_CELLS // len(engine.partition_prior) == 12
+        engine.exceed_probs(xs, 0.3)  # warm-up: imports, caches, heap growth
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        engine.exceed_probs(xs, 0.3)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 2 * 2 * 12 * len(engine.partition_prior) * 8 / 4096
+
+    def test_single_chunk_traces_under_1_8mb(self):
+        # A paper-sized call, one chunk: the buffer pair is allocated after
+        # the chunk's int64 block sums are freed, so the call peaks at the
+        # pair plus the factors (1.69 MB); allocated before them it peaks at
+        # 2.14 MB.
+        rng = np.random.default_rng(43)
+        engine = BatchPosterior([10] * 4, 2.0)
+        xs = rng.integers(0, 11, size=(4051, 4))
+        engine.exceed_probs(xs, 0.15)
+        tracemalloc.start()
+        try:
+            engine.exceed_probs(xs, 0.15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8e6
 
     def test_b10_index_arrays_under_50mb(self):
         engine = BatchPosterior([1] * 10, 0.0)
