@@ -513,9 +513,15 @@ def _chain(u: float, px: list[float]) -> int:
     return len(px)
 
 
-def _inversion(limbs: tuple[np.ndarray, ...], n: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _inversion(
+    state: tuple[np.ndarray, ...], sizes: tuple[np.ndarray, np.ndarray], p: np.ndarray
+) -> np.ndarray:
     """numpy's inversion sampler (BINV) for 0 < p <= 0.5 and n * p <= 30,
     by one threshold lookup per double.
+
+    state holds each row's stream after its first PCG64 step, with that
+    step's double (_next_double_index): (state_hi, state_lo, m, inc_hi,
+    inc_lo). sizes holds the distinct n and each row's index into them.
 
     numpy's chain returns the first x with U <= px[x], subtracting px[0],
     px[1], ... from its double U in turn. A rounded subtraction is monotone,
@@ -528,7 +534,7 @@ def _inversion(limbs: tuple[np.ndarray, ...], n: np.ndarray, p: np.ndarray) -> n
     _LOOKUP_MARGIN of a cut runs the chain itself (_chain); a row past the
     bound restarts on a fresh double, as in numpy.
     """
-    n_vals, n_idx = _distinct(n)
+    n_vals, n_idx = sizes
     p_vals, p_idx = _distinct(p)
     pairs, pair = _distinct(n_idx * len(p_vals) + p_idx)
     pair_n, pair_p = n_vals[pairs // len(p_vals)], p_vals[pairs % len(p_vals)]
@@ -543,11 +549,10 @@ def _inversion(limbs: tuple[np.ndarray, ...], n: np.ndarray, p: np.ndarray) -> n
     keys = np.repeat(np.arange(len(px_of)), length + 2) + 1j * cuts
     cuts = cuts.astype(np.int64)
     first = np.cumsum(length + 2) - length - 1
-    s_hi, s_lo, i_hi, i_lo = limbs
-    rows = np.arange(len(n))
-    out = np.empty(len(n), dtype=np.int64)
-    while rows.size:
-        s_hi, s_lo, m = _next_double_index(s_hi, s_lo, i_hi, i_lo)
+    s_hi, s_lo, m, i_hi, i_lo = state
+    rows = np.arange(len(p))
+    out = np.empty(len(p), dtype=np.int64)
+    while True:
         at = np.searchsorted(keys, pair + 1j * m)
         x = at - first[pair]
         near = (cuts[at] - m <= _LOOKUP_MARGIN) | (m - cuts[at - 1] <= _LOOKUP_MARGIN)
@@ -555,41 +560,52 @@ def _inversion(limbs: tuple[np.ndarray, ...], n: np.ndarray, p: np.ndarray) -> n
             x[i] = _chain(int(m[i]) * 2.0**-53, px_of[pair[i]])
         out[rows] = x
         again = x == length[pair]
+        if not again.any():
+            return out
         rows, s_hi, s_lo, i_hi, i_lo, pair = (a[again] for a in (rows, s_hi, s_lo, i_hi, i_lo, pair))
-    return out
+        s_hi, s_lo, m = _next_double_index(s_hi, s_lo, i_hi, i_lo)
 
 
 def _binomial_from_limbs(limbs: tuple[np.ndarray, ...], n: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The first Generator.binomial(n[i], p[i]) of PCG64 streams given by their
-    (state_hi, state_lo, inc_hi, inc_lo) limbs, for n > 0 and 0 < p < 1.
+    """The first Generator.binomial(n[i], p[..., i]) of N PCG64 streams given by
+    their (state_hi, state_lo, inc_hi, inc_lo) limbs, as an int64 array of p's
+    shape: p is (N,), or (S, N) for S rows on the same streams.
 
-    Like numpy, p > 0.5 is drawn as n - Binomial(n, 1 - p). Rows with
-    min(p, 1 - p) * n <= 30 take the inversion lookup (_inversion); the rest
+    n == 0 or p == 0 gives 0 and p == 1 gives n, without drawing. Like numpy,
+    p > 0.5 is drawn as n - Binomial(n, 1 - p). Cells with min(p, 1 - p) * n
+    <= 30 take the inversion lookup (_inversion), row by row; the distinct n
+    and every stream's first double are found once for all rows. The rest
     (numpy's BTPE branch) are drawn one by one through a Generator set to
     their state.
     """
-    flip = p > 0.5
-    small = np.where(flip, 1.0 - p, p)
-    inv = small * n <= _INVERSION_MAX_MEAN
-    out = np.empty(len(n), dtype=np.int64)
-    rows = slice(None) if inv.all() else np.flatnonzero(inv)
+    rows = np.atleast_2d(p)
+    out = np.where(rows == 1.0, n, 0).astype(np.int64)
+    flip = rows > 0.5
+    small = np.where(flip, 1.0 - rows, rows)
+    live = (n > 0) & (small > 0.0)
+    inv = live & (small * n <= _INVERSION_MAX_MEAN)
     if inv.any():
-        x = _inversion(tuple(a[rows] for a in limbs), n[rows], small[rows])
-        out[rows] = np.where(flip[rows], n[rows] - x, x)
-    rows = np.flatnonzero(~inv)
-    if rows.size:
+        s_hi, s_lo, m = _next_double_index(*limbs)
+        n_vals, n_idx = _distinct(n)
+        for r in np.flatnonzero(inv.any(axis=1)).tolist():
+            col = slice(None) if inv[r].all() else np.flatnonzero(inv[r])
+            state = tuple(a[col] for a in (s_hi, s_lo, m, *limbs[2:]))
+            x = _inversion(state, (n_vals, n_idx[col]), small[r, col])
+            out[r, col] = np.where(flip[r, col], n[col] - x, x)
+    cells = np.argwhere(live & ~inv).tolist()
+    if cells:
         bitgen = np.random.PCG64(0)
         gen = np.random.Generator(bitgen)
-        s_hi, s_lo, i_hi, i_lo = (a[rows].tolist() for a in limbs)
-        for k, i in enumerate(rows.tolist()):
+        s_hi, s_lo, i_hi, i_lo = (a.tolist() for a in limbs)
+        for r, i in cells:
             bitgen.state = {
                 "bit_generator": "PCG64",
-                "state": {"state": s_hi[k] << 64 | s_lo[k], "inc": i_hi[k] << 64 | i_lo[k]},
+                "state": {"state": s_hi[i] << 64 | s_lo[i], "inc": i_hi[i] << 64 | i_lo[i]},
                 "has_uint32": 0,
                 "uinteger": 0,
             }
-            out[i] = gen.binomial(int(n[i]), float(p[i]))
-    return out
+            out[r, i] = gen.binomial(int(n[i]), float(rows[r, i]))
+    return out.reshape(np.shape(p))
 
 
 def binomial_draws(seed: int, keys, n, p) -> np.ndarray:
@@ -636,15 +652,7 @@ def binomial_draws(seed: int, keys, n, p) -> np.ndarray:
     if not (p.min(initial=0.0) >= 0.0 and p.max(initial=1.0) <= 1.0):
         raise DomainError("binomial_draws requires p in [0, 1]")
 
-    rows = np.atleast_2d(p)
-    out = np.where(rows == 1.0, n, 0).astype(np.int64)
-    live = (n > 0) & (rows > 0.0) & (rows < 1.0)
-    if live.any():
-        # Each stream's limbs are derived once and read by every row of p.
-        limbs = _pcg64_limbs(_seed_words(seed, keys))
-        for r, on in enumerate(live):
-            col = slice(None) if on.all() else np.flatnonzero(on)
-            out[r, col] = _binomial_from_limbs(
-                tuple(a[col] for a in limbs), n[col].astype(np.int64), rows[r, col]
-            )
-    return out.reshape(p.shape)
+    if not ((n > 0) & (p > 0.0) & (p < 1.0)).any():
+        return np.where(p == 1.0, n, 0).astype(np.int64)  # nothing to draw, no stream seeded
+    # Each stream's limbs are derived once and read by every row of p.
+    return _binomial_from_limbs(_pcg64_limbs(_seed_words(seed, keys)), n.astype(np.int64), p)

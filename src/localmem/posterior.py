@@ -36,14 +36,16 @@ TOP_TIE_TOL = 1e-12
 
 # Chunk budget of BatchPosterior.exceed_probs: the most rows x partitions
 # whose weights are evaluated at once. A call allocates one weights + scratch
-# pair for its largest chunk and runs every chunk in it, the top pick's two
-# 1-byte flag tables going into the spent scratch: about 16 bytes per cell,
-# so the weights of a call peak near 4.3 MB however many rows are asked for,
-# and its pages are faulted in once, not once per chunk. The borrowing step
-# and the incomplete beta add a few KB per row. tracemalloc measured 3.8 MB
-# for a whole 300-row call at B = 10 (two rows per chunk) and 4.2 MB for a
-# 600-row call at B = 9 (12 rows per chunk). The budget bounds memory only:
-# 2**16, 2**17 and 2**18 cells time the same on a B = 9 simulate.
+# pair (8 + 8 bytes per cell) for its largest chunk, after that chunk's
+# (2**B, T) block factors, and runs every chunk in it; the top pick's 1-byte
+# flag table goes into the spent scratch, and the factors are freed before
+# the pick. So the weights of a call peak near 4.3 MB however many rows are
+# asked for, and its pages are faulted in once, not once per chunk. The
+# borrowing step and the incomplete beta add a few KB per row. tracemalloc
+# measured 3.8 MB for a whole 300-row call at B = 10 (two rows per chunk),
+# 4.2 MB for a 600-row call at B = 9 (12 rows per chunk) and 1.56 MB for a
+# 4,051-row call at B = 4 (one chunk). The budget bounds memory only: 2**16,
+# 2**17 and 2**18 cells time the same on a B = 9 simulate.
 # BatchPosterior.posterior allocates the same pair for its whole batch.
 MAX_CELLS = 2**18
 
@@ -246,7 +248,11 @@ class BatchPosterior:
     A block's id is its basket bitmask. Partitions are summed in block-count
     order, most blocks first, so slot s is filled in a leading run of
     partitions and each row adds only the factors of the blocks its partitions
-    hold, never an empty block's 0. That layout is cached per B.
+    hold, never an empty block's 0. That layout is cached per B. The sums are
+    made partition-major, (J, T), so that each gathered factor is a T-long row
+    of a (2**B, T) table; the weights are then row-major, (T, J), and so are
+    each row's max, exp and sum, which therefore do not depend on the batch.
+    The top pick normalises only the cells near a row's max (:meth:`_weights`).
     """
 
     def __init__(self, n: Sequence[int], delta: float = 0.0, prior: BetaParams = DEFAULT_PRIOR):
@@ -266,7 +272,8 @@ class BatchPosterior:
         # Log Beta factors tabulated over (rank of the block size among the
         # distinct sizes, block responses), in one log_beta call over the
         # cells with 0 <= responses <= size; a size-0 block's row stays 0.
-        sizes, self._size_rank = np.unique(self.n @ self._member, return_inverse=True)
+        sizes, size_rank = np.unique(self.n @ self._member, return_inverse=True)
+        self._size_rank = size_rank.reshape(-1, 1)  # (2**B, 1): one per block id
         s_vals = np.arange(sizes[-1] + 1, dtype=float)
         held = (s_vals <= sizes[:, None]) & (sizes[:, None] > 0)
         a = np.broadcast_to(prior.alpha + s_vals, held.shape)[held]
@@ -289,46 +296,74 @@ class BatchPosterior:
 
     def posterior(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Weights (T, J), top partition index (T,), top weight (T,)."""
-        mat = self._as_matrix(x)
-        factors = self._factor_table[self._size_rank, mat @ self._member]
-        cells = len(mat) * len(self.partition_prior)
-        return self._weights(factors, np.empty(cells), np.empty(cells))
+        weights, sums, top, top_prob = self._weights(self._as_matrix(x), [])
+        weights /= sums[:, None]
+        return weights, top, top_prob
 
-    def _weights(self, factors, buffer, scratch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`posterior` from the rows' block factors (T, 2**B), in two
-        flat float buffers of at least T x J cells each.
+    def _weights(self, mat, pair: list) -> tuple[np.ndarray, ...]:
+        """Unnormalised weights (T, J), their row sums (T,), the top partition
+        index (T,) and its weight (T,) of checked count rows (T, B).
 
-        The weights are a view of `buffer`. `scratch` is spent: the sorted sums
-        pass through it, then the top pick's two 1-byte flag tables.
+        `pair` holds two flat float buffers of at least T x J cells (16 bytes
+        per cell), or is empty and gets them here, after the rows' (2**B, T)
+        block factors, so that the factors' int64 block sums are freed first;
+        the factors themselves are freed once the slots are summed. The
+        weights are a view of the first buffer, e = exp(log weight - row max),
+        so each row's largest is exactly 1; dividing by the sums s gives
+        :meth:`posterior`'s weights. The second buffer is spent.
+
+        The top partition is the first, in tie-break order, of the cells whose
+        normalised weight e / s is within TOP_TIE_TOL of the row's largest.
+        Any such cell has e >= 1 - 2 s TOP_TIE_TOL - 1e-9, so only the few
+        cells above that bound are divided and tested; the weights are never
+        normalised here.
         """
-        rows, parts = len(factors), len(self.partition_prior)
+        rows, parts = len(mat), len(self.partition_prior)
         cells = rows * parts
-        weights = buffer[:cells].reshape(rows, parts)
-        # (T, J) log weights of the sorted partitions, row-major (np.take, not
-        # fancy indexing, which would return column-major), so a row's sums
-        # and its normalisation do not depend on the batch size. Each slot's
-        # factors go through the weights buffer and are added to the leading
-        # partitions that hold a block in that slot. mode="clip" lets np.take
-        # write straight into `out`; the default mode buffers it.
-        log_w = scratch[:cells].reshape(weights.shape)
-        np.take(factors, self._block_index[:, 0], axis=1, out=log_w, mode="clip")
+        # (2**B, T) log Beta factors, one T-long row per block id.
+        factors = self._factor_table[self._size_rank, self._member.T @ mat.T]
+        if not pair:
+            pair += np.empty(cells), np.empty(cells)
+        buffer, scratch = pair
+        # (J, T) log weights of the sorted partitions, partition-major: each
+        # slot's factors are gathered a T-long row at a time (np.take along
+        # axis 0) into the scratch and added to the leading partitions that
+        # hold a block in that slot. mode="clip" lets np.take write straight
+        # into `out`; the default mode buffers it.
+        sums_t = buffer[:cells].reshape(parts, rows)
+        np.take(factors, self._block_index[:, 0], axis=0, out=sums_t, mode="clip")
         for slot in range(1, len(self.n)):
             k = self._filled[slot]
-            part = buffer[: rows * k].reshape(rows, k)
-            np.take(factors, self._block_index[:k, slot], axis=1, out=part, mode="clip")
-            log_w[:, :k] += part
-        # Back to enumeration order, into the weights; the sorted sums are spent.
-        log_w = np.take(log_w, self._ranks, axis=1, out=weights, mode="clip")
-        log_w += self._log_prior
-        log_w -= log_w.max(axis=1, keepdims=True)
-        np.exp(log_w, out=weights)
-        weights /= weights.sum(axis=1, keepdims=True)
-        flags = scratch.view(bool)[: 2 * cells].reshape(2, *weights.shape)
-        candidates = np.greater_equal(weights, weights.max(axis=1, keepdims=True) - TOP_TIE_TOL, out=flags[0])
-        # The first candidate in tie-break order.
-        ordered = np.take(candidates, self._order, axis=1, out=flags[1], mode="clip")
-        top = self._order[ordered.argmax(axis=1)]
-        return weights, top, weights[np.arange(rows), top]
+            part = scratch[: rows * k].reshape(k, rows)
+            np.take(factors, self._block_index[:k, slot], axis=0, out=part, mode="clip")
+            sums_t[:k] += part
+        del factors  # before the top pick's temporaries
+        # Back to enumeration order in the scratch, then the prior added in
+        # one transposing pass into the (T, J) weights: row-major, so a row's
+        # max, exp and sum do not depend on the batch size.
+        ranked = np.take(sums_t, self._ranks, axis=0, out=scratch[:cells].reshape(parts, rows), mode="clip")
+        weights = np.add(ranked.T, self._log_prior, out=buffer[:cells].reshape(rows, parts))
+        weights -= weights.max(axis=1, keepdims=True)
+        np.exp(weights, out=weights)
+        sums = weights.sum(axis=1)
+        # The cells near each row's max, in row-major order: a run per row that
+        # holds the row's largest (e = 1), so the runs' max of e / s is the
+        # max of the row's normalised weights.
+        near = np.flatnonzero(
+            np.greater_equal(
+                weights,
+                (1.0 - 2.0 * TOP_TIE_TOL * sums - 1e-9)[:, None],
+                out=scratch.view(bool)[:cells].reshape(rows, parts),
+            )
+        )
+        row, col = np.divmod(near, parts)
+        w = weights.ravel()[near] / sums[row]
+        starts = np.flatnonzero(np.diff(row, prepend=-1))
+        # Tie-break ranks, J for a cell not within TOP_TIE_TOL of its row's max.
+        rank = self._ranks[col]
+        rank[w < np.maximum.reduceat(w, starts)[row] - TOP_TIE_TOL] = parts
+        first = np.minimum.reduceat(rank, starts)
+        return weights, sums, self._order[first], w[rank == first[row]]
 
     def exceed_probs(self, x, theta0) -> np.ndarray:
         """Per-basket posterior exceedance probabilities, shape (T, B).
@@ -336,13 +371,15 @@ class BatchPosterior:
         theta0 in (0, 1) is a scalar, one per basket (B,) or one per cell (T, B).
         The counts and theta0 are checked once, before any work. The partition
         weights are then evaluated in row chunks of at most MAX_CELLS rows x
-        partitions, keeping only each row's top partition and its weight.
-        Every chunk runs in one weights + scratch pair, allocated once per
-        call for the largest chunk (about 16 bytes per cell), so a call of any
-        length touches fresh pages only once. One :func:`borrow` call covers
-        the whole batch, and one incomplete beta call its distinct (theta0,
-        alpha, beta) triples. Rows are independent of their batch, so neither
-        the chunking nor the sharing changes a result.
+        partitions, keeping only each row's top partition and its weight; the
+        weights are never normalised, as only the cells near each row's max
+        are read (:meth:`_weights`). Every chunk runs in one weights + scratch
+        pair, allocated once per call for the largest chunk (16 bytes per
+        cell), so a call of any length touches fresh pages only once. One
+        :func:`borrow` call covers the whole batch, and one incomplete beta
+        call its distinct (theta0, alpha, beta) triples. Rows are independent
+        of their batch, so neither the chunking nor the sharing changes a
+        result.
         """
         return self._exceed(x, theta0)[1]
 
@@ -357,16 +394,9 @@ class BatchPosterior:
         parts = len(self.partition_prior)
         step = max(1, MAX_CELLS // parts)
         top, top_prob = np.empty(len(mat), dtype=int), np.empty(len(mat))
-        pair = None
+        pair = []  # sized by the first, largest chunk
         for lo in range(0, len(mat), step):
-            chunk = mat[lo : lo + step]
-            factors = self._factor_table[self._size_rank, chunk @ self._member]
-            if pair is None:
-                # Sized by the first, largest chunk, and allocated after its
-                # factors so the int64 block sums are freed first.
-                pair = np.empty(len(chunk) * parts), np.empty(len(chunk) * parts)
-            top[lo : lo + step], top_prob[lo : lo + step] = self._weights(factors, *pair)[1:]
-            factors = None  # freed before the next chunk's block sums
+            top[lo : lo + step], top_prob[lo : lo + step] = self._weights(mat[lo : lo + step], pair)[2:]
         pair = None  # freed before the borrowing arrays
         params = borrow(mat, self.n, self._labels[top], top_prob, self.prior)
         # One incomplete beta per distinct exact (theta0, alpha, beta) triple,

@@ -11,6 +11,8 @@ from localmem.cli import main
 from localmem.errors import ConvergenceError
 from localmem.posterior import BatchPosterior
 
+import pins
+
 TWO_STAGE_SPEC = {
     "baskets": 4,
     "max_sizes": 16,
@@ -361,13 +363,27 @@ ANALYZE_REPORT_DIGESTS = {
 }
 
 
+# The same reports under AVX2 exp and log, where their bytes differ.
+ANALYZE_REPORT_DIGESTS_AVX2 = {
+    "b4-ids": {
+        **ANALYZE_REPORT_DIGESTS["b4-ids"],
+        "analysis.json": "a30326650aaf35500cad58dff97dc9256193eb5cd6b696f589c80b46ef8b2534",
+    },
+    "b9-default": {
+        **ANALYZE_REPORT_DIGESTS["b9-default"],
+        "analysis.json": "a41ad6b943437f2d1840e8028ef085cbbb1971a714751a6fc735c2f720d8cb2f",
+    },
+}
+
+
 class TestAnalyzeReportBytes:
     @pytest.mark.parametrize("name", sorted(PINNED_ANALYZE_CONFIGS))
     def test_files_are_pinned(self, tmp_path, name):
         cfg = write_config(tmp_path, "a.json", PINNED_ANALYZE_CONFIGS[name])
         out = tmp_path / "out"
         assert run(["analyze", "--config", cfg, "--out", out, "--format", "both"]) == 0
-        assert _digests(out) == ANALYZE_REPORT_DIGESTS[name]
+        digests = pins.pinned({pins.AVX512: ANALYZE_REPORT_DIGESTS, pins.AVX2: ANALYZE_REPORT_DIGESTS_AVX2})
+        assert _digests(out) == digests[name]
 
 
 # Monitor looks whose reports are pinned byte for byte: the interim and the
@@ -414,13 +430,24 @@ MONITOR_REPORT_DIGESTS = {
 }
 
 
+# The same reports under AVX2 exp and log, where their bytes differ.
+MONITOR_REPORT_DIGESTS_AVX2 = {
+    **MONITOR_REPORT_DIGESTS,
+    "b7-stage2": {
+        **MONITOR_REPORT_DIGESTS["b7-stage2"],
+        "monitor.json": "36ca43fec7b369b3ebd9995088c7a67d362d3e8877d8f7f32c2a75f6cb77947c",
+    },
+}
+
+
 class TestMonitorReportBytes:
     @pytest.mark.parametrize("name", sorted(PINNED_MONITOR_CONFIGS))
     def test_files_are_pinned(self, tmp_path, name):
         cfg = write_config(tmp_path, "m.json", PINNED_MONITOR_CONFIGS[name])
         out = tmp_path / "out"
         assert run(["monitor", "--config", cfg, "--out", out, "--format", "both"]) == 0
-        assert _digests(out) == MONITOR_REPORT_DIGESTS[name]
+        digests = pins.pinned({pins.AVX512: MONITOR_REPORT_DIGESTS, pins.AVX2: MONITOR_REPORT_DIGESTS_AVX2})
+        assert _digests(out) == digests[name]
 
 
 # Small simulate, calibrate and simon runs whose reports are pinned byte for

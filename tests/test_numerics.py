@@ -41,6 +41,7 @@ from localmem.numerics import (
 from localmem.posterior import BasketData
 from localmem.simulation import Scenario, simulate
 
+import pins
 from oracles import binom_cdf_rational, reg_inc_beta_quadrature
 
 
@@ -171,7 +172,15 @@ class TestRegIncBeta:
         shapes = np.array([0.05, 0.5, 1.0, 1.5, 3.0, 7.25, 16.0, 40.5, 150.0])
         x, a, b = (v.ravel() for v in np.meshgrid(xs, shapes, shapes, indexing="ij"))
         digest = hashlib.sha256(reg_inc_beta(x, a, b).tobytes()).hexdigest()
-        assert digest == "256fadd8494b362959f3c38cdf634b4058708841b757d78dfe978ddc7d80c36a"
+        assert digest == pins.pinned({
+            pins.AVX512: "256fadd8494b362959f3c38cdf634b4058708841b757d78dfe978ddc7d80c36a",
+            pins.AVX2: "0e3ef485c504cd7a72b08aa7597e535cc2cbb7531893d5f6953c49c55a6ac597",
+        })
+
+    def test_unknown_exp_log_build_fails_naming_it(self, monkeypatch):
+        monkeypatch.setattr(pins, "FINGERPRINT", "0123456789abcdef")
+        with pytest.raises(pytest.fail.Exception, match="0123456789abcdef"):
+            pins.pinned({pins.AVX512: "a", pins.AVX2: "b"})
 
     def test_element_alone_equals_it_in_a_batch(self):
         # BatchPosterior evaluates each distinct (x, a, b) once and copies
@@ -344,6 +353,29 @@ class TestProbabilityRows:
         p[2, -1] = bad
         with pytest.raises(DomainError):
             binomial_draws(1, self.KEYS, n, p)
+
+    def test_sizes_sorted_and_first_doubles_derived_once(self, monkeypatch):
+        # Five rows of p on the same streams: the distinct sizes and each
+        # stream's first double are found once for all of them, not per row.
+        sorts, steps = [], []
+        distinct, next_double = numerics._distinct, numerics._next_double_index
+
+        def sorting(values):
+            sorts.append(values)
+            return distinct(values)
+
+        def stepping(*limbs):
+            steps.append(len(limbs[0]))
+            return next_double(*limbs)
+
+        n, p = self.rows()
+        p = np.vstack([p, np.full(len(n), 0.35)])
+        want = [binomial_draws(77, self.KEYS, n, row).tolist() for row in p]
+        monkeypatch.setattr(numerics, "_distinct", sorting)
+        monkeypatch.setattr(numerics, "_next_double_index", stepping)
+        assert binomial_draws(77, self.KEYS, n, p).tolist() == want
+        assert steps == [len(n)]
+        assert sum(np.array_equal(values, n) for values in sorts) == 1
 
     def test_shapes(self):
         n, p = self.rows()

@@ -15,6 +15,7 @@ from localmem.errors import CapacityError, DomainError, ShapeError
 from localmem.numerics import log_beta, reg_inc_beta
 from localmem.partitions import MAX_BASKETS, enumerate_partitions, membership_strings, partition_prior
 from localmem.posterior import (
+    TOP_TIE_TOL,
     AnalysisResult,
     BasketData,
     BatchPosterior,
@@ -26,6 +27,7 @@ from localmem.posterior import (
     default_basket_ids,
 )
 
+import pins
 from oracles import RationalAnalysis, beta_tail_quadrature
 
 # sha256 of BatchPosterior.posterior output bytes, keyed by (B, delta); see
@@ -51,6 +53,27 @@ POSTERIOR_DIGESTS = {
     (9, 2.0): "77d8872b4d80268c901dd6d80ecc0092e869bd27840ac303ea79259a8f81829f",
     (10, 0.0): "f392f1fe0059c5fff7263fcfec89ed797be014f2ab74f5117c583ff83a18c574",
     (10, 2.0): "784ef8b49b2c97924b5804d4dc65ee5f5ac4e50d330a285f0b13d8cc6df7d89e",
+}
+# The same outputs under AVX2 exp and log (tests/pins.py), where their bytes
+# differ from the AVX512 ones above.
+POSTERIOR_DIGESTS_AVX2 = {
+    **POSTERIOR_DIGESTS,
+    (3, 0.0): "6d1947e026159224cc5be1cc3b8481cf6e3d6ed45d24c0c9672cb1198414b223",
+    (3, 2.0): "b6c33d9fd12bed0ace2f39de1af51b37e84d78589460803539dce6a6f603278e",
+    (4, 0.0): "eaf5a498e6ddee2120465841eda38110d5f2ce85c8a786e800e8aa069729dc0e",
+    (4, 2.0): "1e7a24907e27908af4dbc9cedc282bb4d6ec0140b1643bc050b2338df093c079",
+    (5, 0.0): "38b3f79659656bab5d87ea15558c1ffc715d098f0d736de8a2f9b46e17b4c16f",
+    (5, 2.0): "92a83baa8f862fd7faf5f158cc3a0c8fa39570a49b3c05255d8c2e100ad0c952",
+    (6, 0.0): "674645d351ec67dcdb914e9c473166686b693b8029afe32064ec1b303364b6d3",
+    (6, 2.0): "8e0ae91213e4a5bd27d06cbef253904f061ef506e35b72b8896300a1b399a5e7",
+    (7, 0.0): "3c6f3a82a3c45f28e1de3ce7017fec58f5bec32b806cde6bb73088d08b5be4ca",
+    (7, 2.0): "41c20363b5b1470bcc1164d2367e6cda6fccf0a5687b57638f06c905f618015a",
+    (8, 0.0): "84fb0191c8df21168115125833f365c5a38de05b1c7464db3d39221dc421b33a",
+    (8, 2.0): "b61a2b5c19f38b580710b9ae5aa3ee7874c370129e5a0bbb94bcfc9fe86d3731",
+    (9, 0.0): "a7728e617292e529160b17478c5cfb58183ad15f59faf0cfec313da4ea62b315",
+    (9, 2.0): "387b109fd7c8767506878af3319639c72e69bd497a1060e8711ca769a620e18c",
+    (10, 0.0): "f06f22f7fbb372666204da0ff3b926bb39a2133d1d9d133f524a1d7f669a1bc1",
+    (10, 2.0): "e899785657fd8177dabeb344401bf9e96664b036df05a1214c490cde06cbd018",
 }
 
 
@@ -368,7 +391,8 @@ class TestBatchPosterior:
         digest = hashlib.sha256()
         for a in (weights, top.astype(np.int64), top_prob):
             digest.update(a.tobytes())
-        assert digest.hexdigest() == POSTERIOR_DIGESTS[num_baskets, delta]
+        digests = pins.pinned({pins.AVX512: POSTERIOR_DIGESTS, pins.AVX2: POSTERIOR_DIGESTS_AVX2})
+        assert digest.hexdigest() == digests[num_baskets, delta]
 
     def test_weights_peak_under_17_bytes_per_cell(self):
         # Weights and one scratch buffer of the same size while the block
@@ -534,6 +558,77 @@ class TestBatchPosterior:
         assert result.partition_prior is engine.partition_prior
         with pytest.raises(ValueError):
             engine.partition_prior[0] = 0.5
+
+
+def reference_top_pick(engine, weights):
+    """The top pick made over every normalised cell: the cells within
+    TOP_TIE_TOL of the row max flagged, the first flagged in tie-break order
+    taken, and its weight read."""
+    flags = weights >= weights.max(axis=1, keepdims=True) - TOP_TIE_TOL
+    top = engine._order[flags[:, engine._order].argmax(axis=1)]
+    return top, weights[np.arange(len(weights)), top]
+
+
+class TestTopPick:
+    # The engine normalises and tests only the cells near each row's max. Its
+    # pick must equal the pick over every normalised cell, bit for bit, in
+    # posterior and in exceed_probs (read from its borrow call).
+
+    def assert_reference_pick(self, monkeypatch, engine, xs):
+        weights, top, top_prob = engine.posterior(xs)
+        want_top, want_prob = reference_top_pick(engine, weights)
+        assert top.tolist() == want_top.tolist()
+        assert top_prob.tobytes() == want_prob.tobytes()
+        seen = []
+
+        def recording(x, n, labels, top_prob, prior):
+            seen.append((labels, top_prob))
+            return borrow(x, n, labels, top_prob, prior)
+
+        monkeypatch.setattr(posterior, "borrow", recording)
+        engine.exceed_probs(xs, 0.3)
+        labels, prob = seen[-1]
+        assert np.array_equal(labels, enumerate_partitions(len(engine.n))[want_top])
+        assert prob.tobytes() == want_prob.tobytes()
+        return want_top, weights
+
+    @pytest.mark.parametrize("gap", [0.5, 1.0, 2.0, 100.0])
+    def test_gap_between_the_two_best(self, monkeypatch, gap):
+        # No data, so the weights are the prior's. The pooled partition, last
+        # in tie-break order, leads the three-block one, first in it, by
+        # about gap x TOP_TIE_TOL of normalised weight. At 2 and 100 the
+        # three-block cell is near enough to be tested, and fails the test.
+        engine = BatchPosterior([0, 0, 0], 0.0)
+        q = np.array([0.4, 0.3, 0.2, 0.1, 0.4])
+        q[4] *= 1.0 - gap * TOP_TIE_TOL * q.sum() / q[0]
+        monkeypatch.setattr(engine, "_log_prior", np.log(q))
+        xs = np.zeros((1, 3), dtype=int)
+        top, _ = self.assert_reference_pick(monkeypatch, engine, xs)
+        e, sums = engine._weights(xs, [])[:2]
+        assert e[0, 4] >= 1.0 - 2.0 * sums[0] * TOP_TIE_TOL - 1e-9
+        if gap != 1.0:
+            assert top[0] == (4 if gap < 1.0 else 0)
+
+    @pytest.mark.parametrize("delta", [0.0, 2.0])
+    def test_exact_ties_at_equal_counts(self, monkeypatch, delta):
+        # Baskets of equal size and count give partitions that swap them the
+        # same factors, summed in other slot orders: tied rows next to rows
+        # with one clear top.
+        engine = BatchPosterior([10] * 4, delta)
+        xs = np.array(
+            [[c] * 4 for c in range(11)]
+            + [[3, 5, 5, 7], [0, 5, 5, 5], [1, 5, 5, 5], [2, 2, 7, 7], [0, 3, 5, 7]]
+        )
+        _, weights = self.assert_reference_pick(monkeypatch, engine, xs)
+        tied = (weights >= weights.max(axis=1, keepdims=True) - TOP_TIE_TOL).sum(axis=1)
+        assert tied.max() > 1 and tied.min() == 1
+
+    @pytest.mark.parametrize("num_baskets", [2, 5, 8])
+    def test_random_rows_with_repeated_counts(self, monkeypatch, num_baskets):
+        rng = np.random.default_rng(60 + num_baskets)
+        engine = BatchPosterior([6] * num_baskets, 0.0)
+        xs = rng.integers(0, 3, size=(40, num_baskets)) * 3
+        self.assert_reference_pick(monkeypatch, engine, xs)
 
 
 class TestLayoutCache:
