@@ -14,15 +14,18 @@ q1, so there are at most B + 1 of them per trial). The global null and the
 global alternative share their streams, so each trial chunk draws both at
 once and analyzes their trials in one survivor_exceedance call per stage.
 
-The sweep works on thresholds, not grid points. On the sorted lam grid,
-basket b survives the interim look (p1 > q1 = lam * t^gamma) exactly at the
-indices below one threshold, found by one `searchsorted` per gamma, and a
-stage-2 probability rejects (p2 > lam) exactly at the indices below another,
-found once. So between consecutive survivor thresholds a trial keeps one
-survivor set, and each of its stage-2 analyses rejects on one interval of
-indices. A difference array sums these intervals into integer FWER and power
-counts for the whole lam row, the counts of evaluating each grid point on its
-own.
+The sweep works on events, not grid points. On the sorted lam grid a
+stage-2 probability rejects (p2 > lam) exactly at the indices below one
+threshold, found by one `searchsorted`; the (trial, cut, column) cells whose
+threshold is above 0 are the events, and no other cell can reject. An event
+of cut r counts at the grid point (lam, q1 = lam * t^gamma) when the trial
+keeps r survivors there, i.e. when q1 lies between its r-th and (r+1)-th
+highest stage-1 probabilities. These bounds are looked up among the distinct
+stage-1 probabilities of the trials that hold an event, once per q1. Sweeping
+lam from the top down, each event enters a running histogram over those
+bounds once, at its own threshold, and a prefix sum of the histogram reads
+off every gamma's integer FWER or power count at that lam: the counts of
+evaluating each grid point on its own.
 
 A single-stage design is the case with no interim look: it runs the same
 code with a stage 1 that stops no basket, and its sweep covers lam only.
@@ -135,33 +138,53 @@ def _sweep_counts(p1, p2, weights, lam_grid, t_frac, gamma_grid) -> np.ndarray:
 
     count[g, i] sums weights[j] * (p2[t, r, j] > lam_i) over trials t and
     columns j, where r = (p1[t] > lam_i * t_frac**gamma_g).sum() survivors.
-    On the sorted lam grid each (trial, cut, column) rejects on one interval
-    of indices; a difference array adds up the intervals.
+
+    Only events, the cells with p2 above the lowest lam, can count. With
+    p1[t] sorted descending and framed by +inf and -inf, cut r holds where
+    framed[r + 1] <= q1 < framed[r]; as indices lo < top into the distinct
+    values of framed, that is lo < k <= top for k = searchsorted(values, q1,
+    "right"). On the sorted lam grid an event rejects at indices i < reject.
+    So the sweep walks i downwards, adds the events with reject = i + 1 to a
+    histogram (+weight at lo, -weight at top) and reads count[:, i] from the
+    histogram's prefix sums at each gamma's k. Weights enter through one
+    integer bincount slot per distinct weight, so the counts stay exact.
     """
-    num_trials, num_baskets = p1.shape
+    num_baskets = p1.shape[1]
     order = np.argsort(lam_grid, kind="stable")
     lam_s = lam_grid[order]
-    width = len(lam_s) + 1
+    counts = np.zeros((len(gamma_grid), len(lam_s)), dtype=np.int64)
     # p2[t, r, j] > lam_s[i] iff i < reject[t, r, j]
     reject = np.searchsorted(lam_s, p2, side="left")
-    offsets = np.arange(p2.shape[2]) * width
-    # Each trial's survivor thresholds, highest first, framed by len(lam_s)
-    # and 0: cut r (r survivors) holds on [bounds[:, r + 1], bounds[:, r]).
-    bounds = np.empty((num_trials, num_baskets + 2), dtype=np.intp)
-    bounds[:, 0], bounds[:, -1] = len(lam_s), 0
-    lo, top = bounds[:, 1:, None], bounds[:, :-1, None]
-    p1_desc = np.sort(p1, axis=1)[:, ::-1]
-    counts = np.empty((len(gamma_grid), len(lam_s)), dtype=np.int64)
-    for g, gamma in enumerate(gamma_grid):
+    trial, cut, column = np.nonzero(reject)
+    if trial.size:
+        reject = reject[trial, cut, column]
+        rows, trial = np.unique(trial, return_inverse=True)
+        framed = np.empty((rows.size, num_baskets + 2))
+        framed[:, 0], framed[:, -1] = np.inf, -np.inf
+        framed[:, 1:-1] = np.sort(p1[rows], axis=1)[:, ::-1]
+        # a 1-D argument, so the inverse is flat on every numpy
+        values, index = np.unique(framed.ravel(), return_inverse=True)
+        index = index.reshape(framed.shape)
+        classes, weight_class = np.unique(weights, return_inverse=True)
+        span = values.size + 1
+        slot = weight_class.reshape(-1)[column] * span + 1
+        by = np.argsort(reject, kind="stable")
+        lo_slot = (slot + index[trial, cut + 1])[by]
+        top_slot = (slot + index[trial, cut])[by]
+        # events with reject = i + 1 are by[ends[i]:ends[i + 1]]
+        ends = np.searchsorted(reject[by], np.arange(len(lam_s) + 1), side="right")
         # t_frac**gamma >= 0 scales the sorted grid into a sorted q1 grid
-        q1_s = lam_s * t_frac**gamma
-        # basket b survives at sorted index i iff i < s_b, i.e. p1 > q1
-        bounds[:, 1:-1] = np.searchsorted(q1_s, p1_desc, side="left")
-        hi = np.maximum(lo, np.minimum(top, reject))
-        ends = np.bincount((hi + offsets).ravel(), minlength=offsets.size * width)
-        diff = weights.sum() * np.bincount(lo.ravel(), minlength=width)
-        diff -= weights @ ends.reshape(-1, width)
-        counts[g, order] = np.cumsum(diff[:-1])
+        shrink = np.array([t_frac**gamma for gamma in gamma_grid])
+        k = np.searchsorted(values, lam_s[:, None] * shrink, side="right")
+        held = np.zeros(classes.size * span, dtype=np.int64)
+        below = np.zeros(span, dtype=np.int64)
+        for i in range(len(lam_s) - 1, -1, -1):
+            if ends[i + 1] > ends[i]:
+                held += np.bincount(lo_slot[ends[i] : ends[i + 1]], minlength=held.size)
+                held -= np.bincount(top_slot[ends[i] : ends[i + 1]], minlength=held.size)
+                # below[k] sums the weights of held events with lo < k <= top
+                below = classes @ np.cumsum(held.reshape(classes.size, span), axis=1)
+            counts[:, order[i]] = below[k[i]]
     return counts
 
 
@@ -188,27 +211,29 @@ def calibrate(problem: CalibrationProblem, workers: int = 1) -> CalibrationResul
         lam_grid, t_frac, gamma_grid,
     )
     power_counts = _sweep_counts(p1_alt, p2_alt, weights, lam_grid, t_frac, gamma_grid)
-    candidates = [
-        (int(fwer_counts[g, i]), int(power_counts[g, i]), float(lam), float(gamma))
-        for g, gamma in enumerate(gamma_grid)
-        for i, lam in enumerate(problem.lambda_grid)
-    ]
-    feasible = [c for c in candidates if c[0] <= problem.fwer_target * n_sims + 1e-9]
-    if not feasible:
-        min_fwer = min(c[0] for c in candidates) / n_sims
+    feasible = fwer_counts <= problem.fwer_target * n_sims + 1e-9
+    if not feasible.any():
+        min_fwer = int(fwer_counts.min()) / n_sims
         raise InfeasibleCalibrationError(
             f"no grid point controls FWER at {problem.fwer_target}; minimum achieved was {min_fwer:.4f}",
             min_achieved_fwer=min_fwer,
         )
-    fwer_count, power_count, lam, gamma = min(feasible, key=lambda c: (-c[1], c[0], c[2], c[3]))
+    # the feasible points in grid order, gamma outer and lam inner
+    g, i = np.nonzero(feasible)
+    lams = lam_grid[i]
+    gammas = np.asarray(gamma_grid, dtype=float)[g]
+    fwer, power = fwer_counts[g, i], power_counts[g, i]
+    # lexsort is stable, so among equal keys the first in grid order wins
+    best = np.lexsort((gammas, lams, fwer, -power))[0]
+    fwer, power, lams, gammas = fwer.tolist(), power.tolist(), lams.tolist(), gammas.tolist()
     return CalibrationResult(
-        lam=lam,
-        gamma=gamma,
-        achieved_fwer=fwer_count / n_sims,
-        achieved_power=power_count / (n_sims * trial_weight),
+        lam=lams[best],
+        gamma=gammas[best],
+        achieved_fwer=fwer[best] / n_sims,
+        achieved_power=power[best] / (n_sims * trial_weight),
         frontier=tuple(
             FrontierPoint(lam=lm, gamma=gm, fwer=fc / n_sims, power=pc / (n_sims * trial_weight))
-            for fc, pc, lm, gm in feasible
+            for fc, pc, lm, gm in zip(fwer, power, lams, gammas)
         ),
     )
 

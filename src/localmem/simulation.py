@@ -14,7 +14,6 @@ several scenarios share once. Aggregation uses integer counters only.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -182,6 +181,9 @@ def _collect(fn, spec, scenarios, n_sims, seed, workers) -> list:
     processes = min(len(jobs), os.cpu_count() or 1)
     if processes == 1:
         return [fn(job) for job in jobs]
+    # imported here: it pulls in multiprocessing, which one worker never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=processes) as pool:
         return list(pool.map(fn, jobs))
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from localmem import calibration
 from localmem.calibration import (
     CalibrationProblem,
     CalibrationResult,
@@ -393,6 +394,176 @@ class TestSweepCounts:
         )
         expected = [((p2[:, 3] > lam) * weights).sum() for lam in lam_grid]
         np.testing.assert_array_equal(got, [expected])
+
+    def test_no_event_counts_nothing(self):
+        # every p2 is -inf or at most the lowest lam, so no cell can reject
+        rng = np.random.default_rng(11)
+        p1 = rng.uniform(0.0, 1.0, (60, 3))
+        p2 = rng.choice([-np.inf, 0.3, min(self.LAMBDAS)], size=(60, 4, 3))
+        weights = np.array([5, 7, 5])
+        lam_grid = np.asarray(self.LAMBDAS)
+        got = _sweep_counts(p1, p2, weights, lam_grid, self.T_FRAC, self.GAMMAS)
+        assert got.dtype == np.int64
+        assert got.shape == (len(self.GAMMAS), len(self.LAMBDAS))
+        np.testing.assert_array_equal(got, 0)
+        np.testing.assert_array_equal(
+            got, brute_sweep_counts(p1, p2, weights, lam_grid, self.T_FRAC, self.GAMMAS)
+        )
+
+    def test_weight_classes_and_a_column_that_never_rejects(self):
+        rng = np.random.default_rng(12)
+        p1, p2 = self.synthetic(rng, 900, 5, 5)
+        # column 2 is the only one of its weight and never rejects
+        p2[:, :, 2] = rng.choice([-np.inf, 0.3, min(self.LAMBDAS)], size=p2.shape[:2])
+        weights = np.array([16, 9, 23, 30, 9])
+        lam_grid = np.asarray(self.LAMBDAS)
+        got = _sweep_counts(p1, p2, weights, lam_grid, self.T_FRAC, self.GAMMAS)
+        np.testing.assert_array_equal(
+            got, brute_sweep_counts(p1, p2, weights, lam_grid, self.T_FRAC, self.GAMMAS)
+        )
+        keep = [0, 1, 3, 4]
+        np.testing.assert_array_equal(
+            got,
+            _sweep_counts(p1, p2[:, :, keep], weights[keep], lam_grid, self.T_FRAC, self.GAMMAS),
+        )
+
+    def test_infinite_stage1_probabilities(self):
+        rng = np.random.default_rng(13)
+        p1, p2 = self.synthetic(rng, 800, 4, 4)
+        p1[rng.random(p1.shape) < 0.25] = np.inf
+        p1[rng.random(p1.shape) < 0.25] = -np.inf
+        p1[:20], p1[20:40] = np.inf, -np.inf
+        weights = rng.integers(1, 30, 4)
+        lam_grid = np.asarray(self.LAMBDAS)
+        got = _sweep_counts(p1, p2, weights, lam_grid, self.T_FRAC, self.GAMMAS)
+        np.testing.assert_array_equal(
+            got, brute_sweep_counts(p1, p2, weights, lam_grid, self.T_FRAC, self.GAMMAS)
+        )
+
+    def test_trial_whose_rejecting_cuts_are_never_reached(self):
+        # Trial 0 keeps every basket at every grid point (p1 = 1 > q1) and
+        # trial 1 none (p1 = 0 < q1), and trial 2 ties two baskets; each
+        # rejects only on cuts that no grid point reaches.
+        p1 = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.99, 0.5, 0.5]])
+        p2 = np.full((3, 4, 2), -np.inf)
+        p2[0, :3], p2[1, 1:], p2[2, 2] = 0.999, 0.999, 0.999
+        weights = np.array([3, 4])
+        lam_grid = np.asarray(self.LAMBDAS)
+        got = _sweep_counts(p1, p2, weights, lam_grid, self.T_FRAC, self.GAMMAS)
+        np.testing.assert_array_equal(got, 0)
+        np.testing.assert_array_equal(
+            got, brute_sweep_counts(p1, p2, weights, lam_grid, self.T_FRAC, self.GAMMAS)
+        )
+        # among other trials they add nothing either
+        others = self.synthetic(np.random.default_rng(14), 500, 3, 2)
+        mixed = [np.concatenate([a, b]) for a, b in zip(others, (p1, p2))]
+        np.testing.assert_array_equal(
+            _sweep_counts(*mixed, weights, lam_grid, self.T_FRAC, self.GAMMAS),
+            _sweep_counts(*others, weights, lam_grid, self.T_FRAC, self.GAMMAS),
+        )
+
+
+def min_pick(problem, fwer_counts, power_counts):
+    """The pick as a min over a list of candidate tuples in grid order."""
+    n_sims = problem.n_sims
+    trial_weight = int(sum(problem.spec_template.max_sizes))
+    candidates = [
+        (int(fwer_counts[g, i]), int(power_counts[g, i]), float(lam), float(gamma))
+        for g, gamma in enumerate(problem.gamma_grid)
+        for i, lam in enumerate(problem.lambda_grid)
+    ]
+    feasible = [c for c in candidates if c[0] <= problem.fwer_target * n_sims + 1e-9]
+    if not feasible:
+        min_fwer = min(c[0] for c in candidates) / n_sims
+        raise InfeasibleCalibrationError(
+            f"no grid point controls FWER at {problem.fwer_target}; minimum achieved was {min_fwer:.4f}",
+            min_achieved_fwer=min_fwer,
+        )
+    fwer_count, power_count, lam, gamma = min(feasible, key=lambda c: (-c[1], c[0], c[2], c[3]))
+    return CalibrationResult(
+        lam=lam,
+        gamma=gamma,
+        achieved_fwer=fwer_count / n_sims,
+        achieved_power=power_count / (n_sims * trial_weight),
+        frontier=tuple(
+            FrontierPoint(lam=lm, gamma=gm, fwer=fc / n_sims, power=pc / (n_sims * trial_weight))
+            for fc, pc, lm, gm in feasible
+        ),
+    )
+
+
+class TestPick:
+    # calibrate's pick on crafted FWER and power counts, which stand in for
+    # the sweep's; the answer must be the first best point in grid order.
+    def pick(self, monkeypatch, fwer_counts, power_counts, lambda_grid, gamma_grid):
+        problem = CalibrationProblem(
+            spec_template=two_stage_template(), lambda_grid=lambda_grid, gamma_grid=gamma_grid,
+            n_sims=100, seed=1,
+        )
+        fwer_counts = np.array(fwer_counts, dtype=np.int64)
+        power_counts = np.array(power_counts, dtype=np.int64)
+        crafted = iter([fwer_counts, power_counts])
+        monkeypatch.setattr(calibration, "_sweep_counts", lambda *args: next(crafted))
+        result = calibrate(problem)
+        expected = min_pick(problem, fwer_counts, power_counts)
+        assert result == expected
+        assert result.frontier == expected.frontier
+        return result
+
+    def test_power_tie_prefers_lower_fwer(self, monkeypatch):
+        result = self.pick(monkeypatch, [[5, 9, 3]], [[40, 41, 41]], (0.95, 0.96, 0.97), (0.5,))
+        assert (result.lam, result.achieved_fwer) == (0.97, 0.03)
+
+    def test_power_and_fwer_tie_prefers_lower_lambda(self, monkeypatch):
+        # the lowest tied lam comes with the highest gamma
+        result = self.pick(
+            monkeypatch, [[4, 4, 4], [4, 4, 4]], [[10, 9, 10], [9, 10, 9]],
+            (0.98, 0.96, 0.97), (0.3, 0.9),
+        )
+        assert (result.lam, result.gamma) == (0.96, 0.9)
+
+    def test_full_tie_but_gamma_prefers_lower_gamma(self, monkeypatch):
+        result = self.pick(
+            monkeypatch, [[4], [4], [4]], [[10], [10], [10]], (0.97,), (0.9, 0.3, 0.6)
+        )
+        assert (result.lam, result.gamma) == (0.97, 0.3)
+
+    def test_duplicated_points(self, monkeypatch):
+        result = self.pick(
+            monkeypatch, [[2, 2, 1], [2, 2, 1]], [[7, 7, 3], [7, 7, 3]],
+            (0.97, 0.97, 0.99), (0.5, 0.5),
+        )
+        assert (result.lam, result.gamma) == (0.97, 0.5)
+        assert len(result.frontier) == 6
+
+    def test_infeasible_points_are_left_out(self, monkeypatch):
+        # the most powerful point breaks the FWER target
+        result = self.pick(monkeypatch, [[11, 10]], [[60, 50]], (0.95, 0.97), (0.5,))
+        assert result.lam == 0.97
+        assert [p.lam for p in result.frontier] == [0.97]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_ties_match_min(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        lambda_grid = tuple(rng.choice([0.95, 0.96, 0.97, 0.98], 7).tolist())
+        gamma_grid = tuple(rng.choice([0.0, 0.5, 1.0], 5).tolist())
+        shape = (len(gamma_grid), len(lambda_grid))
+        self.pick(
+            monkeypatch, rng.integers(5, 14, shape), rng.integers(0, 4, shape) * 100,
+            lambda_grid, gamma_grid,
+        )
+
+    def test_infeasible_grid_raises_with_the_smallest_fwer(self, monkeypatch):
+        problem = CalibrationProblem(
+            spec_template=two_stage_template(), lambda_grid=(0.95, 0.97), gamma_grid=(0.5, 0.7),
+            n_sims=100, seed=1,
+        )
+        crafted = iter([np.array([[12, 15], [11, 30]]), np.zeros((2, 2), dtype=np.int64)])
+        monkeypatch.setattr(calibration, "_sweep_counts", lambda *args: next(crafted))
+        with pytest.raises(InfeasibleCalibrationError) as err:
+            calibrate(problem)
+        assert err.value.min_achieved_fwer == 0.11
+        assert str(err.value) == "no grid point controls FWER at 0.1; minimum achieved was 0.1100"
 
 
 class TestProblemValidation:

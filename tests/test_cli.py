@@ -640,6 +640,17 @@ class TestCalibrate:
             "seed": seed,
         }
 
+    def test_byte_identical_across_workers(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", self.small_grid_config(7))
+        outputs = []
+        for i, workers in enumerate((1, 3)):
+            out = tmp_path / f"out{i}"
+            assert run(["calibrate", "--config", cfg, "--out", out, "--workers", workers]) == 0
+            outputs.append(
+                [(out / name).read_bytes() for name in ("calibration.json", "calibration_frontier.csv")]
+            )
+        assert outputs[0] == outputs[1]
+
     def test_largest_seed_wraps_evaluation_seed(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", self.small_grid_config(2**64 - 1))
         assert run(["calibrate", "--config", cfg, "--out", tmp_path / "out"]) == 0

@@ -2,9 +2,12 @@
 ``pyproject.toml``: numpy and jsonschema. These tests read the sources under
 ``src/localmem`` with ``ast``, without importing them, and check that every
 import names one of those or the package itself; scipy, for one, is a test
-extra only."""
+extra only. One more test imports the CLI in a fresh interpreter and checks
+that the process pool's modules stay out of a start-up."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -57,3 +60,19 @@ def test_checker_flags_other_modules():
     found = [m for m, _ in _imported(ast.parse(source))]
     assert found == ["__future__", "math", "numpy", "jsonschema", "localmem"]
     assert set(found) <= ALLOWED
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # concurrent.futures.process pulls in multiprocessing, socket and
+    # logging; only a run that starts a pool should pay for them.
+    script = (
+        "import sys\n"
+        "import localmem.cli\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))\n"
+    )
+    # The pytest pythonpath setting does not reach a subprocess.
+    src = str(SRC.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

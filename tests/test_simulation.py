@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import math
 import os
@@ -94,7 +95,8 @@ class TestSimulate:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+        # _collect imports the pool class only when it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         spec = paper_two_stage()
         scenario = scenario_suite(spec)[1]
         split = simulate(spec, scenario, 40, seed=3, workers=10_000)
