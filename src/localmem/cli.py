@@ -1,10 +1,13 @@
 """Command-line interface.
 
 Subcommands: analyze, monitor, simulate, calibrate, simon. Configurations are
-JSON documents validated against the schemas in :mod:`localmem.schemas`;
-results are written as JSON reports and plot-ready CSV tables. Every output
-embeds the seed, simulation count, a content hash of the configuration and
-the package version, so a table can always be traced back to its inputs.
+JSON documents validated against the schemas in :mod:`localmem.schemas` by
+that module's own validator, :func:`~localmem.schemas.schema_errors`, which
+knows the schemas' closed vocabulary and nothing more; a refused config exits
+2 naming the first five offending fields. Results are written as JSON reports
+and plot-ready CSV tables. Every output embeds the seed, simulation count, a
+content hash of the configuration and the package version, so a table can
+always be traced back to its inputs.
 ``main`` alone loads and validates a config (against the schema its
 subcommand is registered with; simon takes flags), calls ``cmd_*(args,
 config)`` and writes the (json_name, payload, tables) it returns. A table is
@@ -24,8 +27,6 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-
-import jsonschema
 
 from . import __version__, schemas
 from .calibration import (
@@ -73,17 +74,6 @@ def _fmt(value) -> str:
 def _load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _validate(config: dict, schema: dict) -> None:
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
-    if errors:
-        parts = []
-        for err in errors[:5]:
-            loc = "/".join(str(p) for p in err.absolute_path) or "<root>"
-            parts.append(f"field '{loc}': {err.message}")
-        raise ConfigError("; ".join(parts))
 
 
 def _config_hash(config: dict) -> str:
@@ -460,14 +450,19 @@ def main(argv=None) -> int:
         config = None
         if args.schema is not None:
             config = _load_config(args.config)
-            _validate(config, args.schema)
+            errors = [
+                f"field '{'/'.join(map(str, path)) or '<root>'}': {message}"
+                for path, message in schemas.schema_errors(config, args.schema)[:5]
+            ]
+            if errors:
+                raise ConfigError("; ".join(errors))
         _emit(args, *args.func(args, config))
         return EXIT_OK
     except json.JSONDecodeError as err:
         print(f"input error: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}", file=sys.stderr)
         return EXIT_INPUT
     except InfeasibleCalibrationError as err:
-        print(f"infeasible: {err} (min achieved FWER {err.min_achieved_fwer:.4f})", file=sys.stderr)
+        print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except ArithmeticError as err:
         print(f"numeric failure: {err}", file=sys.stderr)

@@ -92,5 +92,11 @@ def partition_prior(memberships, delta: float) -> np.ndarray:
         raise ShapeError("partition_prior needs a non-empty (partitions, baskets) array")
     # float64 before the log: the log of an int8 array is computed in float16.
     log_k = np.log(labels.max(axis=1).astype(float))
-    logits = delta * log_k
+    with np.errstate(over="ignore"):
+        logits = delta * log_k
+    if not np.isfinite(logits).all():
+        raise DomainError(
+            f"delta = {delta} overflows the partition prior: (number of blocks)**delta "
+            f"is out of float range at B = {labels.shape[1]}"
+        )
     return np.exp(logits - log_sum_exp(logits))

@@ -107,6 +107,9 @@ class BasketData:
             ids = tuple(str(s) for s in basket_ids)
             if len(ids) != len(xs):
                 raise ShapeError("basket_ids length must match x and n")
+            repeated = sorted({s for s in ids if ids.count(s) > 1})
+            if repeated:
+                raise DomainError(f"basket_ids must be distinct, got {repeated} more than once")
         return cls(x=xs, n=ns, basket_ids=ids)
 
     @property

@@ -1,13 +1,24 @@
-"""JSON schemas for run configurations and emitted reports.
+"""JSON schemas for run configurations and emitted reports, and the
+validator that checks a document against them.
 
-Configurations are validated before execution; reports are validated by the
-test suite to keep the output contract stable. Every object, at any depth, is
-closed: it takes only its listed properties, so a typo cannot silently change
-a run, and it requires each of them. A field is made optional by naming it in
-``_object``'s ``optional`` argument.
+Configurations are validated before execution by :func:`schema_errors`;
+reports are validated by the test suite to keep the output contract stable.
+Every object, at any depth, is closed: it takes only its listed properties,
+so a typo cannot silently change a run, and it requires each of them. A field
+is made optional by naming it in ``_object``'s ``optional`` argument.
+
+The schemas are JSON Schema (Draft 2020-12) documents drawn from a closed
+vocabulary: ``type``, ``const``, ``enum``, ``oneOf``, ``minimum``,
+``maximum``, ``exclusiveMinimum``, ``exclusiveMaximum``, ``items``,
+``minItems``, ``required``, ``properties``, ``additionalProperties: false``
+and ``$schema``, which carries no rule. :func:`schema_errors` implements
+exactly these keywords, with Draft 2020-12's rules, and refuses a schema that
+uses any other.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 def _object(properties: dict, optional=()) -> dict:
@@ -26,6 +37,101 @@ def _object(properties: dict, optional=()) -> dict:
 def _document(properties: dict, optional=()) -> dict:
     """A top-level ``_object`` schema, with ``$schema`` as its first keyword."""
     return {"$schema": "https://json-schema.org/draft/2020-12/schema", **_object(properties, optional)}
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    # true is no number, and a float with an integral value is an integer.
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool) or isinstance(v, float) and v.is_integer(),
+}
+
+# keyword: (the comparison that fails a number, its message). NaN fails none.
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of"),
+}
+
+_KEYWORDS = {
+    "$schema", "type", "const", "enum", "oneOf", "items", "minItems", "required", "properties",
+    "additionalProperties", *_BOUNDS,
+}
+
+
+def _check_vocabulary(schema: dict) -> None:
+    """Raise ValueError on a keyword outside the closed vocabulary, at any depth."""
+    bad = set(schema) - _KEYWORDS
+    if schema.get("additionalProperties", False) is not False:
+        bad.add("additionalProperties")
+    kind = schema.get("type", "null")
+    if not isinstance(kind, str) or kind not in _TYPES:
+        bad.add("type")
+    if bad:
+        raise ValueError(f"schema keywords outside the validator's vocabulary: {sorted(bad)}")
+    children = [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]
+    for child in children + ([schema["items"]] if "items" in schema else []):
+        _check_vocabulary(child)
+
+
+def _same(a, b) -> bool:
+    """JSON equality of scalars: true is not 1, but 2.0 is 2."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _errors(instance, schema: dict, path: tuple):
+    """(path, message) for each keyword of ``schema`` that ``instance`` breaks,
+    in keyword order. As in JSON Schema, a keyword applies only to the
+    instance types it speaks of: a bound skips a string, ``items`` a number."""
+    is_number, is_array, is_object = (_TYPES[t](instance) for t in ("number", "array", "object"))
+    for keyword, value in schema.items():
+        if keyword == "type" and not _TYPES[value](instance):
+            yield path, f"{instance!r} is not of type {value!r}"
+        elif keyword == "const" and not _same(instance, value):
+            yield path, f"{value!r} was expected"
+        elif keyword == "enum" and not any(_same(instance, v) for v in value):
+            yield path, f"{instance!r} is not one of {value!r}"
+        elif keyword == "oneOf":
+            matches = sum(not any(_errors(instance, sub, path)) for sub in value)
+            if matches != 1:
+                yield path, f"{instance!r} is valid under {matches} of the given schemas, not exactly one"
+        elif keyword in _BOUNDS and is_number and _BOUNDS[keyword][0](instance, value):
+            yield path, f"{instance!r} is {_BOUNDS[keyword][1]} {value!r}"
+        elif keyword == "items" and is_array:
+            for index, item in enumerate(instance):
+                yield from _errors(item, value, path + (index,))
+        elif keyword == "minItems" and is_array and len(instance) < value:
+            yield path, f"{instance!r} has fewer than {value} items"
+        elif keyword == "required" and is_object:
+            for name in value:
+                if name not in instance:
+                    yield path, f"{name!r} is a required property"
+        elif keyword == "properties" and is_object:
+            for name, sub in value.items():
+                if name in instance:
+                    yield from _errors(instance[name], sub, path + (name,))
+        elif keyword == "additionalProperties" and is_object:
+            extra = [name for name in instance if name not in schema.get("properties", {})]
+            if extra:
+                yield path, f"additional properties are not allowed ({', '.join(map(repr, extra))} unexpected)"
+
+
+def schema_errors(instance, schema: dict) -> list[tuple[tuple, str]]:
+    """Every (path, message) by which a JSON document breaks ``schema``,
+    sorted by path, where a path holds the keys and indices from the root.
+
+    Accepts and refuses what a Draft 2020-12 validator does, at the same
+    paths: NaN passes every bound, so a NaN field reaches the domain checks
+    of the code that reads it. Raises ValueError, before looking at the
+    document, when ``schema`` uses a keyword outside the closed vocabulary.
+    """
+    _check_vocabulary(schema)
+    return sorted(_errors(instance, schema, ()), key=lambda error: error[0])
 
 
 _POSITIVE_INT = {"type": "integer", "minimum": 1}

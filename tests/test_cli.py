@@ -102,6 +102,31 @@ class TestAnalyze:
         assert run(["analyze", "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("delta", [1e308, -1e308])
+    def test_overflowing_delta_exits_2(self, tmp_path, capsys, delta):
+        cfg = write_config(
+            tmp_path, "a.json", {"x": [1] * 9, "n": [4] * 9, "delta": delta, "theta0": 0.15}
+        )
+        assert run(["analyze", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert f"delta = {delta} overflows the partition prior" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_basket_ids_exit_2(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "a.json",
+            {"x": [1, 2], "n": [4, 4], "basket_ids": ["a", "a"], "delta": 0.0, "theta0": 0.15},
+        )
+        assert run(["analyze", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_schema_errors_name_the_first_five_fields_in_path_order(self, tmp_path, capsys):
+        config = {"x": "1", "n": "2", "basket_ids": 3, "delta": "0", "prior": 1, "theta0": None, "typo": 1}
+        cfg = write_config(tmp_path, "a.json", config)
+        assert run(["analyze", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        fields = re.findall(r"field '([^']*)'", capsys.readouterr().err)
+        assert fields == ["<root>", "basket_ids", "delta", "n", "prior"]
+
     @pytest.mark.parametrize("theta0", [0, 1.2])
     def test_theta0_outside_unit_interval_exits_2(self, tmp_path, theta0):
         cfg = write_config(
@@ -675,7 +700,7 @@ class TestCalibrate:
         assert run(["calibrate", "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert not (tmp_path / "out").exists()
 
-    def test_infeasible_exits_1(self, tmp_path):
+    def test_infeasible_exits_1(self, tmp_path, capsys):
         spec = dict(TWO_STAGE_SPEC)
         del spec["lambda"], spec["gamma"]
         config = {
@@ -688,6 +713,8 @@ class TestCalibrate:
         }
         cfg = write_config(tmp_path, "c.json", config)
         assert run(["calibrate", "--config", cfg, "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.count("minimum achieved") == err.count("achieved") == 1
 
     def test_fixed_design_calibration(self, tmp_path):
         config = {

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -133,6 +134,18 @@ class TestPrior:
             partition_prior(enumerate_partitions(3), delta)
         with pytest.raises(DomainError, match="delta"):
             BatchPosterior([1] * 3, delta)
+
+    @pytest.mark.parametrize("delta", [1e308, -1e308])
+    @pytest.mark.parametrize("baskets", [9, 10])
+    def test_overflowing_delta_rejected(self, delta, baskets):
+        # delta * log(B) is past the float range although delta is finite.
+        with pytest.raises(DomainError, match=re.escape(f"delta = {delta} ") + f".*B = {baskets}"):
+            partition_prior(enumerate_partitions(baskets), delta)
+
+    def test_largest_delta_before_overflow(self):
+        # 1e308 * log(4) is finite: the prior is all on the four singletons.
+        weights = partition_prior(enumerate_partitions(4), 1e308)
+        assert weights[-1] == 1.0 and weights[:-1].sum() == 0.0
 
 
 class TestPartitionSet:

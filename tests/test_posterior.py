@@ -690,6 +690,10 @@ class TestDefaultIds:
         assert ids[26:] == ("B27", "B28")
         assert BasketData.create([0] * 28, [1] * 28).basket_ids == ids
 
+    def test_repeated_ids_rejected(self):
+        with pytest.raises(DomainError, match="'a'"):
+            BasketData.create([0, 1, 2], [2, 2, 2], ["a", "b", "a"])
+
 
 class TestAnalyze:
     def test_bundles_everything(self):
