@@ -15,6 +15,9 @@ config)`` and writes the (json_name, payload, tables) it returns. A table is
 table's JSON objects, one {column: cell} per row without its None cells,
 are built only when the JSON report is written.
 
+monitor applies one look: stage 1 is a two-stage design's interim look, and
+stage 2 its final look or a single-stage design's one look.
+
 Exit codes: 0 success, 1 infeasible calibration, 2 input error, 3 internal
 numeric failure.
 """
@@ -204,19 +207,18 @@ def cmd_analyze(args, config):
 def cmd_monitor(args, config):
     spec = _build_spec(config["spec"])
     stage = as_int(config["stage"], "stage")
-    active = tuple(config.get("active", [True] * spec.num_baskets))
-    state = TrialState(
+    active = config.get("active", [True] * spec.num_baskets)
+    look = TrialState(
         stage=stage,
-        active=active,
         data=BasketData.create(config["x"], config["n"]),
         decisions=tuple(Decision.PENDING if a else Decision.FUTILITY_STOPPED for a in active),
     )
-    state = (interim_step if stage == STAGE_INTERIM else final_step)(state, spec)
+    state = (interim_step if stage == STAGE_INTERIM else final_step)(look, spec)
     boundary = spec.boundary()
     result = state.analysis  # the step's own: all baskets, then the survivors
     pp = result.partition_posterior
     top = enumerate_partitions(result.data.num_baskets)[[pp.top_index]]
-    analyzed = [b for b, keep in enumerate(active) if keep]
+    analyzed = [b for b, keep in enumerate(look.active) if keep]
     looked = dict(zip(analyzed, zip(result.prob_exceeds, result.ess)))
     data = state.data
     header = ["id", "x", "n", "prob_exceeds", "ess", "decision"]

@@ -9,10 +9,11 @@ exceeds q2.
 
 A single trial's look is one checked step behind :func:`interim_step`,
 :func:`final_step` and :func:`run_single_stage` (a single-stage design's only
-look is its final look): it refuses a state that does not match the plan (a
-design with another stage count, a stopped basket at the interim, no active
-basket at the final look, a basket off its planned size, a basket count other
-than the design's), then makes one
+look is its final look, stage 2). A trial's baskets are active while their
+decisions are PENDING. The step refuses a state that does not match the plan
+(an interim look on a single-stage design, a stopped basket at the interim or
+in a single-stage design, no active basket, a basket off its planned size, a
+basket count other than the design's), then makes one
 :func:`~localmem.posterior.analyze` call over the active baskets and applies
 the stage's cutoff. Simulated batches go through :func:`survivor_exceedance`,
 which analyzes each distinct (survivor set, survivor counts) row once: with
@@ -181,25 +182,28 @@ class DesignSpec:
 class TrialState:
     """Snapshot of one trial between analyses.
 
-    Stopped baskets never re-enter; their decisions are frozen at the stage
-    where the rule fired. A step's returned state carries the step's analysis
-    (all baskets at the interim, the survivors at the final look).
+    The active baskets are the ones still PENDING (:attr:`active`): a stopped
+    basket is one whose decision says so, frozen at the stage where the rule
+    fired, and it never re-enters. A step's returned state carries the step's
+    analysis (all baskets at the interim, the survivors at the final look).
     """
 
     stage: int
-    active: tuple[bool, ...]
     data: BasketData
     decisions: tuple[Decision, ...]
     analysis: AnalysisResult | None = field(default=None, compare=False, repr=False)
 
+    @property
+    def active(self) -> tuple[bool, ...]:
+        """One flag per basket: its decision is still PENDING."""
+        return tuple(d is Decision.PENDING for d in self.decisions)
+
     @classmethod
     def at_interim(cls, x: Sequence[int], spec: DesignSpec) -> "TrialState":
-        data = BasketData.create(x, spec.stage1_sizes())
         return cls(
             stage=STAGE_INTERIM,
-            active=tuple(True for _ in range(spec.num_baskets)),
-            data=data,
-            decisions=tuple(Decision.PENDING for _ in range(spec.num_baskets)),
+            data=BasketData.create(x, spec.stage1_sizes()),
+            decisions=(Decision.PENDING,) * spec.num_baskets,
         )
 
     def with_final_data(self, x_total: Sequence[int], spec: DesignSpec) -> "TrialState":
@@ -211,12 +215,10 @@ class TrialState:
         xs = tuple(as_int(v, "x_total") for v in x_total)
         if len(xs) != spec.num_baskets:
             raise ShapeError(f"x_total must have {spec.num_baskets} entries, got {len(xs)}")
-        x = tuple(
-            xs[b] if self.active[b] else self.data.x[b] for b in range(spec.num_baskets)
-        )
+        active = self.active
+        x = tuple(xs[b] if active[b] else self.data.x[b] for b in range(spec.num_baskets))
         n = tuple(
-            spec.max_sizes[b] if self.active[b] else self.data.n[b]
-            for b in range(spec.num_baskets)
+            spec.max_sizes[b] if active[b] else self.data.n[b] for b in range(spec.num_baskets)
         )
         return replace(self, data=BasketData.create(x, n, self.data.basket_ids), analysis=None)
 
@@ -263,34 +265,36 @@ def survivor_exceedance(spec: DesignSpec, x, survivors, sizes: Sequence[int]) ->
     return out[inverse]
 
 
-def _step(state: TrialState, spec: DesignSpec, stage: int, stages: int) -> TrialState:
+def _step(state: TrialState, spec: DesignSpec, stage: int) -> TrialState:
     """One look of a trial: the only code that checks and applies it.
 
-    The design must have the given number of stages. The state must match
-    the plan: every basket active at the interim and at least one at the
-    final look; every basket at its interim size, except an active basket at
-    the final look, which is at its maximum. The look analyzes the active
-    baskets only and compares their exceedance probabilities with q1 at the
-    interim (PENDING or FUTILITY_STOPPED) and q2 at the final look
-    (EFFICACIOUS or NOT_PROMISING). Baskets left out keep FUTILITY_STOPPED,
-    and the baskets still PENDING are the next state's active set.
+    The interim look needs a two-stage design and every basket active; the
+    final look serves either design (a single-stage design's stage-1 sizes
+    are its maximum sizes) and needs every basket active in a single-stage
+    design, at least one in a two-stage design. Every basket is at its
+    interim size, except an active basket at the final look, at its maximum.
+    The look analyzes the PENDING baskets only and compares their exceedance
+    probabilities with q1 at the interim (PENDING or FUTILITY_STOPPED) and q2
+    at the final look (EFFICACIOUS or NOT_PROMISING); the other baskets keep
+    their decisions.
     """
-    if spec.stages != stages:
-        raise DomainError(f"this look needs a {stages}-stage design, got a {spec.stages}-stage design")
     if state.stage != stage:
         raise DomainError(f"the stage-{stage} look needs a stage-{stage} state, got stage {state.stage}")
-    if len(state.active) != spec.num_baskets or state.data.num_baskets != spec.num_baskets:
+    if stage == STAGE_INTERIM and spec.stages != 2:
+        raise DomainError("a single-stage design has no interim look; its one look is stage 2")
+    if len(state.decisions) != spec.num_baskets or state.data.num_baskets != spec.num_baskets:
         raise ShapeError(
-            f"active and the data must cover {spec.num_baskets} baskets, "
-            f"got {len(state.active)} and {state.data.num_baskets}"
+            f"the decisions and the data must cover {spec.num_baskets} baskets, "
+            f"got {len(state.decisions)} and {state.data.num_baskets}"
         )
-    if stage == STAGE_INTERIM and not all(state.active):
-        raise DomainError("every basket must be active at the interim look")
-    if not any(state.active):
+    active = state.active
+    look = "interim" if stage == STAGE_INTERIM else "final"
+    if (stage == STAGE_INTERIM or spec.stages == 1) and not all(active):
+        raise DomainError(f"a {spec.stages}-stage design's {look} look needs every basket active")
+    if not any(active):
         raise DomainError("stage 2 needs at least one active basket")
     n1 = spec.stage1_sizes()
-    look = "interim" if stage == STAGE_INTERIM else "final"
-    for b, keep in enumerate(state.active):
+    for b, keep in enumerate(active):
         full = keep and stage == STAGE_FINAL
         size = spec.max_sizes[b] if full else n1[b]
         if state.data.n[b] != size:
@@ -303,22 +307,20 @@ def _step(state: TrialState, spec: DesignSpec, stage: int, stages: int) -> Trial
                 f"size {size}{note}"
             )
     # One analysis of the active baskets, with partitions enumerated over them.
-    baskets = [b for b, keep in enumerate(state.active) if keep]
+    baskets = [b for b, keep in enumerate(active) if keep]
     data = state.data
     sub = BasketData.create(*([v[b] for b in baskets] for v in (data.x, data.n, data.basket_ids)))
     theta0 = [spec.theta0[b] for b in baskets]
     result = analyze(sub, delta=spec.delta, prior=spec.prior, theta0=theta0)
     boundary = spec.boundary()
-    decisions = [Decision.FUTILITY_STOPPED] * spec.num_baskets
+    decisions = list(state.decisions)
     for b, p in zip(baskets, result.prob_exceeds):
         if stage == STAGE_INTERIM:
             decisions[b] = Decision.PENDING if p > boundary.q1 else Decision.FUTILITY_STOPPED
         else:
             decisions[b] = Decision.EFFICACIOUS if p > boundary.q2 else Decision.NOT_PROMISING
-    active = tuple(d is Decision.PENDING for d in decisions)
     return TrialState(
-        stage=STAGE_FINAL if any(active) else STAGE_DONE,
-        active=active,
+        stage=STAGE_FINAL if Decision.PENDING in decisions else STAGE_DONE,
         data=state.data,
         decisions=tuple(decisions),
         analysis=result,
@@ -326,29 +328,27 @@ def _step(state: TrialState, spec: DesignSpec, stage: int, stages: int) -> Trial
 
 
 def interim_step(state: TrialState, spec: DesignSpec) -> TrialState:
-    """Apply the stage-I futility rule to interim data on all baskets."""
-    return _step(state, spec, STAGE_INTERIM, 2)
+    """Apply the stage-I futility rule to a two-stage design's interim data."""
+    return _step(state, spec, STAGE_INTERIM)
 
 
 def final_step(state: TrialState, spec: DesignSpec) -> TrialState:
     """Apply the stage-II efficacy rule over the surviving baskets only.
 
     Partitions are re-enumerated over the survivors, so data from baskets
-    stopped at the interim are fully excluded from borrowing.
+    stopped at the interim are fully excluded from borrowing. It is also a
+    single-stage design's one look, with every basket active.
     """
-    return _step(state, spec, STAGE_FINAL, 2)
+    return _step(state, spec, STAGE_FINAL)
 
 
 def run_single_stage(data: BasketData, spec: DesignSpec) -> tuple[Decision, ...]:
     """The one look of a single-stage design: every basket at its maximum
-    size against q2, checked and applied as a two-stage trial's final look."""
-    state = TrialState(
-        stage=STAGE_FINAL,
-        active=(True,) * data.num_baskets,
-        data=data,
-        decisions=(Decision.PENDING,) * data.num_baskets,
-    )
-    return _step(state, spec, STAGE_FINAL, 1).decisions
+    size against q2: :func:`final_step` on a state with every basket PENDING."""
+    if spec.stages != 1:
+        raise DomainError(f"run_single_stage needs a single-stage design, got {spec.stages} stages")
+    state = TrialState(STAGE_FINAL, data, (Decision.PENDING,) * data.num_baskets)
+    return final_step(state, spec).decisions
 
 
 def run_two_stage(

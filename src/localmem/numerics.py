@@ -651,8 +651,5 @@ def binomial_draws(seed: int, keys, n, p) -> np.ndarray:
     # a NaN p makes both reductions NaN, so it fails the check
     if not (p.min(initial=0.0) >= 0.0 and p.max(initial=1.0) <= 1.0):
         raise DomainError("binomial_draws requires p in [0, 1]")
-
-    if not ((n > 0) & (p > 0.0) & (p < 1.0)).any():
-        return np.where(p == 1.0, n, 0).astype(np.int64)  # nothing to draw, no stream seeded
     # Each stream's limbs are derived once and read by every row of p.
     return _binomial_from_limbs(_pcg64_limbs(_seed_words(seed, keys)), n.astype(np.int64), p)

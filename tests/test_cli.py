@@ -8,8 +8,9 @@ import pytest
 
 from localmem import cli, schemas
 from localmem.cli import main
+from localmem.design import run_single_stage
 from localmem.errors import ConvergenceError
-from localmem.posterior import BatchPosterior
+from localmem.posterior import BasketData, BatchPosterior
 
 import pins
 
@@ -24,6 +25,7 @@ TWO_STAGE_SPEC = {
     "stages": 2,
     "interim_sizes": 10,
 }
+SINGLE_STAGE_SPEC = {k: v for k, v in TWO_STAGE_SPEC.items() if k != "interim_sizes"} | {"stages": 1}
 
 
 def write_config(tmp_path, name, payload):
@@ -289,6 +291,26 @@ class TestMonitor:
     def test_bad_look_exits_2_and_writes_nothing(self, tmp_path, look):
         cfg = write_config(tmp_path, "m.json", {"spec": TWO_STAGE_SPEC, **look})
         assert run(["monitor", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_single_stage_look_is_stage_2(self, tmp_path):
+        spec, x = SINGLE_STAGE_SPEC, [2, 3, 8, 12]
+        cfg = write_config(tmp_path, "m.json", {"spec": spec, "stage": 2, "x": x, "n": [16] * 4})
+        assert run(["monitor", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        report = json.loads((tmp_path / "out" / "monitor.json").read_text())
+        jsonschema.validate(report, schemas.MONITOR_REPORT)
+        assert report["boundary"]["applied"] == "q2"
+        decisions = run_single_stage(BasketData.create(x, [16] * 4), cli._build_spec(spec))
+        want = [d.value for d in decisions]
+        assert [b["decision"] for b in report["baskets"]] == want
+        lines = (tmp_path / "out" / "monitor.csv").read_text().splitlines()
+        assert [row["decision"] for row in csv.DictReader(lines[1:])] == want
+
+    def test_single_stage_spec_at_stage_1_exits_2(self, tmp_path, capsys):
+        look = {"spec": SINGLE_STAGE_SPEC, "stage": 1, "x": [0, 3, 1, 8], "n": [16] * 4}
+        cfg = write_config(tmp_path, "m.json", look)
+        assert run(["monitor", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "stage 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_wrong_interim_sizes_exit_2(self, tmp_path):

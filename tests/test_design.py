@@ -11,6 +11,7 @@ from localmem.design import (
     DesignSpec,
     STAGE_DONE,
     STAGE_FINAL,
+    STAGE_INTERIM,
     TrialState,
     final_step,
     interim_step,
@@ -196,7 +197,6 @@ class TestInterimStep:
         spec = paper_two_stage()
         state = TrialState(
             stage=1,
-            active=(True,) * 4,
             data=BasketData.create([0, 0, 0, 0], [9, 10, 10, 10]),
             decisions=(Decision.PENDING,) * 4,
         )
@@ -206,9 +206,8 @@ class TestInterimStep:
     def test_stopped_basket_is_refused(self):
         # A basket stopped before the interim look cannot be re-activated by it.
         spec = paper_two_stage()
-        state = replace(
-            TrialState.at_interim([0, 3, 1, 8], spec), active=(True, False, True, True)
-        )
+        stopped = (Decision.PENDING, Decision.FUTILITY_STOPPED, Decision.PENDING, Decision.PENDING)
+        state = replace(TrialState.at_interim([0, 3, 1, 8], spec), decisions=stopped)
         with pytest.raises(DomainError):
             interim_step(state, spec)
 
@@ -221,7 +220,6 @@ class TestInterimStep:
             interim_step(TrialState.at_interim([0, 3, 1], three), spec)
         final = TrialState(
             stage=STAGE_FINAL,
-            active=(True,) * 3,
             data=BasketData.create([9, 8, 9], [16, 16, 16]),
             decisions=(Decision.PENDING,) * 3,
         )
@@ -286,12 +284,42 @@ class TestFinalStep:
         spec = paper_two_stage()
         state = TrialState(
             stage=STAGE_FINAL,
-            active=(False,) * 4,
             data=BasketData.create([0, 0, 0, 0], [10, 10, 10, 10]),
             decisions=(Decision.FUTILITY_STOPPED,) * 4,
         )
         with pytest.raises(DomainError):
             final_step(state, spec)
+
+    def test_stopped_decision_keeps_the_basket_out(self):
+        # The decisions alone say which baskets are stopped: a FUTILITY_STOPPED
+        # basket keeps its decision and interim counts and is not analyzed.
+        spec = paper_two_stage()
+        stopped = (Decision.FUTILITY_STOPPED,) + (Decision.PENDING,) * 3
+        data = BasketData.create([10, 9, 8, 9], [10, 16, 16, 16])
+        state = TrialState(STAGE_FINAL, data, stopped)
+        done = final_step(state, spec)
+        assert done.decisions[0] is Decision.FUTILITY_STOPPED
+        assert (done.data.x[0], done.data.n[0]) == (10, 10)
+        assert done.analysis.data.basket_ids == ("B", "C", "D")
+        # At its maximum size it is refused, not re-analyzed.
+        with pytest.raises(ShapeError):
+            final_step(replace(state, data=BasketData.create([16, 9, 8, 9], [16] * 4)), spec)
+
+    def test_active_is_the_pending_flags(self):
+        spec = paper_two_stage()
+        single = DesignSpec.create(4, 19, 0.15, 0.45, lam=0.977, delta=2.0, stages=1)
+        for x1, x_total in (([0, 7, 6, 7], [0, 9, 8, 9]), ([0] * 4, [0] * 4), ([9] * 4, [16] * 4)):
+            state = TrialState.at_interim(x1, spec)
+            states = [state, interim_step(state, spec)]
+            if states[-1].stage == STAGE_FINAL:
+                states.append(final_step(states[-1].with_final_data(x_total, spec), spec))
+            data = BasketData.create(x_total, [19] * 4)
+            one = TrialState(STAGE_FINAL, data, (Decision.PENDING,) * 4)
+            states += [one, final_step(one, single)]
+            for st in states:
+                assert st.active == tuple(d is Decision.PENDING for d in st.decisions)
+        with pytest.raises(TypeError):
+            TrialState(STAGE_FINAL, state.data, state.decisions, active=(True,) * 4)
 
 
 class TestRunSingleStage:
@@ -327,12 +355,29 @@ class TestRunSingleStage:
             run_single_stage(BasketData.create([0] * 3, [19] * 3), spec)
         final = TrialState(
             stage=STAGE_FINAL,
-            active=(True,) * 4,
             data=BasketData.create([0] * 4, [19] * 4),
             decisions=(Decision.PENDING,) * 4,
         )
+        assert final_step(final, spec).decisions == run_single_stage(final.data, spec)
+
+
+    @pytest.mark.parametrize("x", [[2, 3, 8, 9], [0, 19, 7, 12], [6, 6, 6, 6]])
+    def test_final_step_is_its_one_look(self, x):
+        spec = self.spec19()
+        data = BasketData.create(x, [19] * 4)
+        done = final_step(TrialState(STAGE_FINAL, data, (Decision.PENDING,) * 4), spec)
+        assert done.decisions == run_single_stage(data, spec)
+        assert done.stage == STAGE_DONE and done.analysis.data.basket_ids == data.basket_ids
+
+    def test_every_basket_is_looked_at_once(self):
+        # A single-stage design stops no basket early and has no interim look.
+        spec = self.spec19()
+        data = BasketData.create([0, 3, 1, 8], [19] * 4)
+        stopped = (Decision.FUTILITY_STOPPED,) + (Decision.PENDING,) * 3
         with pytest.raises(DomainError):
-            final_step(final, spec)
+            final_step(TrialState(STAGE_FINAL, data, stopped), spec)
+        with pytest.raises(DomainError, match="stage 2"):
+            interim_step(TrialState(STAGE_INTERIM, data, (Decision.PENDING,) * 4), spec)
 
 
 class TestOneRowEqualsBatch:

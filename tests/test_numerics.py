@@ -305,6 +305,24 @@ class TestRngStream:
         draws = binomial_draws(1, np.zeros((0, 3), dtype=np.int64), [], [])
         assert draws.dtype == np.int64 and draws.shape == (0,)
 
+    @pytest.mark.parametrize(
+        "n, p",
+        [
+            ([0, 10, 10, 7], [0.45, 0.0, 1.0, 0.0]),
+            ([3, 0, 12], [[1.0, 0.3, 0.0], [0.0, 1.0, 1.0]]),
+            ([], []),
+            ([], np.zeros((2, 0))),
+            ([4, 5], np.zeros((0, 2))),
+        ],
+    )
+    def test_nothing_to_draw(self, n, p):
+        # Every cell has n == 0, p == 0 or p == 1, so its value needs no draw.
+        keys = np.arange(3 * len(n)).reshape(len(n), 3)
+        draws = binomial_draws(1, keys, n, p)
+        want = np.where(np.asarray(p) == 1.0, n, 0).astype(np.int64)
+        assert draws.dtype == want.dtype and draws.shape == want.shape
+        assert draws.tolist() == want.tolist()
+
     def test_key_of_two_words_is_refused(self):
         # SeedSequence hashes a key >= 2^32 as two words; refuse it rather
         # than return a different stream, before any row is drawn.
