@@ -11,15 +11,15 @@ A single trial's look is one checked step behind :func:`interim_step`,
 :func:`final_step` and :func:`run_single_stage` (a single-stage design's only
 look is its final look, stage 2). A trial's baskets are active while their
 decisions are PENDING. The step refuses a state that does not match the plan
-(an interim look on a single-stage design, a stopped basket at the interim or
-in a single-stage design, no active basket, a basket off its planned size, a
-basket count other than the design's), then makes one
-:func:`~localmem.posterior.analyze` call over the active baskets and applies
-the stage's cutoff. Simulated batches go through :func:`survivor_exceedance`,
-which analyzes each distinct (survivor set, survivor counts) row once: with
-few baskets and small cohorts most simulated trials repeat another's counts.
-Both reach the same engine, borrowing step and incomplete beta, so the two
-agree bit for bit.
+(an interim look on a single-stage design, a basket already decided, a
+stopped basket at the interim or in a single-stage design, no active basket,
+a basket off its planned size, a basket count other than the design's), then
+makes one :func:`~localmem.posterior.analyze` call over the active baskets
+and applies the stage's cutoff. Simulated batches go through
+:func:`survivor_exceedance`, which analyzes each distinct (survivor set,
+survivor counts) row once: with few baskets and small cohorts most simulated
+trials repeat another's counts. Both reach the same engine, borrowing step
+and incomplete beta, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -184,14 +184,21 @@ class TrialState:
 
     The active baskets are the ones still PENDING (:attr:`active`): a stopped
     basket is one whose decision says so, frozen at the stage where the rule
-    fired, and it never re-enters. A step's returned state carries the step's
-    analysis (all baskets at the interim, the survivors at the final look).
+    fired, and it never re-enters. Decisions are held as Decision members
+    ("pending" becomes Decision.PENDING). A step's returned state carries the
+    step's analysis (all baskets at the interim, the survivors at the final look).
     """
 
     stage: int
     data: BasketData
     decisions: tuple[Decision, ...]
     analysis: AnalysisResult | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "decisions", tuple(map(Decision, self.decisions)))
+        except ValueError as err:
+            raise DomainError(f"decisions {self.decisions!r}: {err}") from None
 
     @property
     def active(self) -> tuple[bool, ...]:
@@ -271,12 +278,12 @@ def _step(state: TrialState, spec: DesignSpec, stage: int) -> TrialState:
     The interim look needs a two-stage design and every basket active; the
     final look serves either design (a single-stage design's stage-1 sizes
     are its maximum sizes) and needs every basket active in a single-stage
-    design, at least one in a two-stage design. Every basket is at its
-    interim size, except an active basket at the final look, at its maximum.
-    The look analyzes the PENDING baskets only and compares their exceedance
-    probabilities with q1 at the interim (PENDING or FUTILITY_STOPPED) and q2
-    at the final look (EFFICACIOUS or NOT_PROMISING); the other baskets keep
-    their decisions.
+    design, at least one in a two-stage design. A basket enters a look
+    PENDING or FUTILITY_STOPPED. Every basket is at its interim size, except
+    an active basket at the final look, at its maximum. The look analyzes the
+    PENDING baskets only and compares their exceedance probabilities with q1
+    at the interim (PENDING or FUTILITY_STOPPED) and q2 at the final look
+    (EFFICACIOUS or NOT_PROMISING); the other baskets keep their decisions.
     """
     if state.stage != stage:
         raise DomainError(f"the stage-{stage} look needs a stage-{stage} state, got stage {state.stage}")
@@ -287,8 +294,11 @@ def _step(state: TrialState, spec: DesignSpec, stage: int) -> TrialState:
             f"the decisions and the data must cover {spec.num_baskets} baskets, "
             f"got {len(state.decisions)} and {state.data.num_baskets}"
         )
-    active = state.active
     look = "interim" if stage == STAGE_INTERIM else "final"
+    for b, d in enumerate(state.decisions):
+        if d not in (Decision.PENDING, Decision.FUTILITY_STOPPED):
+            raise DomainError(f"basket {b} is {d.value} before the {look} look, which takes only pending or stopped")
+    active = state.active
     if (stage == STAGE_INTERIM or spec.stages == 1) and not all(active):
         raise DomainError(f"a {spec.stages}-stage design's {look} look needs every basket active")
     if not any(active):

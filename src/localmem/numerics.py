@@ -4,9 +4,9 @@ Everything here is evaluated on the natural-log scale where underflow is a
 risk. All functions are pure and accept either Python scalars or numpy
 arrays; scalar inputs yield scalar outputs.
 
-The incomplete beta's continued fraction (_betacf) iterates in place on a
-few reused buffers and freezes each element as it converges, so an element's
-value never depends on what else shares the call.
+The incomplete beta's continued fraction (_betacf) runs the modified-Lentz
+recurrence on whole arrays and freezes each element as it converges, so an
+element's value never depends on what else shares the call.
 
 Random draws come from one stream per key, such as (trial, basket, stage):
 the stream of key k under a master seed is numpy's
@@ -172,13 +172,13 @@ def log_beta(a, b):
 def _betacf(a, b, x):
     """Continued fraction for the incomplete beta (modified Lentz).
 
-    Element-wise on arrays; each element's value is frozen the moment it
-    converges, so results do not depend on what else shares the batch.
-    Raises ConvergenceError if any element is still moving after
-    _BETACF_MAX_ITER iterations. Each iteration is two half-steps that work
-    in place on a few reused buffers, making the IEEE operations of
-    Numerical Recipes' betacf in its order, so every value is the one that
-    recurrence gives on whole-array temporaries.
+    Element-wise on arrays, as the recurrence of Numerical Recipes' betacf
+    on whole-array temporaries: each iteration is its two half-steps, with
+    np.where raising d and c to _FPMIN and keeping h fixed where an element
+    has converged, so an element's value is frozen the moment it converges
+    and never depends on what else shares the call. Returns the fraction and
+    the mask of elements that converged within _BETACF_MAX_ITER iterations;
+    the fraction is not final where that mask is False.
     """
     qab = a + b
     qap = a + 1.0
@@ -187,53 +187,29 @@ def _betacf(a, b, x):
     d = 1.0 - qab * x / qap
     d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
     d = 1.0 / d
-    h = d.copy()
-    aa, den, term = (np.empty_like(x) for _ in range(3))
-    tiny = np.empty(x.shape, dtype=bool)
+    h = d
     converged = np.zeros(x.shape, dtype=bool)
-    moving = np.ones(x.shape, dtype=bool)
     for m in range(1, _BETACF_MAX_ITER + 1):
         m2 = 2.0 * m
-        for odd in (False, True):
-            if odd:
-                # aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-                np.negative(np.add(a, m, out=aa), out=aa)
-                aa *= np.add(qab, m, out=term)
-                aa *= x
-                np.add(a, m2, out=den)
-                den *= np.add(qap, m2, out=term)
-            else:
-                # aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-                np.multiply(np.subtract(b, m, out=aa), m, out=aa)
-                aa *= x
-                np.add(qam, m2, out=den)
-                den *= np.add(a, m2, out=term)
-            aa /= den
-            # d = 1 / (1 + aa * d) and c = 1 + aa / c, each raised to
-            # _FPMIN where smaller in magnitude before d is inverted
-            np.add(np.multiply(aa, d, out=d), 1.0, out=d)
-            np.copyto(d, _FPMIN, where=np.less(np.abs(d, out=term), _FPMIN, out=tiny))
-            np.add(np.divide(aa, c, out=c), 1.0, out=c)
-            np.copyto(c, _FPMIN, where=np.less(np.abs(c, out=term), _FPMIN, out=tiny))
-            np.divide(1.0, d, out=d)
-            # h *= d * c where still moving, as (h * d) * c in the first
-            # half-step and h * (d * c) in the second
-            if odd:
-                delt = np.multiply(d, c, out=den)
-                np.multiply(h, delt, out=term)
-            else:
-                np.multiply(np.multiply(h, d, out=term), c, out=term)
-            np.copyto(h, term, where=moving)
-        np.abs(np.subtract(delt, 1.0, out=delt), out=delt)
-        converged |= np.less(delt, _BETACF_TOL, out=tiny)
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
+        c = 1.0 + aa / c
+        c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
+        d = 1.0 / d
+        h = np.where(converged, h, h * d * c)
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
+        c = 1.0 + aa / c
+        c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
+        d = 1.0 / d
+        delt = d * c
+        h = np.where(converged, h, h * delt)
+        converged |= np.abs(delt - 1.0) < _BETACF_TOL
         if converged.all():
-            return h
-        np.logical_not(converged, out=moving)
-    bad = np.flatnonzero(~converged)[0]
-    raise ConvergenceError(
-        f"incomplete beta continued fraction did not converge in {_BETACF_MAX_ITER} "
-        f"iterations at a={float(a[bad])}, b={float(b[bad])}, x={float(x[bad])}"
-    )
+            break
+    return h, converged
 
 
 def reg_inc_beta(x, a, b):
@@ -241,8 +217,9 @@ def reg_inc_beta(x, a, b):
 
     Continued-fraction evaluation; switches to 1 - I_{1-x}(b, a) when
     x > (a + 1)/(a + b + 2) where the direct fraction converges slowly.
-    Raises ConvergenceError where a swapped x is too small for 1 - x to
-    differ from 1.
+    Raises ConvergenceError, naming the caller's x, a and b, where the
+    fraction does not converge in _BETACF_MAX_ITER iterations or a swapped x
+    is too small for 1 - x to differ from 1.
     """
     scalar = np.isscalar(x) and np.isscalar(a) and np.isscalar(b)
     xx = _as_float_array(x, "x")
@@ -273,8 +250,15 @@ def reg_inc_beta(x, a, b):
     val = np.zeros_like(tx)
     if np.any(interior):
         ai, bi, ti = ax[interior], bx[interior], tx[interior]
+        frac, converged = _betacf(ai, bi, ti)
+        if not converged.all():
+            i = np.flatnonzero(interior)[np.flatnonzero(~converged)[0]]
+            raise ConvergenceError(
+                f"incomplete beta continued fraction did not converge in {_BETACF_MAX_ITER} "
+                f"iterations at x={float(xx[i])!r}, a={float(aa[i])!r}, b={float(bb[i])!r}"
+            )
         log_front = ai * np.log(ti) + bi * np.log1p(-ti) - log_beta(ai, bi)
-        val[interior] = np.exp(log_front) * _betacf(ai, bi, ti) / ai
+        val[interior] = np.exp(log_front) * frac / ai
     out = np.where(swap, 1.0 - val, val)
     out = np.clip(out, 0.0, 1.0)
     return _maybe_scalar(out[0] if scalar else out.reshape(shape), scalar)

@@ -211,6 +211,20 @@ class TestInterimStep:
         with pytest.raises(DomainError):
             interim_step(state, spec)
 
+    def test_decisions_given_as_values_are_decisions(self):
+        # "pending" equals Decision.PENDING but is not it: the state holds
+        # Decision members, so plain strings mark their baskets active.
+        spec = paper_two_stage()
+        data = BasketData.create([0, 7, 6, 7], [10] * 4)
+        state = TrialState(STAGE_INTERIM, data, ("pending",) * 4)
+        assert state.decisions == (Decision.PENDING,) * 4
+        assert state.active == (True,) * 4
+        assert interim_step(state, spec) == interim_step(TrialState.at_interim([0, 7, 6, 7], spec), spec)
+        stopped = TrialState(STAGE_FINAL, data, ("futility-stopped", "pending", "pending", "pending"))
+        assert stopped.decisions[0] is Decision.FUTILITY_STOPPED
+        with pytest.raises(DomainError, match="stopped"):
+            TrialState(STAGE_INTERIM, data, ("pending", "stopped", "pending", "pending"))
+
     def test_basket_count_must_match_design(self):
         spec = paper_two_stage()
         three = DesignSpec.create(
@@ -304,6 +318,19 @@ class TestFinalStep:
         # At its maximum size it is refused, not re-analyzed.
         with pytest.raises(ShapeError):
             final_step(replace(state, data=BasketData.create([16, 9, 8, 9], [16] * 4)), spec)
+
+    @pytest.mark.parametrize("decided", [Decision.EFFICACIOUS, Decision.NOT_PROMISING, Decision.CONTINUE])
+    def test_a_final_decision_is_refused_not_kept(self, decided):
+        # Only PENDING and FUTILITY_STOPPED baskets enter a look; a basket
+        # already decided at its interim size is refused, not passed through.
+        spec = paper_two_stage()
+        data = BasketData.create([5, 1, 8, 12], [10, 16, 16, 16])
+        state = TrialState(STAGE_FINAL, data, (decided,) + (Decision.PENDING,) * 3)
+        with pytest.raises(DomainError, match=f"basket 0 is {decided.value} before the final look"):
+            final_step(state, spec)
+        interim = TrialState(STAGE_INTERIM, BasketData.create([5, 1, 8, 9], [10] * 4), state.decisions)
+        with pytest.raises(DomainError, match=f"basket 0 is {decided.value} before the interim look"):
+            interim_step(interim, spec)
 
     def test_active_is_the_pending_flags(self):
         spec = paper_two_stage()

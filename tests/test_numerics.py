@@ -149,9 +149,12 @@ class TestRegIncBeta:
 
     def test_non_convergence_raises(self):
         # Shapes near 1e6 need more continued-fraction terms than the budget.
-        with pytest.raises(ConvergenceError):
+        # x = 0.5 lies above (a + 1) / (a + b + 2), so the fraction runs on
+        # (b, a, 1 - x); the message still names the caller's x, a and b.
+        message = r"at x=0\.5, a=1000000\.0, b=1000100\.0$"
+        with pytest.raises(ConvergenceError, match=message):
             reg_inc_beta(0.5, 1e6, 1.0001e6)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match=message):
             reg_inc_beta(np.array([0.3, 0.5]), np.array([2.0, 1e6]), np.array([3.0, 1.0001e6]))
 
     def test_x_lost_in_one_minus_x_raises(self):
@@ -166,8 +169,8 @@ class TestRegIncBeta:
 
     def test_grid_is_pinned(self):
         # Every value over a fixed (x, a, b) grid, edges and swapped x
-        # included, recorded before _betacf was rewritten to work in place:
-        # any change to an operation or its order moves this digest.
+        # included, as the whole-array modified-Lentz recurrence gives its
+        # bits: any change to an operation or its order moves this digest.
         xs = np.concatenate(([0.0, 1e-12, 1e-3], np.linspace(0.01, 0.99, 33), [0.999, 1.0]))
         shapes = np.array([0.05, 0.5, 1.0, 1.5, 3.0, 7.25, 16.0, 40.5, 150.0])
         x, a, b = (v.ravel() for v in np.meshgrid(xs, shapes, shapes, indexing="ij"))
@@ -176,6 +179,20 @@ class TestRegIncBeta:
             pins.AVX512: "256fadd8494b362959f3c38cdf634b4058708841b757d78dfe978ddc7d80c36a",
             pins.AVX2: "0e3ef485c504cd7a72b08aa7597e535cc2cbb7531893d5f6953c49c55a6ac597",
         })
+
+    def test_agrees_with_scipy_betainc(self):
+        # An independent implementation, within 1e-12, on the pinned grid and
+        # on paper-like triples: a and b are one plus a count out of 160, x a
+        # null rate.
+        from scipy.special import betainc
+
+        xs = np.concatenate(([0.0, 1e-12, 1e-3], np.linspace(0.01, 0.99, 33), [0.999, 1.0]))
+        shapes = np.array([0.05, 0.5, 1.0, 1.5, 3.0, 7.25, 16.0, 40.5, 150.0])
+        grid = [v.ravel() for v in np.meshgrid(xs, shapes, shapes, indexing="ij")]
+        rng = np.random.default_rng(29)
+        paper = [rng.uniform(0.05, 0.6, 20_000), *rng.uniform(1.0, 161.0, (2, 20_000))]
+        for x, a, b in (grid, paper):
+            assert np.max(np.abs(reg_inc_beta(x, a, b) - betainc(a, b, x))) <= 1e-12
 
     def test_unknown_exp_log_build_fails_naming_it(self, monkeypatch):
         monkeypatch.setattr(pins, "FINGERPRINT", "0123456789abcdef")
