@@ -101,6 +101,18 @@ def _lanczos_positive(x):
     return _LN_SQRT_2PI + (x - 0.5) * np.log(t) - t + np.log(acc)
 
 
+def _log_gamma(x):
+    """log_gamma of a checked 1-D array of positive values."""
+    out = np.empty_like(x)
+    small = x < 0.5
+    if np.any(small):
+        xs = x[small]
+        out[small] = _LN_PI - np.log(np.sin(np.pi * xs)) - _lanczos_positive(1.0 - xs)
+    if not np.all(small):
+        out[~small] = _lanczos_positive(x[~small])
+    return out
+
+
 def log_gamma(x):
     """Natural log of the Gamma function for x > 0.
 
@@ -110,14 +122,7 @@ def log_gamma(x):
     arr = _as_float_array(x, "x")
     if np.any(arr <= 0.0):
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    small = arr < 0.5
-    if np.any(small):
-        xs = arr[small]
-        out[small] = _LN_PI - np.log(np.sin(np.pi * xs)) - _lanczos_positive(1.0 - xs)
-    if np.any(~small):
-        out[~small] = _lanczos_positive(arr[~small])
+    out = _log_gamma(arr.ravel())
     return _maybe_scalar(out[0] if scalar else out.reshape(np.shape(x)), scalar)
 
 
@@ -127,7 +132,10 @@ def log_beta(a, b):
     Computed as lgamma(a) + lgamma(b) - lgamma(a + b) for small arguments and
     with Stirling corrections for large ones, which avoids the cancellation
     the three-term form suffers when a + b is large. Exactly symmetric in
-    (a, b) because arguments are sorted before evaluation.
+    (a, b) because arguments are sorted before evaluation. Each element takes
+    one branch by its own (min, max), and the branches' log-gamma terms go
+    through one _log_gamma pass and their corrections through one _lgammacor
+    pass, so an element's value does not depend on what else shares the call.
     """
     scalar = np.isscalar(a) and np.isscalar(b)
     aa = _as_float_array(a, "a")
@@ -135,36 +143,28 @@ def log_beta(a, b):
     if np.any(aa <= 0.0) or np.any(bb <= 0.0):
         raise DomainError(f"log_beta requires a, b > 0, got a={a!r}, b={b!r}")
     aa, bb = np.broadcast_arrays(np.atleast_1d(aa), np.atleast_1d(bb))
-    p = np.minimum(aa, bb)
-    q = np.maximum(aa, bb)
-    out = np.empty_like(p)
-
+    p = np.minimum(aa, bb).ravel()
+    q = np.maximum(aa, bb).ravel()
     big = p >= 10.0
-    if np.any(big):
-        pp, qq = p[big], q[big]
-        corr = _lgammacor(pp) + _lgammacor(qq) - _lgammacor(pp + qq)
-        out[big] = (
-            -0.5 * np.log(qq)
-            + _LN_SQRT_2PI
-            + corr
-            + (pp - 0.5) * np.log(pp / (pp + qq))
-            + qq * np.log1p(-pp / (pp + qq))
-        )
     mid = (~big) & (q >= 10.0)
-    if np.any(mid):
-        pp, qq = p[mid], q[mid]
-        corr = _lgammacor(qq) - _lgammacor(pp + qq)
-        out[mid] = (
-            log_gamma(pp)
-            + corr
-            + pp
-            - pp * np.log(pp + qq)
-            + (qq - 0.5) * np.log1p(-pp / (pp + qq))
-        )
     rest = (~big) & (~mid)
-    if np.any(rest):
-        pp, qq = p[rest], q[rest]
-        out[rest] = log_gamma(pp) + log_gamma(qq) - log_gamma(pp + qq)
+    pb, qb, pm, qm, pr, qr = p[big], q[big], p[mid], q[mid], p[rest], q[rest]
+    sb, sm, sr = pb + qb, pm + qm, pr + qr
+    nb, nm, nr = len(pb), len(pm), len(pr)
+    cp, cq, cs, cqm, csm = np.split(
+        _lgammacor(np.concatenate((pb, qb, sb, qm, sm))), np.cumsum((nb, nb, nb, nm))
+    )
+    gm, gp, gq, gs = np.split(_log_gamma(np.concatenate((pm, pr, qr, sr))), np.cumsum((nm, nr, nr)))
+    out = np.empty_like(p)
+    out[big] = (
+        -0.5 * np.log(qb)
+        + _LN_SQRT_2PI
+        + (cp + cq - cs)
+        + (pb - 0.5) * np.log(pb / sb)
+        + qb * np.log1p(-pb / sb)
+    )
+    out[mid] = gm + (cqm - csm) + pm - pm * np.log(sm) + (qm - 0.5) * np.log1p(-pm / sm)
+    out[rest] = gp + gq - gs
     shape = np.broadcast_shapes(np.shape(a), np.shape(b))
     return _maybe_scalar(out[0] if scalar else out.reshape(shape), scalar)
 

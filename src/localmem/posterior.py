@@ -16,6 +16,11 @@ posterior, effective sample size and exceedance probability) and
 :class:`BatchPosterior` for many count rows; they agree bit for bit. No other
 helper gives a one-dataset posterior: :func:`analyze` builds one engine from
 the data's sample sizes, ``delta`` and the prior, and makes one-row calls of it.
+
+Every exceedance probability comes from one exceedance step, one incomplete
+beta call over the distinct (theta0, alpha, beta) cells it is given, so a
+batch that spans several engines (a simulated stage's survivor sets) pools
+its cells into one call.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .partitions import MAX_BASKETS, enumerate_partitions, partition_prior
 # top partition.
 TOP_TIE_TOL = 1e-12
 
-# Chunk budget of BatchPosterior.exceed_probs: the most rows x partitions
+# Chunk budget of BatchPosterior.borrow_params: the most rows x partitions
 # whose weights are evaluated at once. A call allocates one weights + scratch
 # pair (8 + 8 bytes per cell) for its largest chunk, after that chunk's
 # (2**B, T) block factors, and runs every chunk in it; the top pick's 1-byte
@@ -174,13 +179,17 @@ def analyze(
     theta0: float | Sequence[float] = 0.5,
 ) -> AnalysisResult:
     """Full posterior analysis: partition table, similarity, and per-basket
-    borrowing posteriors, effective sample sizes and exceedance probabilities,
-    all from the one-row call behind :meth:`BatchPosterior.exceed_probs`."""
+    borrowing posteriors, effective sample sizes and exceedance probabilities.
+
+    One :class:`BatchPosterior` evaluates the row's partition weights once
+    (:meth:`BatchPosterior.posterior`); its top partition goes through
+    :func:`borrow` and the exceedance step, as every row of
+    :meth:`BatchPosterior.exceed_probs` does, so the two agree bit for bit."""
     engine = BatchPosterior(data.n, delta, prior)
-    params, (probs,) = engine._exceed(data.x, theta0)
     (weights,), top, top_prob = engine.posterior(data.x)
-    labels = enumerate_partitions(data.num_baskets)
-    alpha, beta, ess = (v[0] for v in params)
+    labels = engine._labels
+    alpha, beta, ess = borrow([data.x], engine.n, labels[top], top_prob, prior)
+    (probs,) = _exceedance(theta0, alpha, beta)
     weights.setflags(write=False)
     # Pairwise co-membership probability: the summed weight of the partitions
     # placing two baskets in one block; the diagonal is 1 by convention.
@@ -192,10 +201,32 @@ def analyze(
         partition_prior=engine.partition_prior,
         partition_posterior=PartitionPosterior(weights, int(top[0]), float(top_prob[0])),
         similarity=similarity,
-        posteriors=tuple(BetaParams(float(a), float(b)) for a, b in zip(alpha, beta)),
-        ess=tuple(float(v) for v in ess),
+        posteriors=tuple(BetaParams(float(a), float(b)) for a, b in zip(alpha[0], beta[0])),
+        ess=tuple(float(v) for v in ess[0]),
         prob_exceeds=tuple(float(v) for v in probs),
     )
+
+
+def _exceedance(theta0, alpha, beta) -> np.ndarray:
+    """Posterior exceedance probabilities 1 - I_theta0(alpha, beta), alpha's shape.
+
+    The one exceedance step of :func:`analyze`,
+    :meth:`BatchPosterior.exceed_probs` and
+    :func:`~localmem.design.survivor_exceedance`. theta0 in (0, 1) is a
+    scalar, one per basket (alpha's last axis) or one per cell. One
+    incomplete beta call covers the distinct exact (theta0, alpha, beta)
+    triples, copied to the cells that repeat them: an element's value does
+    not depend on what else shares the call, so this never changes a bit.
+    """
+    t0 = np.asarray(theta0, dtype=float)
+    if t0.shape not in ((), alpha.shape[1:], alpha.shape):
+        raise ShapeError(f"theta0 has shape {t0.shape}; need (), {alpha.shape[1:]} or {alpha.shape}")
+    if not np.all((t0 > 0.0) & (t0 < 1.0)):
+        raise DomainError(f"theta0 must lie in (0, 1), got {t0.tolist()}")
+    cells = np.stack([np.broadcast_to(t0, alpha.shape), alpha, beta], axis=-1).reshape(-1, 3)
+    pick, inverse = _distinct_rows(cells)
+    probs = 1.0 - reg_inc_beta(*cells[pick].T)
+    return probs[inverse].reshape(alpha.shape)
 
 
 # At most MAX_BASKETS layouts, under 16 MB with the enumerations (14.9 MB, 12.4 at B = 10).
@@ -243,8 +274,9 @@ class BatchPosterior:
     and each row's result is independent of the others. This is the only code
     that computes partition weights and the public way to analyze many rows:
     :func:`analyze` (and through it every look of a single trial) calls it
-    with a single row, simulation and calibration with whole batches, and its
-    borrowing parameters come from :func:`borrow`.
+    with a single row, simulation and calibration with whole batches through
+    :meth:`borrow_params`, and its borrowing parameters come from
+    :func:`borrow`.
 
     A block's log Beta factor depends only on which baskets it holds, so a row
     needs at most 2**B - 1 factors, and each partition sums at most B of them.
@@ -273,16 +305,18 @@ class BatchPosterior:
         self._order, self._ranks, self._filled, self._block_index, self._member = layout
 
         # Log Beta factors tabulated over (rank of the block size among the
-        # distinct sizes, block responses), in one log_beta call over the
-        # cells with 0 <= responses <= size; a size-0 block's row stays 0.
+        # distinct sizes, block responses), over the cells with
+        # 0 <= responses <= size; a size-0 block's row stays 0. One log_beta
+        # call gives the prior's B(alpha, beta) first, then every cell.
         sizes, size_rank = np.unique(self.n @ self._member, return_inverse=True)
         self._size_rank = size_rank.reshape(-1, 1)  # (2**B, 1): one per block id
         s_vals = np.arange(sizes[-1] + 1, dtype=float)
         held = (s_vals <= sizes[:, None]) & (sizes[:, None] > 0)
         a = np.broadcast_to(prior.alpha + s_vals, held.shape)[held]
         b = ((prior.beta + sizes[:, None]) - s_vals)[held]
+        logs = log_beta(np.append(prior.alpha, a), np.append(prior.beta, b))
         self._factor_table = np.zeros(held.shape)
-        self._factor_table[held] = log_beta(a, b) - log_beta(prior.alpha, prior.beta)
+        self._factor_table[held] = logs[1:] - logs[0]
 
         with np.errstate(divide="ignore"):
             self._log_prior = np.log(self.partition_prior)
@@ -368,44 +402,35 @@ class BatchPosterior:
         first = np.minimum.reduceat(rank, starts)
         return weights, sums, self._order[first], w[rank == first[row]]
 
-    def exceed_probs(self, x, theta0) -> np.ndarray:
-        """Per-basket posterior exceedance probabilities, shape (T, B).
+    def borrow_params(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Borrowing-posterior (alpha, beta, ess) of count rows, each (T, B).
 
-        theta0 in (0, 1) is a scalar, one per basket (B,) or one per cell (T, B).
-        The counts and theta0 are checked once, before any work. The partition
-        weights are then evaluated in row chunks of at most MAX_CELLS rows x
+        The counts are checked once, before any work. The partition weights
+        are then evaluated in row chunks of at most MAX_CELLS rows x
         partitions, keeping only each row's top partition and its weight; the
         weights are never normalised, as only the cells near each row's max
         are read (:meth:`_weights`). Every chunk runs in one weights + scratch
         pair, allocated once per call for the largest chunk (16 bytes per
         cell), so a call of any length touches fresh pages only once. One
-        :func:`borrow` call covers the whole batch, and one incomplete beta
-        call its distinct (theta0, alpha, beta) triples. Rows are independent
-        of their batch, so neither the chunking nor the sharing changes a
-        result.
+        :func:`borrow` call covers the whole batch. Rows are independent of
+        their batch, so the chunking never changes a result.
         """
-        return self._exceed(x, theta0)[1]
-
-    def _exceed(self, x, theta0):
-        """:meth:`exceed_probs` with the :func:`borrow` output: ((alpha, beta, ess), probs)."""
         mat = self._as_matrix(x)
-        t0 = np.asarray(theta0, dtype=float)
-        if t0.shape not in ((), mat.shape[1:], mat.shape):
-            raise ShapeError(f"theta0 has shape {t0.shape}; need (), {mat.shape[1:]} or {mat.shape}")
-        if not np.all((t0 > 0.0) & (t0 < 1.0)):
-            raise DomainError(f"theta0 must lie in (0, 1), got {t0.tolist()}")
-        parts = len(self.partition_prior)
-        step = max(1, MAX_CELLS // parts)
+        step = max(1, MAX_CELLS // len(self.partition_prior))
         top, top_prob = np.empty(len(mat), dtype=int), np.empty(len(mat))
         pair = []  # sized by the first, largest chunk
         for lo in range(0, len(mat), step):
             top[lo : lo + step], top_prob[lo : lo + step] = self._weights(mat[lo : lo + step], pair)[2:]
         pair = None  # freed before the borrowing arrays
-        params = borrow(mat, self.n, self._labels[top], top_prob, self.prior)
-        # One incomplete beta per distinct exact (theta0, alpha, beta) triple,
-        # copied to the cells that repeat it: an element's value does not
-        # depend on what else shares the call, so this never changes a bit.
-        cells = np.stack([np.broadcast_to(t0, mat.shape), *params[:2]], axis=-1).reshape(-1, 3)
-        pick, inverse = _distinct_rows(cells)
-        probs = 1.0 - reg_inc_beta(*cells[pick].T)
-        return params, probs[inverse].reshape(mat.shape)
+        return borrow(mat, self.n, self._labels[top], top_prob, self.prior)
+
+    def exceed_probs(self, x, theta0) -> np.ndarray:
+        """Per-basket posterior exceedance probabilities, shape (T, B).
+
+        theta0 in (0, 1) is a scalar, one per basket (B,) or one per cell
+        (T, B). The rows' :meth:`borrow_params` go through the one exceedance
+        step, which checks theta0 against their shape and makes one
+        incomplete beta call over their distinct (theta0, alpha, beta) triples.
+        """
+        alpha, beta, _ = self.borrow_params(x)
+        return _exceedance(theta0, alpha, beta)

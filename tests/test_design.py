@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from localmem import design
+from localmem import design, posterior
 from localmem.design import (
     Decision,
     DesignSpec,
@@ -447,7 +447,8 @@ class TestOneRowEqualsBatch:
 
     def test_one_engine_call_per_size_tuple(self, monkeypatch):
         # 60 non-empty survivor sets share 45 size tuples ({0}, {2} and {5}
-        # are all (16,)); each tuple gets one engine and one call.
+        # are all (16,)); each tuple gets one engine, whose rows reach the
+        # top pick in one call.
         built, called = [], []
 
         class Counting(design.BatchPosterior):
@@ -455,9 +456,9 @@ class TestOneRowEqualsBatch:
                 built.append(tuple(n))
                 super().__init__(n, *args)
 
-            def exceed_probs(self, x, theta0):
+            def borrow_params(self, x):
                 called.append(tuple(self.n.tolist()))
-                return super().exceed_probs(x, theta0)
+                return super().borrow_params(x)
 
         monkeypatch.setattr(design, "BatchPosterior", Counting)
         spec, x, survivors, sizes = unequal_six()
@@ -468,14 +469,14 @@ class TestOneRowEqualsBatch:
 
     def test_duplicate_rows_are_analyzed_once(self, monkeypatch):
         # The rows tiled three times and shuffled give the untiled output row
-        # for row, and the engines see each distinct (survivor set, survivor
-        # counts) row once.
+        # for row, and each distinct (survivor set, survivor counts) row
+        # reaches an engine's top pick once.
         seen = []
 
         class Counting(design.BatchPosterior):
-            def exceed_probs(self, x, theta0):
+            def borrow_params(self, x):
                 seen.extend(map(tuple, np.asarray(x).tolist()))
-                return super().exceed_probs(x, theta0)
+                return super().borrow_params(x)
 
         spec, x, survivors, sizes = unequal_six()
         want = survivor_exceedance(spec, x, survivors, sizes)
@@ -485,6 +486,35 @@ class TestOneRowEqualsBatch:
         assert got.tobytes() == want[tiled].tobytes()
         distinct = {tuple(np.where(s, r, -1)) for r, s in zip(x, survivors) if s.any()}
         assert len(seen) == len(distinct) < len(x)
+
+    @pytest.mark.parametrize("alive", [False, True])
+    def test_one_incomplete_beta_call_per_call(self, monkeypatch, alive):
+        # Every engine's cells are pooled into one exceedance step: one
+        # incomplete beta call however many size tuples there are, and none
+        # when no basket survives.
+        calls = []
+
+        def counting(x, a, b):
+            calls.append(np.size(x))
+            return reg_inc_beta(x, a, b)
+
+        monkeypatch.setattr(posterior, "reg_inc_beta", counting)
+        spec, x, survivors, sizes = unequal_six()
+        survivor_exceedance(spec, x, survivors & alive, sizes)
+        assert len(calls) == alive
+
+    def test_row_key_holds_every_count(self):
+        # The row key is int8 only while every count fits: counts above 127
+        # still equal analyze, and a negative count is refused, not wrapped
+        # into a valid one (-240 is 16 in int8).
+        spec = DesignSpec.create(2, 200, 0.15, 0.45, lam=0.977, delta=1.0, stages=1)
+        x = np.array([[130, 200], [127, 128], [0, 200]], dtype=np.uint8)
+        probs = survivor_exceedance(spec, x, np.ones(x.shape, dtype=bool), spec.max_sizes)
+        for row, p in zip(x, probs):
+            data = BasketData.create(row, spec.max_sizes)
+            assert p.tolist() == list(analyze(data, delta=1.0, theta0=spec.theta0).prob_exceeds)
+        with pytest.raises(DomainError):
+            survivor_exceedance(spec, [[-240, 16]], [[True, True]], spec.max_sizes)
 
     @pytest.mark.parametrize("num_rows", [0, 7])
     def test_no_rows_or_no_survivors(self, num_rows, monkeypatch):

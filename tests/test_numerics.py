@@ -45,6 +45,12 @@ import pins
 from oracles import binom_cdf_rational, reg_inc_beta_quadrature
 
 
+# Shapes for the log_beta and log_gamma pins.
+PIN_VALUES = np.array(
+    [0.01, 0.05, 0.3, 0.49, 0.5, 0.75, 1.0, 2.5, 7.25, 9.99, 10.0, 16.5, 40.5, 150.0, 1e4, 1e6]
+)
+
+
 class TestLogBeta:
     def test_identity_cases(self):
         assert abs(log_beta(1.0, 1.0)) <= 1e-12
@@ -86,8 +92,33 @@ class TestLogBeta:
         for i in range(3):
             assert vec[i] == log_beta(float(a[i]), float(b[i]))
 
+    def test_grid_is_pinned(self):
+        # Every value over a fixed grid whose pairs cross the big (min >= 10),
+        # mid (max >= 10) and three-term branches and the log-gamma
+        # reflection below 0.5, given as a 2-D broadcast, a 1-D array against
+        # a scalar and scalar calls.
+        a = PIN_VALUES[:, None]
+        out = [log_beta(a, PIN_VALUES), log_beta(PIN_VALUES, 0.25)]
+        out.append(np.array([log_beta(0.3, 12.0), log_beta(25.0, 30.0), log_beta(2.0, 3.0)]))
+        digest = hashlib.sha256(b"".join(v.tobytes() for v in out)).hexdigest()
+        assert digest == pins.pinned({
+            pins.AVX512: "ae22bbb46b68a47b82494d7bb628d154138dbdf5d21c5a63dd5869e6bb776f31",
+            pins.AVX2: "ae22bbb46b68a47b82494d7bb628d154138dbdf5d21c5a63dd5869e6bb776f31",
+        })
+
 
 class TestLogGamma:
+    def test_grid_is_pinned(self):
+        # The pinned shapes and their sums, reflected below 0.5, as a 2-D
+        # array and as scalar calls.
+        grid = PIN_VALUES[:, None] + PIN_VALUES
+        out = [log_gamma(grid), np.array([log_gamma(0.3), log_gamma(12.5), log_gamma(1e5)])]
+        digest = hashlib.sha256(b"".join(v.tobytes() for v in out)).hexdigest()
+        assert digest == pins.pinned({
+            pins.AVX512: "132c6a561337fe3b1ad1982154dd1f626288ebdab46f70861774c91f7f681b65",
+            pins.AVX2: "132c6a561337fe3b1ad1982154dd1f626288ebdab46f70861774c91f7f681b65",
+        })
+
     def test_small_argument_reflection(self):
         for x in (0.01, 0.1, 0.25, 0.49):
             ref = math.lgamma(x)
