@@ -141,17 +141,22 @@ def borrow(x, n, labels, top_prob, prior: BetaParams = DEFAULT_PRIOR):
     """Borrowing-posterior (alpha, beta, ess) arrays of shape (T, B).
 
     x holds count rows (T, B), n the sample sizes (B,), labels each row's
-    top-partition block labels (T, B) and top_prob its weight (T,). Each
+    top-partition block labels (T, B), non-negative integers, and top_prob
+    its weight (T,). Each
     basket adds the counts of the other baskets in its block, scaled by the
     top weight; baskets outside the block contribute nothing. This is the
     only code that forms borrowing parameters.
     """
     x = np.asarray(x, dtype=int)
     n = np.asarray(n, dtype=int)
-    same = labels[:, :, None] == labels[:, None, :]
-    # Block totals less the basket's own counts: the borrowed counts.
-    bx = (same * x[:, None, :]).sum(axis=2) - x
-    bn = (same * n).sum(axis=2) - n
+    # One bincount per quantity over (row, block label) slots gives every
+    # block's totals; each basket reads its own block's and drops its own
+    # counts: the borrowed counts. The totals are integers, exact in float64.
+    width = int(labels.max(initial=0)) + 1
+    slot = labels + width * np.arange(len(labels))[:, None]
+    size = width * len(labels)
+    bx = np.bincount(slot.ravel(), x.ravel(), size)[slot] - x
+    bn = np.bincount(slot.ravel(), np.broadcast_to(n, x.shape).ravel(), size)[slot] - n
     scale = np.asarray(top_prob, dtype=float)[:, None]
     alpha = prior.alpha + x + scale * bx
     beta = prior.beta + (n - x) + scale * (bn - bx)

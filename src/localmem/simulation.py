@@ -3,11 +3,12 @@
 Each simulated trial draws its stage cohorts from a dedicated random stream
 keyed on (seed, trial, basket, stage), so results are bit-identical no matter
 how trials are split across workers. A run simulates all of its scenarios
-together, since they share these streams: draws are made in blocks of 512
+together, since they share these streams: draws are made in blocks of 1024
 trials (TRIAL_BLOCK), one binomial_draws pass per block that seeds every
-stream of the block once and draws it for every scenario, so memory stays
-bounded at any trial count. Each trial chunk then decides the trials of
-every scenario in one decide_batch call, which analyzes a count row that
+stream of the block once and draws each basket's distinct rates on it once,
+so scenarios that give a basket the same rate share its counts and memory
+stays bounded at any trial count. Each trial chunk then decides the trials
+of every scenario in one decide_batch call, which analyzes a count row that
 several scenarios share once. Aggregation uses integer counters only.
 """
 
@@ -23,7 +24,7 @@ from .design import DesignSpec, survivor_exceedance
 from .errors import DomainError, ShapeError
 from .numerics import as_int, binomial_draws
 
-TRIAL_BLOCK = 512
+TRIAL_BLOCK = 1024
 DEFAULT_N_SIMS = 5000
 
 
@@ -84,24 +85,40 @@ def generate_counts_batch(
 
     Stage 1 draws spec.stage1_sizes() patients per basket on stream
     (t, b, 0) and stage 2 the remaining patients on (t, b, 1); the scenarios
-    share these streams and differ only in their rates. A single-stage
-    design draws only stage 1, at its maximum sizes, and returns
-    (None, x_total). The trials are drawn in blocks of TRIAL_BLOCK, one
-    binomial_draws pass per block for every scenario at once, which derives
-    each stream's state once and keeps every temporary bounded. The counts
-    are written straight into the two arrays, whose dtype is the smallest
-    unsigned integer type that holds the largest basket size.
+    share these streams and differ only in their rates. A draw is a pure
+    function of its stream, size and rate, so each basket's distinct rates
+    are drawn once and their counts copied to every scenario that gives the
+    basket that rate: the paper's suite, whose baskets take only theta0 or
+    theta1, draws 2 rate rows, not 5. Baskets with fewer distinct rates
+    than the most pad their rows with p = 0, which draws nothing. A
+    single-stage design draws only stage 1, at its maximum sizes, and
+    returns (None, x_total). The trials are drawn in blocks of TRIAL_BLOCK,
+    one binomial_draws pass per block for every rate row at once, which
+    derives each stream's state once and keeps every temporary bounded. The
+    counts are copied a (scenario, basket) column at a time into the two
+    arrays, whose dtype is the smallest unsigned integer type that holds
+    the largest basket size.
     """
+    if not scenarios:
+        raise ShapeError("need at least one scenario")
     n1 = spec.stage1_sizes()
     sizes = [n1]
     if spec.stages == 2:
         sizes.append(tuple(n - m for n, m in zip(spec.max_sizes, n1)))
     sizes = np.array(sizes)
     stage, basket = np.indices(sizes.shape)
-    rates = np.array([sc.true_rates for sc in scenarios], dtype=float)
-    rates = rates.reshape(-1, 1, 1, spec.num_baskets)  # (S, stage, trial, B)
+    # Each basket's distinct rates, padded with p = 0 to the most any basket
+    # has: rate row r draws rates[r], and scenario s reads basket b from row
+    # pick[s][b].
+    table = np.array([sc.true_rates for sc in scenarios], dtype=float)
+    rates, pick = np.zeros(table.shape), np.empty(table.shape, dtype=int)
+    for b, col in enumerate(table.T):
+        vals, pick[:, b] = np.unique(col, return_inverse=True)
+        rates[: len(vals), b] = vals
+    rates = rates[: pick.max() + 1].reshape(-1, 1, 1, spec.num_baskets)  # (R, stage, trial, B)
+    pick = pick.tolist()
     dtype = np.min_scalar_type(max(spec.max_sizes))
-    x_total = np.empty((len(rates), len(trials), spec.num_baskets), dtype=dtype)
+    x_total = np.empty((len(scenarios), len(trials), spec.num_baskets), dtype=dtype)
     x_interim = np.empty_like(x_total) if spec.stages == 2 else None
     for lo in range(0, len(trials), TRIAL_BLOCK):
         block = np.asarray(trials[lo : lo + TRIAL_BLOCK])
@@ -110,14 +127,16 @@ def generate_counts_batch(
         )
         keys = np.stack([t, b, s], axis=-1).reshape(-1, 3)
         p = np.broadcast_to(rates, (len(rates), *t.shape)).reshape(len(rates), -1)
-        # (S, stages, trials of the block, B)
+        # (R, stages, trials of the block, B)
         draws = binomial_draws(seed, keys, n.ravel(), p).reshape(len(rates), *t.shape)
+        interim = draws[:, 0].astype(dtype)
+        total = interim + draws[:, 1].astype(dtype) if x_interim is not None else interim
         hi = lo + len(block)
-        if x_interim is None:
-            x_total[:, lo:hi] = draws[:, 0]
-        else:
-            x_interim[:, lo:hi] = draws[:, 0]
-            x_total[:, lo:hi] = draws[:, 0] + draws[:, 1]
+        for sc, rows in enumerate(pick):
+            for j, r in enumerate(rows):
+                x_total[sc, lo:hi, j] = total[r, :, j]
+                if x_interim is not None:
+                    x_interim[sc, lo:hi, j] = interim[r, :, j]
     return x_interim, x_total
 
 
@@ -236,6 +255,8 @@ def simulate_batch(
     n_sims = as_int(n_sims, "n_sims")
     if n_sims < 1:
         raise DomainError(f"n_sims must be >= 1, got {n_sims}")
+    if not scenarios:
+        raise ShapeError("need at least one scenario")
     if any(len(sc.true_rates) != spec.num_baskets for sc in scenarios):
         raise ShapeError("scenario does not match the design's basket count")
     parts = _collect(_chunk_counts, spec, scenarios, n_sims, seed, workers)

@@ -10,6 +10,7 @@ math.comb. Keep it slow and obviously correct.
 import math
 from fractions import Fraction
 
+import numpy as np
 from scipy import integrate
 
 
@@ -46,6 +47,25 @@ def membership_of(blocks, num_elements):
         for e in blk:
             labels[e] = lab
     return tuple(labels)
+
+
+# ------------------------------------------------------------------ borrowing
+
+
+def borrow_by_comembership(x, n, labels, top_prob, prior):
+    """posterior.borrow's (alpha, beta, ess) from the (T, B, B) co-membership
+    products of each row's block labels, rather than from block totals: the
+    float operations are the same, so the two must agree bit for bit."""
+    x = np.asarray(x, dtype=int)
+    n = np.asarray(n, dtype=int)
+    same = labels[:, :, None] == labels[:, None, :]
+    bx = (same * x[:, None, :]).sum(axis=2) - x
+    bn = (same * n).sum(axis=2) - n
+    scale = np.asarray(top_prob, dtype=float)[:, None]
+    alpha = prior.alpha + x + scale * bx
+    beta = prior.beta + (n - x) + scale * (bn - bx)
+    ess = prior.alpha + prior.beta + n + scale * bn
+    return alpha, beta, ess
 
 
 # ------------------------------------------------------------ exact rationals

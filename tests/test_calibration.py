@@ -251,7 +251,7 @@ def per_point_calibrate(problem):
 
 class TestVectorisedSweep:
     # The grid sweep must give exactly the per-point answer. The trial
-    # counts are not multiples of the 512-trial block.
+    # counts are not multiples of the trial block (TRIAL_BLOCK, 1024 trials).
     @pytest.mark.parametrize(
         "template, lambda_grid, gamma_grid, n_sims, fwer_target",
         [

@@ -28,7 +28,7 @@ from localmem.posterior import (
 )
 
 import pins
-from oracles import RationalAnalysis, beta_tail_quadrature
+from oracles import RationalAnalysis, beta_tail_quadrature, borrow_by_comembership
 
 # sha256 of BatchPosterior.posterior output bytes, keyed by (B, delta); see
 # TestBatchPosterior.test_output_bytes_are_pinned.
@@ -170,6 +170,28 @@ class TestLocalPosterior:
         post = analyze(data, delta=0.0).posteriors[0]
         assert post.alpha == pytest.approx(1 + 2, abs=1e-12)
         assert post.beta == pytest.approx(1 + 4, abs=1e-12)
+
+
+class TestBorrow:
+    # borrow sums each row's blocks with one bincount per quantity; it must
+    # give the co-membership formula's bits.
+    @pytest.mark.parametrize("num_baskets", [1, 2, 4, 10])
+    @pytest.mark.parametrize("prior", [posterior.DEFAULT_PRIOR, JEFFREYS_PRIOR], ids=["uniform", "jeffreys"])
+    def test_equals_the_comembership_formula(self, num_baskets, prior):
+        rng = np.random.default_rng(num_baskets)
+        labels = enumerate_partitions(num_baskets)
+        rows = 300
+        # The first partition is one block and the last all singletons; the
+        # rest are drawn from the enumeration.
+        pick = np.concatenate(([0] * 5, [len(labels) - 1] * 5, rng.integers(0, len(labels), rows - 10)))
+        n = rng.integers(0, 30, num_baskets)
+        x = rng.integers(0, n + 1, (rows, num_baskets))
+        top_prob = np.concatenate((rng.random(rows - 2), [0.0, 1.0]))
+        got = borrow(x, n, labels[pick], top_prob, prior)
+        want = borrow_by_comembership(x, n, labels[pick], top_prob, prior)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
 
 
 class TestEffectiveSampleSize:
