@@ -19,8 +19,8 @@ and applies the stage's cutoff. Simulated batches go through
 :func:`survivor_exceedance`, which analyzes each distinct (survivor set,
 survivor counts) row once: with few baskets and small cohorts most simulated
 trials repeat another's counts. Both reach the same engine, borrowing step
-and exceedance step, so the two agree bit for bit; a batch pools the cells of
-all its engines into one exceedance step.
+and exceedance step, so the two agree bit for bit; a batch passes the cells
+of all its engines to one exceedance step, the one dedup of those cells.
 """
 
 from __future__ import annotations
@@ -251,10 +251,10 @@ def survivor_exceedance(spec: DesignSpec, x, survivors, sizes: Sequence[int]) ->
     survivors' sample sizes, so the distinct rows of every survivor set with
     the same size tuple go through one engine and one
     :meth:`~localmem.posterior.BatchPosterior.borrow_params` call; an
-    equal-size design needs at most B engines. Each engine's distinct
-    (theta0, alpha, beta) cells join one pool, and an int32 slot per cell
-    holds its place there; the pool goes through the exceedance step once,
-    so a call makes one incomplete beta call, or none when nothing survives.
+    equal-size design needs at most B engines. The (theta0, alpha, beta)
+    cells of every engine go through one exceedance step, which alone
+    deduplicates them: a call makes one incomplete beta call, or none when
+    nothing survives.
     """
     survivors = np.asarray(survivors, dtype=bool)
     x = np.asarray(x)
@@ -264,17 +264,15 @@ def survivor_exceedance(spec: DesignSpec, x, survivors, sizes: Sequence[int]) ->
     low = min(int(x.min(initial=0)), -1 - int(x.max(initial=0)))
     key = np.full(x.shape, -1, dtype=np.min_scalar_type(low))
     np.copyto(key, x, casting="unsafe", where=survivors)
-    pick, inverse = _distinct_rows(key)
+    pick, inverse = _distinct_rows(key.T)
     x, survivors = key[pick], survivors[pick]
     del key, pick
     sizes = np.asarray(sizes, dtype=int)
-    theta0 = np.asarray(spec.theta0)
-    # Each cell's index into the pool, or -1 (-inf) outside the survivors.
-    slot = np.full(x.shape, -1, dtype=np.int32)
-    pool = []
-    pooled = 0
+    width = x.shape[1]
+    # Each engine's cells: their flat positions in x, alpha and beta.
+    cells = []
     # One int per row: its survivor set as a basket bitmask.
-    bits = np.arange(x.shape[1])
+    bits = np.arange(width)
     codes, group = np.unique(survivors @ (1 << bits), return_inverse=True)
     # Size tuple -> (rows, survivor columns) of each set with those sizes.
     batches: dict[tuple[int, ...], list[tuple[np.ndarray, np.ndarray]]] = {}
@@ -286,20 +284,14 @@ def survivor_exceedance(spec: DesignSpec, x, survivors, sizes: Sequence[int]) ->
     for key, sets in batches.items():
         rows = np.concatenate([r for r, _ in sets])[:, None]
         cols = np.concatenate([np.broadcast_to(c, (len(r), len(c))) for r, c in sets])
-        params = BatchPosterior(key, spec.delta, spec.prior).borrow_params(x[rows, cols])
-        cells = np.stack([theta0[cols], *params[:2]], axis=-1).reshape(-1, 3)
-        first, index = _distinct_rows(cells)
-        slot[rows, cols] = pooled + index.reshape(cols.shape)
-        pool.append(cells[first])
-        pooled += len(first)
-    probs = np.empty(0)
-    if pool:
-        # The last engine's arrays, freed before the pooled step's temporaries:
-        # held beside them, they raised a paper run's peak RSS by about 0.3 MB.
-        del params, cells, first, index
-        pool = np.concatenate(pool)
-        probs = _exceedance(*pool.T)
-    return np.append(probs, -np.inf)[slot[inverse]]
+        alpha, beta = BatchPosterior(key, spec.delta, spec.prior).borrow_params(x[rows, cols])[:2]
+        cells.append(((rows * width + cols).ravel(), alpha.ravel(), beta.ravel()))
+    probs = np.full(x.shape, -np.inf)
+    if cells:
+        at, alpha, beta = map(np.concatenate, zip(*cells))
+        del cells  # the engines' arrays, freed before the exceedance step's temporaries
+        probs.flat[at] = _exceedance(np.take(spec.theta0, at % width), alpha, beta)
+    return probs[inverse]
 
 
 def _step(state: TrialState, spec: DesignSpec, stage: int) -> TrialState:

@@ -460,18 +460,21 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, np.searchsorted(v, values)
 
 
-def _distinct_rows(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-D array, matched exactly: pick, the index of
-    each one's first occurrence, in np.lexsort order, and inverse, every
-    row's position in pick, so that key[pick][inverse] equals key."""
-    order = np.lexsort(key.T)
-    first = np.zeros(len(key), dtype=bool)
+def _distinct_rows(columns) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of equal-length 1-D columns (np.lexsort's keys, the
+    last one primary), matched exactly: pick, the index of each one's first
+    occurrence, in np.lexsort order, and inverse, every row's position in
+    pick, so that column[pick][inverse] equals each column; a 2-D array's
+    rows are its transpose's columns. Float (theta0, alpha, beta) cells come
+    only from posterior._exceedance, the one dedup of cells."""
+    order = np.lexsort(columns)
+    first = np.zeros(len(order), dtype=bool)
     first[:1] = True
-    # One sorted column at a time, so no sorted copy of the whole array is held.
-    for column in key.T:
+    # One sorted column at a time, so no sorted copy of the whole key is held.
+    for column in columns:
         column = column[order]
         first[1:] |= column[1:] != column[:-1]
-    inverse = np.empty(len(key), dtype=np.intp)
+    inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
     return order[first], inverse
 

@@ -17,10 +17,10 @@ posterior, effective sample size and exceedance probability) and
 helper gives a one-dataset posterior: :func:`analyze` builds one engine from
 the data's sample sizes, ``delta`` and the prior, and makes one-row calls of it.
 
-Every exceedance probability comes from one exceedance step, one incomplete
-beta call over the distinct (theta0, alpha, beta) cells it is given, so a
-batch that spans several engines (a simulated stage's survivor sets) pools
-its cells into one call.
+Every exceedance probability comes from one exceedance step, the one place
+that deduplicates (theta0, alpha, beta) cells: one incomplete beta call over
+the distinct cells it is given. A batch that spans several engines (a
+simulated stage's survivor sets) passes all their cells to one step.
 """
 
 from __future__ import annotations
@@ -218,19 +218,21 @@ def _exceedance(theta0, alpha, beta) -> np.ndarray:
     The one exceedance step of :func:`analyze`,
     :meth:`BatchPosterior.exceed_probs` and
     :func:`~localmem.design.survivor_exceedance`. theta0 in (0, 1) is a
-    scalar, one per basket (alpha's last axis) or one per cell. One
-    incomplete beta call covers the distinct exact (theta0, alpha, beta)
-    triples, copied to the cells that repeat them: an element's value does
-    not depend on what else shares the call, so this never changes a bit.
+    scalar, one per basket (alpha's last axis) or one per cell. This is the
+    one dedup of (theta0, alpha, beta) cells: the three raveled columns go
+    to :func:`~localmem.numerics._distinct_rows` unstacked, and one
+    incomplete beta call covers the distinct exact triples, copied to the
+    cells that repeat them. An element's value does not depend on what else
+    shares the call, so this never changes a bit.
     """
     t0 = np.asarray(theta0, dtype=float)
     if t0.shape not in ((), alpha.shape[1:], alpha.shape):
         raise ShapeError(f"theta0 has shape {t0.shape}; need (), {alpha.shape[1:]} or {alpha.shape}")
     if not np.all((t0 > 0.0) & (t0 < 1.0)):
         raise DomainError(f"theta0 must lie in (0, 1), got {t0.tolist()}")
-    cells = np.stack([np.broadcast_to(t0, alpha.shape), alpha, beta], axis=-1).reshape(-1, 3)
+    cells = (np.broadcast_to(t0, alpha.shape).ravel(), alpha.ravel(), beta.ravel())
     pick, inverse = _distinct_rows(cells)
-    probs = 1.0 - reg_inc_beta(*cells[pick].T)
+    probs = 1.0 - reg_inc_beta(*(column[pick] for column in cells))
     return probs[inverse].reshape(alpha.shape)
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from localmem import design, posterior
+from localmem import design, numerics, posterior
 from localmem.design import (
     Decision,
     DesignSpec,
@@ -489,7 +489,7 @@ class TestOneRowEqualsBatch:
 
     @pytest.mark.parametrize("alive", [False, True])
     def test_one_incomplete_beta_call_per_call(self, monkeypatch, alive):
-        # Every engine's cells are pooled into one exceedance step: one
+        # Every engine's cells go through one exceedance step: one
         # incomplete beta call however many size tuples there are, and none
         # when no basket survives.
         calls = []
@@ -502,6 +502,26 @@ class TestOneRowEqualsBatch:
         spec, x, survivors, sizes = unequal_six()
         survivor_exceedance(spec, x, survivors & alive, sizes)
         assert len(calls) == alive
+
+    @pytest.mark.parametrize("alive", [False, True])
+    def test_cells_are_deduplicated_once(self, monkeypatch, alive):
+        # The exceedance step is the one dedup of (theta0, alpha, beta) cells:
+        # one _distinct_rows call over float columns however many engines
+        # there are, and none when no basket survives. The row key's call is
+        # over integer columns.
+        float_calls = []
+
+        def counting(columns):
+            if any(np.asarray(c).dtype.kind == "f" for c in columns):
+                float_calls.append(columns)
+            return distinct_rows(columns)
+
+        distinct_rows = numerics._distinct_rows
+        for module in (numerics, posterior, design):
+            monkeypatch.setattr(module, "_distinct_rows", counting)
+        spec, x, survivors, sizes = unequal_six()
+        survivor_exceedance(spec, x, survivors & alive, sizes)
+        assert len(float_calls) == alive
 
     def test_row_key_holds_every_count(self):
         # The row key is int8 only while every count fits: counts above 127

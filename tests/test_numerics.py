@@ -696,6 +696,37 @@ class TestLogSumExp:
         assert out[1] == pytest.approx(1.0 + math.log(2.0), abs=1e-14)
 
 
+def distinct_rows_cases():
+    """Columns of the _distinct_rows tests by name, every key with repeats."""
+    rng = np.random.default_rng(61)
+    row_keys = rng.integers(-1, 4, size=(400, 4)).astype(np.int8)
+    alpha, beta = rng.uniform(1.0, 17.0, size=(2, 9))
+    triples = rng.integers(0, 9, size=(500, 2))
+    return {
+        "int8 row keys": tuple(row_keys.T),
+        "float triples": (rng.choice([0.1, 0.15, 0.2], 500), alpha[triples[:, 0]], beta[triples[:, 1]]),
+        "one column": (rng.choice([0.5, 2.0, 7.25], 60),),
+        "no rows": (np.empty(0), np.empty(0), np.empty(0)),
+    }
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("name", ["int8 row keys", "float triples", "one column", "no rows"])
+    def test_equals_unique_rows(self, name):
+        # np.unique sorts rows with the first column primary and np.lexsort
+        # with the last, so it gets the columns reversed: then its distinct
+        # rows are in lexsort order, each at its first occurrence.
+        columns = distinct_rows_cases()[name]
+        pick, inverse = numerics._distinct_rows(columns)
+        rows = np.stack(columns[::-1], axis=1)
+        unique, index, unique_inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        assert len(unique) < len(rows) or not len(rows)
+        assert pick.tolist() == index.tolist()
+        assert inverse.tolist() == unique_inverse.ravel().tolist()
+        for column in columns:
+            assert column[pick][inverse].tobytes() == column.tobytes()
+
+
 def _spec(**kwargs):
     args = dict(num_baskets=2, max_sizes=16, theta0=0.15, theta1=0.45, lam=0.9, interim_sizes=10)
     args.update(kwargs)
