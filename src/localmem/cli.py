@@ -140,7 +140,7 @@ def _write_csv(out_dir: Path, name: str, meta: dict, header: list[str], rows: li
     with open(path, "w", encoding="utf-8", newline="") as fh:
         meta_line = " ".join(f"{k}={v}" for k, v in meta.items())
         fh.write(f"# {meta_line}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])

@@ -395,17 +395,18 @@ PINNED_ANALYZE_CONFIGS = {
 }
 
 # sha256 of each file with its config hash blanked, recorded before the
-# reports were written from the membership array.
+# reports were written from the membership array; the CSV digests were
+# re-recorded when CSV rows began ending in LF rather than CRLF.
 ANALYZE_REPORT_DIGESTS = {
     "b4-ids": {
         "analysis.json": "1cab5e3e48ed6596e4d7d30d10eae98a69d525dac554c8c00e02bd6e38eaa6ab",
-        "analysis_baskets.csv": "e6dfc4ff6fc09f0017c9c137dae750f2c1fc6f5f9dc55069ff701483b5fd18bf",
-        "analysis_partitions.csv": "1f0a32fcfee583e5dc07b7b7eddbd44d792047df07466f4656b82e378e37b08b",
+        "analysis_baskets.csv": "4650276551ccae27f95f850f36a9caefdccfaab3c8a64b0ad4d0ca20579512bf",
+        "analysis_partitions.csv": "01792e68d146e003d38afb9da8353fa8f63a5b6e8ab33bfca533fda52dfc66b5",
     },
     "b9-default": {
         "analysis.json": "36f590d000a8dfd9c7c9e89296fe2baefdeb47373400da6d4d79287c956ce2e5",
-        "analysis_baskets.csv": "c5534b638643029b3f5ff7210b32c35785d40ee91fd59bbef5e1cc9c6b6a240f",
-        "analysis_partitions.csv": "2be8a7c0496915926da6e90c9902c669612135926b68f1dbb7741893d0da00c1",
+        "analysis_baskets.csv": "1b7fed13d9c1b9c20b72dbdb1983b7eb249319060b4aa9101230e7992b0b6df5",
+        "analysis_partitions.csv": "4acd84a0ca8f68d9ee3348db9a602704ea6890db48c3d5046835db6cb4520987",
     },
 }
 
@@ -456,22 +457,23 @@ PINNED_MONITOR_CONFIGS = {
 }
 
 # sha256 of each file with its config hash blanked, recorded before the looks
-# were moved into one checked step.
+# were moved into one checked step; the CSV digests were re-recorded when CSV
+# rows began ending in LF rather than CRLF.
 MONITOR_REPORT_DIGESTS = {
     "b4-stage1": {
-        "monitor.csv": "2639303b715a4705d6347470e3d33e22f3acc2e0ab2af2dde9887312b67d9a68",
+        "monitor.csv": "fa9b879b56007d079e338c15084044613dc7400c48ef1dc0792db72125af9251",
         "monitor.json": "09cd669e4755a318cc53f6c12a1642cd15b465d9b1c6c841e971ed9dc7f4e653",
     },
     "b4-stage2": {
-        "monitor.csv": "bc92d008301f937ae0efda106aaeb33a5c2d890615ab7e707e9e862112d2c85e",
+        "monitor.csv": "3a26bbe7622dea17c6a86818a6ee5c1f8582a6c070f2ad5abf457a5013eff220",
         "monitor.json": "aff153aa480de26e7583f5666d4566cbf903ca7687003666fccd8e705daeb690",
     },
     "b7-stage1": {
-        "monitor.csv": "4f3a82ef187b900a87f8f2e75515fa6fb9742fcada023802b14a176c2c56023f",
+        "monitor.csv": "e96139c5615ee70f96c85a7790bff9fb58286329060cf3cc5277dadf1c8af685",
         "monitor.json": "862c77d7693cf9f4514f4a344595900aec822f8dc474f3331985dfc085995571",
     },
     "b7-stage2": {
-        "monitor.csv": "e384d710a1caa49605cb2fabe10dc34c214f539238af952a4590226e3f7be002",
+        "monitor.csv": "d02af9a659220e92639e519c97e8414de297204123035f07e04a39ee4ccc0bb2",
         "monitor.json": "9bc2073057cf1efb00f2f25caf8c85012dfe52b8bf42d129fc2d86e4daa5d076",
     },
 }
@@ -514,18 +516,19 @@ PINNED_RUNS = {
 }
 
 # sha256 of each file with its config hash blanked, recorded before every
-# command's report went through one load-validate-emit pipeline in main.
+# command's report went through one load-validate-emit pipeline in main; the
+# CSV digests were re-recorded when CSV rows began ending in LF rather than CRLF.
 RUN_REPORT_DIGESTS = {
     "simulate": {
-        "simulation.csv": "56132ac1e18a94407f227bd447f1e609f13dc04c6ed5e5f688ff39657f0ab2a2",
+        "simulation.csv": "3b0cd052775198c5199f75ae80ceb9ebfab9413010ba49fa95b23dad6171ec08",
         "simulation.json": "68e57eabb76881578133a9a2711c02e35a60b02ac22ee362f76f248c086f12e2",
     },
     "calibrate": {
         "calibration.json": "769bba0af168f043eaf3c98270c7d727968e98fdea9a0065e7ffa4407748bbb5",
-        "calibration_frontier.csv": "d6e418b2d78a4c6f65ed2bed49c73ba609b8cfc8a67d4de185f59093e1661625",
+        "calibration_frontier.csv": "3dc13be48dd2cb6c7e7f7fb32c5a86250d4c0e220bc16cbd1054ba0d66f312ac",
     },
     "simon": {
-        "simon.csv": "ebb783fcd793a129fbb40823fdfab7eade54af6aeca66d26eeefc1acac8ef61e",
+        "simon.csv": "88a2842416293e105d49d838ebd036abe469f14c296562dc9c864f7dd7a1bb59",
         "simon.json": "4f49c27f69db1f71bbf1fd0dc2b91004243b8eb1861ae24e3be010a5431a37cf",
     },
 }
@@ -539,6 +542,26 @@ class TestRunReportBytes:
         out = tmp_path / "out"
         assert run([command, *flags, "--out", out, "--format", "both"]) == 0
         assert _digests(out) == RUN_REPORT_DIGESTS[command]
+
+
+class TestCsvLineEndings:
+    # Every row ends in LF, as the meta line does, so a plain `grep -x`
+    # matches a row of any report CSV.
+    @pytest.mark.parametrize("command", ["analyze", "monitor", *sorted(PINNED_RUNS)])
+    def test_no_line_holds_a_carriage_return(self, tmp_path, command):
+        setup = {
+            "analyze": PINNED_ANALYZE_CONFIGS["b4-ids"],
+            "monitor": PINNED_MONITOR_CONFIGS["b4-stage2"],
+            **PINNED_RUNS,
+        }[command]
+        flags = setup if command == "simon" else ["--config", write_config(tmp_path, "c.json", setup)]
+        out = tmp_path / "out"
+        assert run([command, *flags, "--out", out, "--format", "csv"]) == 0
+        paths = sorted(out.glob("*.csv"))
+        assert paths
+        for path in paths:
+            blob = path.read_bytes()
+            assert b"\r" not in blob and blob.endswith(b"\n"), path.name
 
 
 class TestJsonTablesMatchCsv:
