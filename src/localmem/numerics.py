@@ -461,12 +461,11 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _distinct_rows(columns) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of equal-length 1-D columns (np.lexsort's keys, the
-    last one primary), matched exactly: pick, the index of each one's first
-    occurrence, in np.lexsort order, and inverse, every row's position in
-    pick, so that column[pick][inverse] equals each column; a 2-D array's
-    rows are its transpose's columns. Float (theta0, alpha, beta) cells come
-    only from posterior._exceedance, the one dedup of cells."""
+    """The distinct rows of equal-length 1-D columns, np.lexsort's keys,
+    matched exactly: pick, the index of each one's first occurrence, in
+    np.lexsort order, and inverse, every row's position in pick, so that
+    column[pick][inverse] equals each column. posterior._exceedance is the
+    one caller with float (theta0, alpha, beta) cells, their one dedup."""
     order = np.lexsort(columns)
     first = np.zeros(len(order), dtype=bool)
     first[:1] = True

@@ -510,13 +510,13 @@ class TestOneRowEqualsBatch:
         # there are, and none when no basket survives. The row key's call is
         # over integer columns.
         float_calls = []
+        distinct_rows = numerics._distinct_rows
 
         def counting(columns):
             if any(np.asarray(c).dtype.kind == "f" for c in columns):
                 float_calls.append(columns)
             return distinct_rows(columns)
 
-        distinct_rows = numerics._distinct_rows
         for module in (numerics, posterior, design):
             monkeypatch.setattr(module, "_distinct_rows", counting)
         spec, x, survivors, sizes = unequal_six()

@@ -408,7 +408,7 @@ class TestScenarioBatch:
     def test_paper_suite_memory_is_bounded(self):
         # The paper's OC table, 5 scenarios x 5000 trials in one chunk: the
         # counts of every scenario plus one decide_batch call over all of
-        # them. Traced at 2.98 MB, against at most 1.86 MB one scenario at a
+        # them. Traced at 2.85 MB, against at most 1.86 MB one scenario at a
         # time.
         spec = paper_two_stage()
         tracemalloc.start()
